@@ -15,6 +15,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .montecarlo import (
+    WORKER_BLAS_PINNED,
     ExperimentResult,
     calibrate_threshold,
     derive_seed,
@@ -48,6 +49,7 @@ class RunManifest:
     config: dict
     master_seed: int
     threads: int | None
+    worker_blas_pinned: bool  # threadpoolctl found: pool workers run single-threaded BLAS
     detectors: dict
     estimator_iterations: dict
     outputs: list[str]
@@ -83,6 +85,7 @@ def _manifest(command, cfg, seed, threads, detectors, iteration_stats, outputs, 
         config=_config_echo(cfg, seed),
         master_seed=seed,
         threads=threads,
+        worker_blas_pinned=WORKER_BLAS_PINNED,
         detectors=detectors,
         estimator_iterations=iteration_stats,
         outputs=sorted(str(o) for o in outputs),

@@ -37,6 +37,10 @@ _CHUNK = 4096
 _MAX_EXCLUSION_RATE = 1e-3
 DEFAULT_ROC_RESOLUTION = 512
 
+# Pool workers can pin BLAS to one thread only through threadpoolctl; without
+# it they keep the BLAS default and may oversubscribe the cores.
+WORKER_BLAS_PINNED = threadpool_limits is not None
+
 
 class ExclusionRateError(RuntimeError):
     """Raised when more than 0.1% of trials lose a usable estimate."""
@@ -136,7 +140,7 @@ class ExperimentResult:
 
 def _single_threaded_blas():
     # worker processes must not oversubscribe the cores with BLAS threads
-    if threadpool_limits is not None:
+    if WORKER_BLAS_PINNED:
         threadpool_limits(limits=1)
 
 
@@ -244,34 +248,30 @@ def run_experiment(
     with_h1: bool,
     threads: int | None = None,
 ) -> ExperimentResult:
-    """Run H0 (and optionally H1) trials and gather iteration diagnostics."""
+    """Run H0 (and optionally H1) trials and gather iteration diagnostics.
+
+    ``iteration_stats`` holds, per estimator kind, the mean, max and 50th,
+    90th and 99th percentiles of the iteration counts of the usable trials,
+    pooled over both hypotheses.
+    """
     t0 = time.perf_counter()
-    stats: dict[str, dict[str, float]] = {}
-
-    def note_iterations(iters, usable):
-        for kind in config.estimator_kinds():
-            counts = iters[kind][usable[kind]]
-            entry = stats.setdefault(kind, {"mean": 0.0, "max": 0.0, "_n": 0.0})
-            if counts.size:
-                total = entry["mean"] * entry["_n"] + counts.sum()
-                entry["_n"] += counts.size
-                entry["mean"] = float(total / entry["_n"])
-                entry["max"] = float(max(entry["max"], counts.max()))
-
-    lam, tr, usable, iters = _run_chunks(config, Hypothesis.H0, threads)
-    h0 = _collect_samples(config, Hypothesis.H0, lam, tr, usable)
-    note_iterations(iters, usable)
-    h1 = None
-    if with_h1:
-        lam, tr, usable, iters = _run_chunks(config, Hypothesis.H1, threads)
-        h1 = _collect_samples(config, Hypothesis.H1, lam, tr, usable)
-        note_iterations(iters, usable)
-    for entry in stats.values():
-        entry.pop("_n")
+    counts: dict[str, list[np.ndarray]] = {kind: [] for kind in config.estimator_kinds()}
+    samples = {}
+    for hypothesis in (Hypothesis.H0, Hypothesis.H1) if with_h1 else (Hypothesis.H0,):
+        lam, tr, usable, iters = _run_chunks(config, hypothesis, threads)
+        samples[hypothesis] = _collect_samples(config, hypothesis, lam, tr, usable)
+        for kind, chunks in counts.items():
+            chunks.append(iters[kind][usable[kind]])
+    stats = {}
+    for kind, chunks in counts.items():
+        pooled = np.concatenate(chunks)
+        p50, p90, p99 = np.percentile(pooled, (50, 90, 99))
+        stats[kind] = {"mean": float(pooled.mean()), "max": float(pooled.max()),
+                       "p50": float(p50), "p90": float(p90), "p99": float(p99)}
     return ExperimentResult(
         config=config,
-        h0=h0,
-        h1=h1,
+        h0=samples[Hypothesis.H0],
+        h1=samples.get(Hypothesis.H1),
         iteration_stats=stats,
         wall_clock=time.perf_counter() - t0,
     )

@@ -5,7 +5,8 @@ impulsive-noise ROC experiment runs through the installed CLI so the same
 artifacts serve the ordering, equivalence and determinism criteria.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.
+criterion.  Every test here is marked ``slow``, so ``pytest -m "not slow"``
+runs the unit suites alone.
 """
 
 import math
@@ -39,6 +40,8 @@ from robustsense import (
 )
 from robustsense.cli import main
 from robustsense.sampling import Hypothesis
+
+pytestmark = pytest.mark.slow
 
 TRIALS = 100_000
 P, SIGMA2 = 5, 1.0

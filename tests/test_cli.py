@@ -1,5 +1,6 @@
 """Command-line surface: presets, CSV schemas, manifests, determinism, exits."""
 
+import importlib.util
 import json
 
 import numpy as np
@@ -158,6 +159,9 @@ def test_pof_curve_emits_one_csv_per_detector_family_pair(tmp_path):
     assert manifest["command"] == "pof-curve"
     assert manifest["master_seed"] == 3
     assert "gaussian/tyler_glrt" in manifest["detectors"]
+    assert set(manifest["estimator_iterations"]["gg/tyler"]) == {"mean", "max", "p50", "p90", "p99"}
+    has_threadpoolctl = importlib.util.find_spec("threadpoolctl") is not None
+    assert manifest["worker_blas_pinned"] is has_threadpoolctl
 
 
 def test_pof_curve_single_trial_degenerate(tmp_path):

@@ -186,6 +186,39 @@ def test_max_iterations_reported_as_not_converged():
     assert res.final_residual >= 1e-6
 
 
+def gg_stack(trials, p, n, shape, seed):
+    model = NoiseModel.generalized_gaussian(shape)
+    return np.stack([sample_ces(np.eye(p), model, n, RngStream(seed, t).generator())
+                     for t in range(trials)])
+
+
+def test_gg_ml_scale_step_converges_in_few_iterations():
+    # the plain iteration needs about 100 steps here (max 122)
+    res = m_estimate_batch(gg_stack(256, 5, 50, 0.1, seed=24), WeightFunction.gg_ml(5, 0.1))
+    assert res.ok.all() and res.converged.all()
+    assert res.iterations.mean() <= 20
+    assert res.iterations.max() <= 30
+
+
+def test_gg_ml_estimate_solves_the_scale_equation():
+    # the trace of the ML equation: s / (b n p) * sum_i d_i^s = 1
+    p, n, s = 5, 50, 0.1
+    weight = WeightFunction.gg_ml(p, s)
+    x = gg_stack(1, p, n, s, seed=25)[0]
+
+    def scale_gap(sigma):
+        d = np.einsum("ji,ji->i", x.conj(), np.linalg.solve(sigma, x)).real
+        return abs(s / (weight.scale_b * n * p) * np.sum(d**s) - 1.0)
+
+    res = m_estimate(x, weight, FixedPointOptions(epsilon=1e-10))
+    assert res.converged
+    assert scale_gap(res.estimate) < 1e-9
+    assert fixed_point_residual(res.estimate, x, weight) < 1e-8
+    # the scale step puts every iterate on the equation, not just the limit
+    one_step = m_estimate(x, weight, FixedPointOptions(max_iterations=1))
+    assert scale_gap(one_step.estimate) < 1e-12
+
+
 def test_spectral_norm_stopping_rule():
     x = gaussian_data(3, 20, seed=14)
     res = m_estimate(x, WeightFunction.tyler(3), FixedPointOptions(norm="spectral"))
@@ -250,7 +283,8 @@ def test_batch_matches_solo_bitwise():
     stack = np.empty((6, 4, 24), dtype=complex)
     for i in range(6):
         stack[i] = sample_ces(np.eye(4), NoiseModel.generalized_gaussian(0.3), 24, g)
-    for w in (WeightFunction.tyler(4), WeightFunction.student_t(4, 3.0)):
+    for w in (WeightFunction.tyler(4), WeightFunction.student_t(4, 3.0),
+              WeightFunction.gg_ml(4, 0.3)):
         batch = m_estimate_batch(stack, w)
         for i in range(6):
             solo = m_estimate(stack[i], w)
@@ -266,11 +300,12 @@ def test_batch_flags_bad_members_without_poisoning_others():
         stack[i] = sample_ces(np.eye(3), NoiseModel.gaussian(), 12, g)
     basis = g.standard_normal((3, 1)) + 1j * g.standard_normal((3, 1))
     stack[1] = basis @ (g.standard_normal((1, 12)) + 1j * g.standard_normal((1, 12)))
-    res = m_estimate_batch(stack, WeightFunction.tyler(3))
-    assert res.ok.tolist() == [True, False, True]
-    for i in (0, 2):
-        solo = m_estimate(stack[i], WeightFunction.tyler(3))
-        assert np.array_equal(solo.estimate, res.estimates[i])
+    for w in (WeightFunction.tyler(3), WeightFunction.gg_ml(3, 0.5)):
+        res = m_estimate_batch(stack, w)
+        assert res.ok.tolist() == [True, False, True]
+        for i in (0, 2):
+            solo = m_estimate(stack[i], w)
+            assert np.array_equal(solo.estimate, res.estimates[i])
 
 
 # ---------------------------------------------------------------------------

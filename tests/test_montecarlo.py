@@ -129,7 +129,10 @@ def test_run_experiment_diagnostics():
     res = run_experiment(cfg, with_h1=True, threads=1)
     assert res.wall_clock > 0
     assert set(res.iteration_stats) == {"scm", "tyler"}
-    assert res.iteration_stats["tyler"]["max"] >= res.iteration_stats["tyler"]["mean"]
+    assert res.iteration_stats["scm"] == dict.fromkeys(("mean", "max", "p50", "p90", "p99"), 1.0)
+    ty = res.iteration_stats["tyler"]
+    assert 1 <= ty["p50"] <= ty["p90"] <= ty["p99"] <= ty["max"]
+    assert 1 <= ty["mean"] <= ty["max"]
     assert res.h1 is not None and len(res.h1) == 2
 
 
