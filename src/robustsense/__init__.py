@@ -45,9 +45,11 @@ from .sampling import (
     gg_scale,
     make_channel,
     sample_ces,
+    sample_chunk,
     sample_complex_sphere,
     sample_hypothesis,
     sample_texture,
+    sample_trial,
 )
 
 __all__ = [
@@ -85,9 +87,11 @@ __all__ = [
     "run_experiment",
     "run_trials",
     "sample_ces",
+    "sample_chunk",
     "sample_complex_sphere",
     "sample_hypothesis",
     "sample_texture",
+    "sample_trial",
     "scm",
     "threshold_grid",
     "tyler_estimate",

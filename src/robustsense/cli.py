@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
@@ -50,6 +51,10 @@ class RunManifest:
     master_seed: int
     threads: int | None
     worker_blas_pinned: bool  # threadpoolctl found: pool workers run single-threaded BLAS
+    # versions the output bytes rest on; numpy's Generator algorithms define every draw
+    python: str
+    numpy: str
+    scipy: str
     detectors: dict
     estimator_iterations: dict
     outputs: list[str]
@@ -86,6 +91,9 @@ def _manifest(command, cfg, seed, threads, detectors, iteration_stats, outputs, 
         master_seed=seed,
         threads=threads,
         worker_blas_pinned=WORKER_BLAS_PINNED,
+        python="{}.{}.{}".format(*sys.version_info[:3]),
+        numpy=np.__version__,
+        scipy=scipy.__version__,
         detectors=detectors,
         estimator_iterations=iteration_stats,
         outputs=sorted(str(o) for o in outputs),
@@ -188,6 +196,13 @@ def cmd_calibrate(
     return path
 
 
+def _seed(raw: str) -> int:
+    # rejected here, not deep inside a chunk: trial streams need seeds >= 0
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robustsense",
@@ -199,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True,
                          help="config file path or bundled preset name (fig1..fig4)")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None,
+        cmd.add_argument("--seed", type=_seed, default=None,
                          help="master seed override (default: the config's seed)")
         cmd.add_argument("--threads", type=int, default=None,
                          help="worker cap; never affects numerical results")

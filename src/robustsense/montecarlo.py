@@ -2,8 +2,9 @@
 false-alarm curves, threshold calibration and ROC curves.
 
 Trials are independent. Trial ``t`` always draws from the stream
-``(master_seed, t)``, and trials are processed in fixed-size chunks, so the
-aggregate result is bit-identical for any worker count.
+``(master_seed, t)`` (the stream contract in the README), and trials are
+sampled and estimated in fixed-size chunks, so the aggregate result is
+bit-identical for any worker count and any chunk size.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ except ImportError:  # pragma: no cover
 
 from .detectors import DetectorSpec
 from .estimators import FixedPointOptions, WeightFunction, m_estimate_batch
-from .sampling import (
-    ChannelVector,
-    Hypothesis,
-    NoiseModel,
-    RngStream,
-    make_channel,
-    sample_hypothesis,
-)
+from .sampling import Hypothesis, NoiseModel, sample_chunk
 
 _CHUNK = 4096
 _MAX_EXCLUSION_RATE = 1e-3
@@ -73,6 +67,8 @@ class SimConfig:
             raise ValueError("trials must be at least 1")
         if self.rho < 0:
             raise ValueError("rho must be non-negative")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
         if not self.detectors:
             raise ValueError("at least one detector is required")
         robust = {s.estimator for s in self.detectors} - {"scm"}
@@ -147,15 +143,8 @@ def _single_threaded_blas():
 def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
     """Sample and evaluate trials [lo, lo + chunk); self-contained per chunk."""
     hi = min(lo + _CHUNK, config.trials)
-    p, n = config.p, config.n
-    x = np.empty((hi - lo, p, n), dtype=np.complex128)
-    for j, t in enumerate(range(lo, hi)):
-        gen = RngStream(config.master_seed, t).generator()
-        if hypothesis is Hypothesis.H1:
-            channel = make_channel(p, config.rho, config.noise.sigma2, gen)
-        else:
-            channel = ChannelVector.zero(p, config.noise.sigma2)
-        x[j] = sample_hypothesis(config.noise, channel, hypothesis, n, gen)
+    x = sample_chunk(config.noise, config.p, config.n, config.rho, hypothesis,
+                     config.master_seed, lo, hi)
     out = {}
     for kind in config.estimator_kinds():
         res = m_estimate_batch(x, config.weight_for(kind), config.options)
@@ -170,7 +159,7 @@ def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
 
 
 def _run_chunks(config: SimConfig, hypothesis: Hypothesis, threads: int | None):
-    """Per-trial sampling and batched estimation over fixed-size chunks.
+    """Chunk-batched sampling and estimation over fixed-size chunks.
 
     Returns per-estimator-kind arrays (lambda_max, trace, usable) indexed by
     trial, plus raw iteration counts.  Chunk boundaries are fixed, every trial

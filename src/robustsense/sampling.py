@@ -144,6 +144,21 @@ def gg_scale(p: int, s: float) -> float:
     return float(np.exp(s * (np.log(p) + gammaln(p / s) - gammaln((p + 1) / s))))
 
 
+def _unit_columns(zr: np.ndarray, zi: np.ndarray):
+    """Normalize the columns of z = zr + i*zi along axis -2.
+
+    Returns ``(u, norms)``; a zero-norm column comes out as NaN and is the
+    caller's to redraw.  The one definition of the sphere normalization:
+    the per-trial sampler and the chunk sampler both call it.
+    """
+    z = np.multiply(zi, 1j)
+    z += zr
+    norms = np.linalg.norm(z, axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z /= norms[..., None, :]
+    return z, norms
+
+
 def sample_complex_sphere(p: int, rng, size: int | None = None) -> np.ndarray:
     """Draw unit vectors uniformly on the complex p-sphere.
 
@@ -156,15 +171,46 @@ def sample_complex_sphere(p: int, rng, size: int | None = None) -> np.ndarray:
     m = 1 if size is None else int(size)
     if m < 1:
         raise ValueError("size must be at least 1")
-    z = gen.standard_normal((p, m)) + 1j * gen.standard_normal((p, m))
-    norms = np.linalg.norm(z, axis=0)
+    zr, zi = gen.standard_normal((p, m)), gen.standard_normal((p, m))
+    u, norms = _unit_columns(zr, zi)
     while np.any(norms == 0.0):  # probability-zero event; redraw those columns
         dead = norms == 0.0
         k = int(dead.sum())
-        z[:, dead] = gen.standard_normal((p, k)) + 1j * gen.standard_normal((p, k))
-        norms = np.linalg.norm(z, axis=0)
-    u = z / norms
+        zr[:, dead], zi[:, dead] = gen.standard_normal((p, k)), gen.standard_normal((p, k))
+        u, norms = _unit_columns(zr, zi)
     return u[:, 0] if size is None else u
+
+
+def _texture_draws(model: NoiseModel, p: int, gen, g: np.ndarray, w: np.ndarray | None) -> None:
+    """Make one call's raw texture draws, in stream order, into ``g`` and ``w``.
+
+    ``g`` receives standard Gamma draws (shape p/s for gg, p otherwise);
+    ``w``, given only for student_t, then receives chi-square draws.
+    """
+    gen.standard_gamma(p / model.shape_s if model.family == "gg" else p, out=g)
+    if w is not None:
+        w[...] = gen.chisquare(model.dof_nu, size=w.shape)
+
+
+def _texture_law(model: NoiseModel, p: int, g: np.ndarray, w: np.ndarray | None):
+    """Elementwise map from raw texture draws to sigma2 * Q (see sample_texture)."""
+    if model.family == "gaussian":
+        q = g
+    elif model.family == "gg":
+        s = model.shape_s
+        q = (gg_scale(p, s) * g) ** (1.0 / s)
+    else:
+        nu = model.dof_nu
+        if nu > 2:
+            q = (nu - 2.0) * g / w
+        else:
+            warnings.warn(
+                f"student_t texture with dof_nu={nu} <= 2 has no covariance; "
+                "using the unnormalized scatter convention",
+                RuntimeWarning,
+            )
+            q = nu * g / w
+    return model.sigma2 * q
 
 
 def sample_texture(model: NoiseModel, p: int, rng, size: int | None = None):
@@ -184,26 +230,10 @@ def sample_texture(model: NoiseModel, p: int, rng, size: int | None = None):
     if p < 1:
         raise ValueError("dimension p must be at least 1")
     gen = _as_generator(rng)
-    if model.family == "gaussian":
-        q = gen.gamma(p, 1.0, size=size)
-    elif model.family == "gg":
-        s = model.shape_s
-        b = gg_scale(p, s)
-        q = (b * gen.gamma(p / s, 1.0, size=size)) ** (1.0 / s)
-    else:
-        nu = model.dof_nu
-        g = gen.gamma(p, 1.0, size=size)
-        w = gen.chisquare(nu, size=size)
-        if nu > 2:
-            q = (nu - 2.0) * g / w
-        else:
-            warnings.warn(
-                f"student_t texture with dof_nu={nu} <= 2 has no covariance; "
-                "using the unnormalized scatter convention",
-                RuntimeWarning,
-            )
-            q = nu * g / w
-    return model.sigma2 * q
+    g = np.empty(() if size is None else size)
+    w = np.empty_like(g) if model.family == "student_t" else None
+    _texture_draws(model, p, gen, g, w)
+    return _texture_law(model, p, g, w)
 
 
 def sample_ces(scatter: np.ndarray, model: NoiseModel, n: int, rng) -> np.ndarray:
@@ -273,3 +303,88 @@ def sample_hypothesis(
         return noise
     symbols = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) / np.sqrt(2.0)
     return channel.h[:, None] * symbols[None, :] + noise
+
+
+def sample_trial(
+    model: NoiseModel,
+    p: int,
+    n: int,
+    rho: float,
+    hypothesis: Hypothesis,
+    stream: RngStream,
+) -> np.ndarray:
+    """Draw one Monte Carlo trial's p x n sample matrix from its own stream.
+
+    Under H1 the channel comes first (``make_channel``), under H0 the
+    channel is silent; then ``sample_hypothesis``.  This is the stream
+    contract (README, ``robustsense.sampling``) as per-trial code;
+    ``sample_chunk`` reproduces it byte for byte.
+    """
+    gen = stream.generator()
+    if hypothesis is Hypothesis.H1:
+        channel = make_channel(p, rho, model.sigma2, gen)
+    else:
+        channel = ChannelVector.zero(p, model.sigma2)
+    return sample_hypothesis(model, channel, hypothesis, n, gen)
+
+
+def sample_chunk(
+    model: NoiseModel,
+    p: int,
+    n: int,
+    rho: float,
+    hypothesis: Hypothesis,
+    master_seed: int,
+    lo: int,
+    hi: int,
+) -> np.ndarray:
+    """Sample trials [lo, hi) as an (hi - lo, p, n) stack, byte-equal to
+    ``sample_trial(..., RngStream(master_seed, t))`` for every trial t.
+
+    Phase 1 builds each trial's stream and makes only its raw draws, in the
+    order of the stream contract (README, ``robustsense.sampling``), into
+    chunk-wide buffers.  Phase 2 applies the texture law, the sphere
+    normalization and the signal model once to the whole chunk, with the
+    same elementwise operations as the per-trial path (the identity
+    scatter's Cholesky factor is left out; multiplying by it changes no
+    bit).  A trial that hit a probability-zero event (zero channel or
+    sphere norm, all-zero noise column) is redrawn by ``sample_trial``,
+    which owns the redraw loops.
+    """
+    m = hi - lo
+    h1 = hypothesis is Hypothesis.H1
+    g = np.empty((m, n))
+    w = np.empty((m, n)) if model.family == "student_t" else None
+    zr, zi = np.empty((m, p, n)), np.empty((m, p, n))
+    if h1:
+        cr, ci = np.empty((m, p, 1)), np.empty((m, p, 1))
+        sr, si = np.empty((m, n)), np.empty((m, n))
+    for j, t in enumerate(range(lo, hi)):
+        gen = RngStream(master_seed, t).generator()
+        if h1:
+            gen.standard_normal(out=cr[j])
+            gen.standard_normal(out=ci[j])
+        _texture_draws(model, p, gen, g[j], None if w is None else w[j])
+        gen.standard_normal(out=zr[j])
+        gen.standard_normal(out=zi[j])
+        if h1:
+            gen.standard_normal(out=sr[j])
+            gen.standard_normal(out=si[j])
+
+    # the raw-draw buffers are dropped as soon as they are consumed
+    q = _texture_law(model, p, g, w)
+    del g, w
+    x, norms = _unit_columns(zr, zi)
+    del zr, zi
+    guard = np.any(norms == 0.0, axis=1)
+    x *= np.sqrt(q)[:, None, :]
+    guard |= np.any(~np.any(x, axis=1), axis=1)  # texture underflow
+    if h1:
+        direction, cnorm = _unit_columns(cr, ci)
+        guard |= cnorm[:, 0] == 0.0
+        h = np.sqrt(rho * p * model.sigma2) * direction
+        symbols = (sr + 1j * si) / np.sqrt(2.0)
+        np.add(h * symbols[:, None, :], x, out=x)  # operand order of sample_hypothesis
+    for j in np.flatnonzero(guard):
+        x[j] = sample_trial(model, p, n, rho, hypothesis, RngStream(master_seed, lo + j))
+    return x

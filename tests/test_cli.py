@@ -2,9 +2,11 @@
 
 import importlib.util
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from robustsense.cli import main
 from robustsense.config import PRESETS, ConfigError, load_config, preset_path
@@ -162,6 +164,9 @@ def test_pof_curve_emits_one_csv_per_detector_family_pair(tmp_path):
     assert set(manifest["estimator_iterations"]["gg/tyler"]) == {"mean", "max", "p50", "p90", "p99"}
     has_threadpoolctl = importlib.util.find_spec("threadpoolctl") is not None
     assert manifest["worker_blas_pinned"] is has_threadpoolctl
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
 
 
 def test_pof_curve_single_trial_degenerate(tmp_path):
@@ -268,6 +273,19 @@ def test_calibrate_rejects_bad_target(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # error surface
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["pof-curve", "roc"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_is_rejected_at_parse_time(tmp_path, capsys, command, seed):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "fig4", "--out", str(out), "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --seed: must be a non-negative integer" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
 
 def test_missing_config_exits_nonzero(tmp_path, capsys):
     assert main(["roc", "--config", str(tmp_path / "nope.ini"),

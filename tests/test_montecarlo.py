@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustsense import (
     DetectorSpec,
@@ -16,6 +18,7 @@ from robustsense import (
     derive_seed,
     empirical_pfa_curve,
     ks_distance,
+    montecarlo,
     pod_at_pfa,
     roc_curve,
     run_experiment,
@@ -56,6 +59,8 @@ def test_config_validation():
         small_config(n=3, p=3, detectors=(TY_G,))
     with pytest.raises(ValueError, match="gg"):
         small_config(detectors=(DetectorSpec("glrt", "gg_ml"),))
+    with pytest.raises(ValueError, match="master_seed"):
+        small_config(seed=-1)
     # scm-only configs may have n <= p
     assert small_config(n=2, p=3, detectors=(SCM_G,)).n == 2
 
@@ -83,6 +88,44 @@ def test_worker_count_does_not_change_results():
     b = run_trials(cfg, Hypothesis.H0, threads=3)
     for spec in a:
         assert np.array_equal(a[spec].values, b[spec].values)
+
+
+FAMILY_CONFIGS = {
+    "gaussian": dict(noise=NoiseModel.gaussian(2.5), detectors=(SCM_G, TY_G)),
+    "gg": dict(noise=NoiseModel.generalized_gaussian(0.2),
+               detectors=(SCM_G, TY_G, DetectorSpec("glrt", "gg_ml"))),
+    "student_t": dict(noise=NoiseModel.student_t(3.0), detectors=(SCM_G, TY_G)),
+}
+
+
+def assert_chunks_equal(a, b):
+    for da, db in zip(a, b):
+        assert da.keys() == db.keys()
+        for kind in da:
+            assert da[kind].tobytes() == db[kind].tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
+@pytest.mark.parametrize("hypothesis", list(Hypothesis), ids=lambda h: h.name)
+def test_results_do_not_depend_on_chunk_boundaries(monkeypatch, family, hypothesis):
+    cfg = small_config(trials=23, rho=1.0, **FAMILY_CONFIGS[family])
+    default = montecarlo._run_chunks(cfg, hypothesis, None)
+    for chunk in (1, 7):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        assert_chunks_equal(montecarlo._run_chunks(cfg, hypothesis, None), default)
+
+
+@settings(max_examples=20, deadline=None)
+@given(trials=st.integers(1, 12), chunk=st.integers(1, 13))
+def test_chunk_size_property(trials, chunk):
+    cfg = small_config(trials=trials, rho=1.0, seed=trials)
+    old = montecarlo._CHUNK
+    try:
+        whole = montecarlo._run_chunks(cfg, Hypothesis.H1, None)
+        montecarlo._CHUNK = chunk
+        assert_chunks_equal(montecarlo._run_chunks(cfg, Hypothesis.H1, None), whole)
+    finally:
+        montecarlo._CHUNK = old
 
 
 def test_shared_estimator_equals_isolated_computation():

@@ -1,5 +1,7 @@
 """Sampler contracts: sphere uniformity, texture laws, CES moments, signal model."""
 
+import contextlib
+import hashlib
 import math
 
 import numpy as np
@@ -13,10 +15,12 @@ from robustsense import (
     gg_scale,
     make_channel,
     sample_ces,
+    sample_chunk,
     sample_complex_sphere,
     sample_hypothesis,
     sample_texture,
 )
+from robustsense import sampling
 from robustsense.sampling import Hypothesis
 
 
@@ -260,3 +264,100 @@ def test_distinct_streams_differ():
 def test_stream_rejects_negative_ids():
     with pytest.raises(ValueError):
         RngStream(-1, 0)
+
+
+# ---------------------------------------------------------------------------
+# chunk sampler: byte-equal to the per-trial stream contract
+# ---------------------------------------------------------------------------
+
+def reference_chunk(model, p, n, rho, hypothesis, seed, lo, hi):
+    """The per-trial loop: one stream per trial, channel then sample matrix."""
+    x = np.empty((hi - lo, p, n), dtype=np.complex128)
+    for j, t in enumerate(range(lo, hi)):
+        g = RngStream(seed, t).generator()
+        if hypothesis is Hypothesis.H1:
+            channel = make_channel(p, rho, model.sigma2, g)
+        else:
+            channel = ChannelVector.zero(p, model.sigma2)
+        x[j] = sample_hypothesis(model, channel, hypothesis, n, g)
+    return x
+
+
+def warns_if_no_covariance(model):
+    if model.family == "student_t" and model.dof_nu <= 2:
+        return pytest.warns(RuntimeWarning, match="no covariance")
+    return contextlib.nullcontext()
+
+
+CHUNK_MODELS = [
+    NoiseModel.gaussian(sigma2=2.5),
+    NoiseModel.generalized_gaussian(0.1),
+    NoiseModel.generalized_gaussian(0.5, sigma2=2.5),
+    NoiseModel.student_t(3.0),
+    NoiseModel.student_t(1.5, sigma2=2.5),
+]
+
+
+@pytest.mark.parametrize("model", CHUNK_MODELS, ids=lambda m: f"{m.family}-{m.sigma2}")
+@pytest.mark.parametrize("hypothesis, rho", [
+    (Hypothesis.H0, 0.0),
+    (Hypothesis.H1, 0.0),  # snr_db = -inf still draws a channel direction
+    (Hypothesis.H1, 1.0),
+])
+@pytest.mark.parametrize("p, n", [(5, 10), (5, 50), (9, 12), (1, 1)])
+def test_chunk_sampler_is_bitwise_equal_to_per_trial_path(model, hypothesis, rho, p, n):
+    lo, hi = 4090, 4130  # a chunk that does not start at trial 0
+    with warns_if_no_covariance(model):
+        batched = sample_chunk(model, p, n, rho, hypothesis, 31, lo, hi)
+    with warns_if_no_covariance(model):
+        expected = reference_chunk(model, p, n, rho, hypothesis, 31, lo, hi)
+    assert batched.shape == (hi - lo, p, n)
+    assert batched.tobytes() == expected.tobytes()
+
+
+# sha256 of reference_chunk(model, 5, 10, 1.0, hypothesis, 2024, 0, 16),
+# recorded before the chunk sampler existed: the per-trial path itself
+# must not drift either
+PER_TRIAL_SHA256 = {
+    ("gaussian", "H0"): "054f6eb2291a07f3df988578a5a8a776a02fddafa15ff28e12569b0843a42261",
+    ("gaussian", "H1"): "405d12bb13e310e7314a2fc07e50ace6bd16ec36a8451def7fb98dd88b3b22d9",
+    ("gg", "H0"): "1d4a550a9cbdf5a43ee84ea76c94b9b79517ff34b54decf4afa098e550c32238",
+    ("gg", "H1"): "b3039a3d4ff5b23c359c5ec3e57e8b4aad8676ed9873237f29435b701d09ed80",
+    ("student_t", "H0"): "cec6de6a72f46b3c265e02248054032101a408d5c8e0f03951ac141b9052f709",
+    ("student_t", "H1"): "17dbd1c6355f27fbf7a59e2690d5575d3e51fc7cfe90feff054789df0d431372",
+}
+
+
+@pytest.mark.parametrize("model", CHUNK_MODELS[:2] + CHUNK_MODELS[3:4], ids=lambda m: m.family)
+@pytest.mark.parametrize("hypothesis", list(Hypothesis), ids=lambda h: h.name)
+def test_per_trial_stream_bytes_are_pinned(model, hypothesis):
+    x = reference_chunk(model, 5, 10, 1.0, hypothesis, 2024, 0, 16)
+    key = (model.family, hypothesis.name)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == PER_TRIAL_SHA256[key]
+    assert sample_chunk(model, 5, 10, 1.0, hypothesis, 2024, 0, 16).tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("hypothesis", list(Hypothesis), ids=lambda h: h.name)
+def test_chunk_sampler_redraws_a_guard_trial_like_the_per_trial_path(monkeypatch, hypothesis):
+    model, p, n, seed, lo, hi, forced = NoiseModel.generalized_gaussian(0.5), 3, 8, 11, 100, 124, 117
+    law = sampling._texture_law
+    seen = []
+
+    def spy(model, p, g, w):
+        seen.append(g.copy())
+        return law(model, p, g, w)
+
+    monkeypatch.setattr(sampling, "_texture_law", spy)
+    unforced = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
+    mark = seen[0][forced - lo, 0]  # the forced trial's first raw texture draw
+
+    def zero_marked(model, p, g, w):
+        # all-zero noise columns in the marked trial; redraws are unmarked
+        return np.where(g[..., :1] == mark, 0.0, law(model, p, g, w))
+
+    monkeypatch.setattr(sampling, "_texture_law", zero_marked)
+    batched = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
+    expected = reference_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
+    assert batched.tobytes() == expected.tobytes()
+    changed = np.any(batched != unforced, axis=(1, 2))
+    assert np.flatnonzero(changed).tolist() == [forced - lo]
