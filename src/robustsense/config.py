@@ -135,6 +135,8 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
     n = as_int("experiment", "n", need("experiment", "n"))
     trials = as_int("experiment", "trials", need("experiment", "trials"))
     seed = as_int("experiment", "seed", need("experiment", "seed"))
+    if seed < 0:
+        raise ConfigError(f"{where}: [experiment] seed = {seed} must be a non-negative integer")
     snr_raw = grab("experiment", "snr_db")
     if kind == "roc" and snr_raw is None:
         raise ConfigError(f"{where}: [experiment] roc experiments require snr_db")

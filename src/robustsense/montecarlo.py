@@ -148,11 +148,11 @@ def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
     out = {}
     for kind in config.estimator_kinds():
         res = m_estimate_batch(x, config.weight_for(kind), config.options)
-        evals = np.linalg.eigvalsh(res.estimates)
         out[kind] = (
-            evals[:, -1],
+            res.eigenvalues[:, -1],
             np.einsum("kii->k", res.estimates).real,
-            res.ok & res.converged,
+            res.ok,
+            res.converged,
             res.iterations,
         )
     return lo, out
@@ -161,17 +161,19 @@ def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
 def _run_chunks(config: SimConfig, hypothesis: Hypothesis, threads: int | None):
     """Chunk-batched sampling and estimation over fixed-size chunks.
 
-    Returns per-estimator-kind arrays (lambda_max, trace, usable) indexed by
-    trial, plus raw iteration counts.  Chunk boundaries are fixed, every trial
-    draws from its own stream, and chunks are merged by index, so the worker
-    count cannot change the result.
+    Returns per-estimator-kind arrays indexed by trial: lambda_max, trace,
+    ``ok`` (no singular iterate), ``converged`` and the iteration counts.  A
+    trial is usable where it is both ok and converged.  Chunk boundaries are
+    fixed, every trial draws from its own stream, and chunks are merged by
+    index, so the worker count cannot change the result.
     """
     kinds = config.estimator_kinds()
     trials = config.trials
 
     lam = {kind: np.empty(trials) for kind in kinds}
     tr = {kind: np.empty(trials) for kind in kinds}
-    usable = {kind: np.zeros(trials, dtype=bool) for kind in kinds}
+    ok = {kind: np.zeros(trials, dtype=bool) for kind in kinds}
+    converged = {kind: np.zeros(trials, dtype=bool) for kind in kinds}
     iters = {kind: np.zeros(trials, dtype=np.int64) for kind in kinds}
 
     starts = range(0, trials, _CHUNK)
@@ -185,18 +187,19 @@ def _run_chunks(config: SimConfig, hypothesis: Hypothesis, threads: int | None):
         for lo, chunk in results:
             hi = min(lo + _CHUNK, trials)
             for kind in kinds:
-                lam[kind][lo:hi], tr[kind][lo:hi], usable[kind][lo:hi], iters[kind][lo:hi] = chunk[kind]
+                (lam[kind][lo:hi], tr[kind][lo:hi], ok[kind][lo:hi],
+                 converged[kind][lo:hi], iters[kind][lo:hi]) = chunk[kind]
     finally:
         if pool is not None:
             pool.shutdown()
-    return lam, tr, usable, iters
+    return lam, tr, ok, converged, iters
 
 
-def _collect_samples(config, hypothesis, lam, tr, usable):
+def _collect_samples(config, hypothesis, lam, tr, ok, converged):
     samples: dict[DetectorSpec, StatSample] = {}
     for spec in config.detectors:
         kind = spec.estimator
-        mask = usable[kind]
+        mask = ok[kind] & converged[kind]
         excluded = config.trials - int(mask.sum())
         if excluded > _MAX_EXCLUSION_RATE * config.trials:
             raise ExclusionRateError(
@@ -228,8 +231,8 @@ def run_trials(
     once, and feeds every statistic sharing it.  Trials whose estimator did
     not converge are dropped; more than 0.1% drops abort the run.
     """
-    lam, tr, usable, _ = _run_chunks(config, hypothesis, threads)
-    return _collect_samples(config, hypothesis, lam, tr, usable)
+    lam, tr, ok, converged, _ = _run_chunks(config, hypothesis, threads)
+    return _collect_samples(config, hypothesis, lam, tr, ok, converged)
 
 
 def run_experiment(
@@ -241,22 +244,30 @@ def run_experiment(
 
     ``iteration_stats`` holds, per estimator kind, the mean, max and 50th,
     90th and 99th percentiles of the iteration counts of the usable trials,
-    pooled over both hypotheses.
+    and why the other trials were excluded: ``singular`` (an iterate left
+    the positive-definite cone) and ``max_iterations`` (no convergence
+    within the iteration budget), all pooled over both hypotheses.
     """
     t0 = time.perf_counter()
-    counts: dict[str, list[np.ndarray]] = {kind: [] for kind in config.estimator_kinds()}
+    kinds = config.estimator_kinds()
+    counts: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
+    singular = dict.fromkeys(kinds, 0)
+    capped = dict.fromkeys(kinds, 0)
     samples = {}
     for hypothesis in (Hypothesis.H0, Hypothesis.H1) if with_h1 else (Hypothesis.H0,):
-        lam, tr, usable, iters = _run_chunks(config, hypothesis, threads)
-        samples[hypothesis] = _collect_samples(config, hypothesis, lam, tr, usable)
-        for kind, chunks in counts.items():
-            chunks.append(iters[kind][usable[kind]])
+        lam, tr, ok, converged, iters = _run_chunks(config, hypothesis, threads)
+        samples[hypothesis] = _collect_samples(config, hypothesis, lam, tr, ok, converged)
+        for kind in kinds:
+            counts[kind].append(iters[kind][ok[kind] & converged[kind]])
+            singular[kind] += int(np.count_nonzero(~ok[kind]))
+            capped[kind] += int(np.count_nonzero(ok[kind] & ~converged[kind]))
     stats = {}
     for kind, chunks in counts.items():
         pooled = np.concatenate(chunks)
         p50, p90, p99 = np.percentile(pooled, (50, 90, 99))
         stats[kind] = {"mean": float(pooled.mean()), "max": float(pooled.max()),
-                       "p50": float(p50), "p90": float(p90), "p99": float(p99)}
+                       "p50": float(p50), "p90": float(p90), "p99": float(p99),
+                       "singular": singular[kind], "max_iterations": capped[kind]}
     return ExperimentResult(
         config=config,
         h0=samples[Hypothesis.H0],

@@ -161,7 +161,9 @@ def test_pof_curve_emits_one_csv_per_detector_family_pair(tmp_path):
     assert manifest["command"] == "pof-curve"
     assert manifest["master_seed"] == 3
     assert "gaussian/tyler_glrt" in manifest["detectors"]
-    assert set(manifest["estimator_iterations"]["gg/tyler"]) == {"mean", "max", "p50", "p90", "p99"}
+    tyler = manifest["estimator_iterations"]["gg/tyler"]
+    assert set(tyler) == {"mean", "max", "p50", "p90", "p99", "singular", "max_iterations"}
+    assert tyler["singular"] == tyler["max_iterations"] == 0
     has_threadpoolctl = importlib.util.find_spec("threadpoolctl") is not None
     assert manifest["worker_blas_pinned"] is has_threadpoolctl
     assert manifest["python"] == platform.python_version()

@@ -6,13 +6,16 @@ import pytest
 from robustsense import (
     EstimationError,
     FixedPointOptions,
+    Hypothesis,
     NoiseModel,
     RngStream,
     WeightFunction,
+    estimators,
     fixed_point_residual,
     m_estimate,
     m_estimate_batch,
     sample_ces,
+    sample_chunk,
     scm,
     tyler_estimate,
 )
@@ -217,6 +220,79 @@ def test_gg_ml_estimate_solves_the_scale_equation():
     # the scale step puts every iterate on the equation, not just the limit
     one_step = m_estimate(x, weight, FixedPointOptions(max_iterations=1))
     assert scale_gap(one_step.estimate) < 1e-12
+
+
+def test_tyler_squarem_needs_few_map_evaluations():
+    # the plain iteration needs 34.3 evaluations on average here (max 72)
+    p, n = 5, 10
+    stack = np.stack([gaussian_data(p, n, seed=26, stream=t) for t in range(256)])
+    res = m_estimate_batch(stack, WeightFunction.tyler(p))
+    assert res.ok.all() and res.converged.all()
+    assert res.iterations.mean() <= 20
+    assert res.iterations.max() <= 30
+    ref = m_estimate_batch(stack, WeightFunction.tyler(p),
+                           FixedPointOptions(epsilon=1e-12, max_iterations=500))
+    assert ref.converged.all()
+    gap = np.linalg.norm(res.estimates - ref.estimates, axis=(1, 2))
+    assert (gap / np.linalg.norm(ref.estimates, axis=(1, 2))).max() < 1e-5
+
+
+def test_extrapolation_outside_the_cone_takes_theta2():
+    # member 0: r = diag(1, -0.5), v = diag(-0.5, 0.1), step 2.19, so the
+    # candidate's second diagonal entry is 1 - 2.19 + 0.48 < 0; member 1's
+    # candidate diag(3.0, 0.18) is positive definite
+    theta0 = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    theta1 = np.stack([np.diag([2.0, 0.5])] * 2).astype(complex)
+    theta2 = np.stack([np.diag([2.5, 0.1]), np.diag([2.5, 0.3])]).astype(complex)
+    x = np.stack([gaussian_data(2, 6, seed=27)] * 2)
+    bound = np.array([16.0, 16.0])
+    nxt, wh, new_bound = estimators._extrapolate(theta0, theta1, theta2, None, x, bound)
+    assert np.array_equal(nxt[0], theta2[0])
+    assert new_bound.tolist() == [4.0, 16.0]
+    assert np.linalg.eigvalsh(nxt[1])[0] > 0
+    assert not np.allclose(nxt[1], theta2[1])
+    alone = estimators._whiten(theta2[:1], x[:1])
+    assert not wh.singular.any()
+    assert np.array_equal(wh.chol_inv[0], alone.chol_inv[0])
+    assert np.array_equal(wh.d[0], alone.d[0])
+
+
+def test_members_whose_extrapolation_leaves_the_cone_still_converge(monkeypatch):
+    # at n = p + 1 the extrapolation often overshoots out of the PD cone
+    p, n = 5, 6
+    stack = np.stack([gaussian_data(p, n, seed=28, stream=t) for t in range(64)])
+    real = estimators._extrapolate
+    outside = []
+
+    def spy(theta0, theta1, theta2, wh2, xa, bound):
+        nxt, wh, new_bound = real(theta0, theta1, theta2, wh2, xa, bound)
+        r, v = theta1 - theta0, theta2 - 2 * theta1 + theta0
+        a = np.clip(np.linalg.norm(r, axis=(1, 2)) / np.linalg.norm(v, axis=(1, 2)), 1.0, bound)
+        cand = theta0 + 2 * a[:, None, None] * r + (a * a)[:, None, None] * v
+        leaves = np.linalg.eigvalsh(cand)[:, 0] <= 0
+        assert all(np.array_equal(nxt[i], theta2[i]) for i in np.flatnonzero(leaves))
+        outside.append(int(leaves.sum()))
+        return nxt, wh, new_bound
+
+    monkeypatch.setattr(estimators, "_extrapolate", spy)
+    weight = WeightFunction.tyler(p)
+    res = m_estimate_batch(stack, weight)
+    assert sum(outside) > 0
+    assert res.ok.all() and res.converged.all()
+    for k in range(len(stack)):
+        assert fixed_point_residual(res.estimates[k], stack[k], weight) < 1e-5
+
+
+def test_bounded_step_converges_where_an_unbounded_one_cycles():
+    # gg_ml at n = p + 1: with the step length ||r|| / ||v|| alone these
+    # members fall into a 4-evaluation cycle with residuals 1.6, 0.8, 0.7,
+    # 0.6 and never converge; the plain iteration needs 47-81 evaluations
+    model = NoiseModel.generalized_gaussian(0.1)
+    stack = np.concatenate([sample_chunk(model, 3, 4, 0.0, Hypothesis.H0, 3, t, t + 1)
+                            for t in (753, 1308, 1456, 1461, 1505)])
+    res = m_estimate_batch(stack, WeightFunction.gg_ml(3, 0.1))
+    assert res.ok.all() and res.converged.all()
+    assert res.iterations.max() <= 100
 
 
 def test_spectral_norm_stopping_rule():

@@ -1,6 +1,8 @@
 """Harness contracts: determinism, curve construction, calibration, exclusions."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from robustsense import (
     run_trials,
     threshold_grid,
 )
+from robustsense.config import ConfigError, load_config
 from robustsense.sampling import Hypothesis
 
 SIG2 = 1.0
@@ -48,7 +51,7 @@ def h0_sample(values, spec=SCM_G):
 # configuration validation
 # ---------------------------------------------------------------------------
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         small_config(trials=0)
     with pytest.raises(ValueError):
@@ -61,6 +64,14 @@ def test_config_validation():
         small_config(detectors=(DetectorSpec("glrt", "gg_ml"),))
     with pytest.raises(ValueError, match="master_seed"):
         small_config(seed=-1)
+    # a config file's seed is checked where it is read, and the message names the key
+    preset = Path(load_config("fig4").path).read_text(encoding="utf-8")
+    text, count = re.subn(r"(?m)^seed = \d+$", "seed = -5", preset)
+    assert count == 1
+    config = tmp_path / "negative_seed.ini"
+    config.write_text(text)
+    with pytest.raises(ConfigError, match=r"\[experiment\] seed = -5 must be a non-negative integer"):
+        load_config(str(config))
     # scm-only configs may have n <= p
     assert small_config(n=2, p=3, detectors=(SCM_G,)).n == 2
 
@@ -157,6 +168,25 @@ def test_exclusion_rate_guard_trips():
         run_trials(cfg, Hypothesis.H0)
 
 
+def test_run_experiment_counts_exclusions_by_cause(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_MAX_EXCLUSION_RATE", 1.0)
+    cfg = SimConfig(p=3, n=8, trials=64, noise=NoiseModel.gaussian(), rho=1.0,
+                    detectors=(SCM_G, TY_G), master_seed=1,
+                    options=FixedPointOptions(max_iterations=12))
+    capped = 0
+    for hypothesis in Hypothesis:
+        _, _, ok, converged, iters = montecarlo._run_chunks(cfg, hypothesis, None)
+        assert ok["tyler"].all()
+        assert (iters["tyler"][~converged["tyler"]] == 12).all()
+        capped += int(np.count_nonzero(~converged["tyler"]))
+    assert 0 < capped < 2 * 64
+    # pooled over both hypotheses; scm is exact in one step
+    stats = run_experiment(cfg, with_h1=True).iteration_stats
+    assert stats["tyler"]["max_iterations"] == capped
+    assert stats["tyler"]["singular"] == 0
+    assert stats["scm"]["max_iterations"] == stats["scm"]["singular"] == 0
+
+
 def test_scm_depends_on_family_tyler_does_not():
     trials = 2000
     gauss = run_trials(small_config(trials=trials, seed=50), Hypothesis.H0)
@@ -172,7 +202,8 @@ def test_run_experiment_diagnostics():
     res = run_experiment(cfg, with_h1=True, threads=1)
     assert res.wall_clock > 0
     assert set(res.iteration_stats) == {"scm", "tyler"}
-    assert res.iteration_stats["scm"] == dict.fromkeys(("mean", "max", "p50", "p90", "p99"), 1.0)
+    assert res.iteration_stats["scm"] == dict(
+        dict.fromkeys(("mean", "max", "p50", "p90", "p99"), 1.0), singular=0, max_iterations=0)
     ty = res.iteration_stats["tyler"]
     assert 1 <= ty["p50"] <= ty["p90"] <= ty["p99"] <= ty["max"]
     assert 1 <= ty["mean"] <= ty["max"]
