@@ -14,15 +14,27 @@ an extrapolation from the three iterates.  Every evaluation is tested with
 an output of F.  The engine operates on stacks of sample matrices; each stack
 member follows exactly the trajectory it would follow alone, so batched and
 one-at-a-time results agree.
+
+Inside the iteration the data enter only through their outer products: the
+distances x_i^H Sigma^{-1} x_i = <Sigma^{-1}, x_i x_i^H> and the weighted step
+sum_i w_i x_i x_i^H are both linear in x_i x_i^H.  Each call therefore builds
+one real (B, p*p, n) tensor Q of those outer products (the diagonal, then the
+real and imaginary parts of the strict upper triangle), and every map
+evaluation is two batched real mat-vecs against it.  Q is built in small
+member blocks straight into its final array, and members that leave are
+moved out of it in place, so the call never holds more than Q itself of the
+data.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .sampling import gg_scale
 
@@ -33,6 +45,8 @@ _COND_LIMIT = 1e14
 # Varadhan & Roland's reference implementation, which starts the bound at 1)
 _STEP_FACTOR = 4.0
 _HERMITIAN_RTOL = 1e-12
+# members per block when building or compacting the outer-product tensor
+_BLOCK = 64
 
 
 class EstimationError(RuntimeError):
@@ -49,24 +63,115 @@ def is_hermitian(a: np.ndarray, rtol: float = _HERMITIAN_RTOL) -> bool:
 
 
 class _Whitened(NamedTuple):
-    """Inverse Cholesky factors of a stack of iterates and the squared
-    Mahalanobis distances ``x_i^H Sigma^{-1} x_i`` of the data columns under
-    them.  ``singular`` flags members that were not numerically positive
-    definite; those were factored as the identity instead and must be dropped.
+    """Inverses of a stack of iterates and the squared Mahalanobis distances
+    ``d_i = x_i^H Sigma^{-1} x_i`` of the data columns under them.
+
+    The distances come from the outer-product tensor Q (see
+    ``_outer_products``) as one real mat-vec per member,
+    ``d = _dual(Sigma^{-1}) @ Q``; the data columns themselves are never
+    touched.  ``singular`` flags members whose Cholesky factorization
+    failed; those were factored as the identity instead and must be dropped.
     """
 
-    chol_inv: np.ndarray  # (B, p, p)
+    inv: np.ndarray  # (B, p, p)
     d: np.ndarray  # (B, n)
     singular: np.ndarray  # (B,) bool
 
     def take(self, keep: np.ndarray) -> "_Whitened":
-        return _Whitened(self.chol_inv[keep], self.d[keep], self.singular[keep])
+        return _Whitened(self.inv[keep], self.d[keep], self.singular[keep])
 
     def put(self, where: np.ndarray, other: "_Whitened") -> None:
         """Overwrite the members selected by ``where`` with ``other``'s."""
-        self.chol_inv[where] = other.chol_inv
+        self.inv[where] = other.inv
         self.d[where] = other.d
         self.singular[where] = other.singular
+
+
+class _Layout(NamedTuple):
+    """Index arrays of Q's row order for dimension p; read-only, shared
+    through the cache of ``_layout``."""
+
+    iu: np.ndarray  # rows of the strict upper triangle, row-major
+    ju: np.ndarray  # its columns
+    # positions of Re diag, Re upper and Im upper in the interleaved real
+    # view of a p x p complex matrix
+    dual: np.ndarray
+
+
+@functools.cache
+def _layout(p: int) -> _Layout:
+    iu, ju = np.triu_indices(p, 1)
+    diag = np.arange(p)
+    dual = np.concatenate([2 * (diag * p + diag), 2 * (iu * p + ju), 2 * (iu * p + ju) + 1])
+    for a in (iu, ju, dual):
+        a.flags.writeable = False
+    return _Layout(iu, ju, dual)
+
+
+def _outer_products(x: np.ndarray) -> np.ndarray:
+    """The real (B, p*p, n) tensor Q of the outer products x_i x_i^H of a
+    (B, p, n) stack's columns.
+
+    Row a < p holds |x_a|^2; the next p(p-1)/2 rows hold Re(x_a conj(x_b))
+    and the last p(p-1)/2 rows Im(x_a conj(x_b)), for the pairs a < b of
+    the strict upper triangle in row-major order.  Built in blocks of
+    ``_BLOCK`` members straight into the result, so the only temporaries
+    are one block's pair products.
+    """
+    n_batch, p, n = x.shape
+    iu, ju, _ = _layout(p)
+    m = iu.size
+    q = np.empty((n_batch, p * p, n))
+    for lo in range(0, n_batch, _BLOCK):
+        xb, qb = x[lo:lo + _BLOCK], q[lo:lo + _BLOCK]
+        np.add(np.square(xb.real), np.square(xb.imag), out=qb[:, :p])
+        if m:
+            pairs = xb[:, iu] * xb[:, ju].conj()
+            qb[:, p:p + m] = pairs.real
+            qb[:, p + m:] = pairs.imag
+    return q
+
+
+def _dual(s: np.ndarray) -> np.ndarray:
+    """Pack a contiguous (B, p, p) Hermitian stack into the (B, p*p)
+    coordinates g with ``g @ Q[:, i] = x_i^H S x_i``: the diagonal, then
+    2 Re and 2 Im of the strict upper triangle, in ``_outer_products``' row
+    order."""
+    n_batch, p, _ = s.shape
+    g = s.view(np.float64).reshape(n_batch, 2 * p * p)[:, _layout(p).dual]
+    g[:, p:] *= 2.0
+    return g
+
+
+def _hermitian(y: np.ndarray, p: int) -> np.ndarray:
+    """Unpack (B, p*p) rows in ``_outer_products``' order into the (B, p, p)
+    Hermitian matrices they are the coordinates of; exactly Hermitian."""
+    iu, ju, _ = _layout(p)
+    m = iu.size
+    diag = np.arange(p)
+    v = np.zeros((y.shape[0], p, p), dtype=np.complex128)
+    v.real[:, diag, diag] = y[:, :p]
+    v.real[:, iu, ju] = v.real[:, ju, iu] = y[:, p:p + m]
+    v.imag[:, iu, ju] = y[:, p + m:]
+    v.imag[:, ju, iu] = -y[:, p + m:]
+    return v
+
+
+def _compact_in_place(q: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Move the members ``keep`` selects to the front of ``q`` in place and
+    return that leading view.
+
+    Members before the first one dropped stay where they are; the rest move
+    forward one block at a time.  A block's sources lie at or after its
+    destination and after every earlier destination, so nothing is read
+    after it has been overwritten, and no full-size copy is ever made.
+    """
+    idx = np.flatnonzero(keep)
+    first = int(np.argmin(keep)) if idx.size < keep.size else idx.size
+    for lo in range(first, idx.size, _BLOCK):
+        block = idx[lo:lo + _BLOCK]
+        q[lo:lo + block.size] = q[block]
+    return q[:idx.size]
 
 
 def _tril_inv(l: np.ndarray) -> np.ndarray:
@@ -86,63 +191,73 @@ def _tril_inv(l: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _whiten(sigma: np.ndarray, x: np.ndarray) -> _Whitened:
-    """Factor each member of a (B, p, p) stack once and whiten its data with it."""
-    singular = np.zeros(sigma.shape[0], dtype=bool)
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        # rare: an iterate or an extrapolated candidate left the PD cone;
-        # identify those members and factor the identity in their place
-        evals = np.linalg.eigvalsh(sigma)
-        singular = (evals[:, 0] <= 0) | (evals[:, -1] > _COND_LIMIT * evals[:, 0])
-        sigma = sigma.copy()
-        sigma[singular] = np.eye(sigma.shape[-1])
-        chol = np.linalg.cholesky(sigma)
+def _whiten(sigma: np.ndarray, q: np.ndarray) -> _Whitened:
+    """Factor each member of a (B, p, p) stack once and get its inverse and
+    its data's distances from the outer-product tensor ``q``.
+
+    A member is singular exactly when its own Cholesky factorization fails
+    (it is not numerically positive definite, or not finite), whatever the
+    other members are.  The gufunc behind ``np.linalg.cholesky`` fills such
+    a member with NaN; called directly it does so without raising for the
+    whole stack.
+    """
+    with np.errstate(invalid="ignore"):
+        chol = _umath_linalg.cholesky_lo(sigma, signature="D->D")
+    singular = ~np.isfinite(chol).all(axis=(1, 2))
+    if singular.any():
+        chol[singular] = np.eye(sigma.shape[-1])
     chol_inv = _tril_inv(chol)
-    v = chol_inv @ x
-    return _Whitened(chol_inv, np.sum(np.abs(v) ** 2, axis=1), singular)
+    inv = chol_inv.conj().transpose(0, 2, 1) @ chol_inv
+    d = np.matmul(_dual(inv)[:, None, :], q)[:, 0]
+    return _Whitened(inv, d, singular)
 
 
-# Post-step normalizations: (weight, V, data, alpha) -> (c V, whitening of c V
+# Post-step normalizations: (weight, V, Q, alpha) -> (c V, whitening of c V
 # or None).  The engine factors an iterate before the next map evaluation
 # unless the normalization already did.
 
-def _no_scaling(weight, v, x, alpha):
+def _no_scaling(weight, v, q, alpha):
     return v, None
 
 
-def _pin_trace(weight, v, x, alpha):
+def _pin_trace(weight, v, q, alpha):
     # Tyler's weight is scale-free, so the equation fixes Sigma only up to
     # scale; pin the trace to alpha
     trace = np.einsum("kii->k", v).real
     return v * (alpha / trace)[:, None, None], None
 
 
-def _ml_scale(weight, v, x, alpha):
+def _ml_scale(weight, v, q, alpha):
     # gg_ml: the trace of the ML equation, s/(b n p) sum_i d_i(Sigma)^s = 1,
     # has the closed-form solution Sigma = c V with
     # c^s = s/(b n p) sum_i d_i(V)^s (Pascal et al., IEEE TSP 2013).  The one
-    # factor of V gives d_i(V), and divided by sqrt(c) it is the factor of c V.
+    # factor of V gives d_i(V), and divided by c they are those of c V.
     s = weight.shape_s
-    p, n = x.shape[1], x.shape[2]
-    wv = _whiten(v, x)
+    p, n = v.shape[-1], q.shape[-1]
+    wv = _whiten(v, q)
     c = (s / (weight.scale_b * n * p) * np.sum(wv.d**s, axis=1)) ** (1.0 / s)
     return v * c[:, None, None], _Whitened(
-        wv.chol_inv / np.sqrt(c)[:, None, None], wv.d / c[:, None], wv.singular
+        wv.inv / c[:, None, None], wv.d / c[:, None], wv.singular
     )
 
 
 class _Kind(NamedTuple):
     weight: Callable  # (WeightFunction, d) -> u(d)
     post_step: Callable  # normalization applied after every weighted step
+    parameters: Callable  # (p, nu, shape_s) -> the WeightFunction fields the kind sets
 
 
 _KINDS = {
-    "scm": _Kind(lambda w, d: np.ones_like(d), _no_scaling),
-    "tyler": _Kind(lambda w, d: w.p / d, _pin_trace),
-    "student_t": _Kind(lambda w, d: (2.0 * w.p + w.nu) / (w.nu + 2.0 * d), _no_scaling),
-    "gg_ml": _Kind(lambda w, d: (w.shape_s / w.scale_b) * d ** (w.shape_s - 1.0), _ml_scale),
+    "scm": _Kind(lambda w, d: np.ones_like(d), _no_scaling, lambda p, nu, s: {}),
+    "tyler": _Kind(lambda w, d: w.p / d, _pin_trace, lambda p, nu, s: {}),
+    "student_t": _Kind(
+        lambda w, d: (2.0 * w.p + w.nu) / (w.nu + 2.0 * d), _no_scaling,
+        lambda p, nu, s: {"nu": float(nu)},
+    ),
+    "gg_ml": _Kind(
+        lambda w, d: (w.shape_s / w.scale_b) * d ** (w.shape_s - 1.0), _ml_scale,
+        lambda p, nu, s: {"shape_s": float(s), "scale_b": gg_scale(p, s)},
+    ),
 }
 KINDS = tuple(_KINDS)
 
@@ -192,20 +307,29 @@ class WeightFunction:
             raise ValueError("gg_ml weight requires shape_s > 0")
 
     @classmethod
+    def for_kind(
+        cls, kind: str, p: int, nu: float | None = None, shape_s: float | None = None
+    ) -> "WeightFunction":
+        """The weight of estimator ``kind`` at dimension p.  ``nu`` (student_t)
+        and ``shape_s`` (gg_ml) are read only by the kind that uses them."""
+        parameters = _KINDS[kind].parameters if kind in _KINDS else lambda *_: {}
+        return cls(kind, p, **parameters(p, nu, shape_s))  # an unknown kind fails validation
+
+    @classmethod
     def scm(cls, p: int) -> "WeightFunction":
-        return cls("scm", p)
+        return cls.for_kind("scm", p)
 
     @classmethod
     def tyler(cls, p: int) -> "WeightFunction":
-        return cls("tyler", p)
+        return cls.for_kind("tyler", p)
 
     @classmethod
     def student_t(cls, p: int, nu: float) -> "WeightFunction":
-        return cls("student_t", p, nu=float(nu))
+        return cls.for_kind("student_t", p, nu=nu)
 
     @classmethod
     def gg_ml(cls, p: int, shape_s: float) -> "WeightFunction":
-        return cls("gg_ml", p, shape_s=float(shape_s), scale_b=gg_scale(p, shape_s))
+        return cls.for_kind("gg_ml", p, shape_s=shape_s)
 
     def __call__(self, d):
         return _KINDS[self.kind].weight(self, np.asarray(d, dtype=np.float64))
@@ -295,31 +419,31 @@ def _residual_norm(r: np.ndarray, norm: str) -> np.ndarray:
     return np.linalg.svd(r, compute_uv=False)[:, 0]
 
 
-def _apply_map(kind: _Kind, weight, wh: _Whitened, xa, xha, alpha, norm):
+def _apply_map(kind: _Kind, weight, wh: _Whitened, q, alpha, norm):
     """One evaluation of the iteration map F on factored iterates.
 
-    Returns F(Sigma), its whitening when the post-step made one (else None),
-    the stopping-rule residuals ||I - Sigma^{-1} F(Sigma)|| and the members
-    whose F(Sigma) is unusable (those get the identity as a placeholder).
+    The weighted step sum_i w_i x_i x_i^H is the mat-vec Q w, unpacked into
+    an exactly Hermitian matrix.  Returns F(Sigma), its whitening when the
+    post-step made one (else None), the stopping-rule residuals
+    ||I - Sigma^{-1} F(Sigma)|| and the members whose F(Sigma) is unusable
+    (those get the identity as a placeholder).
     """
-    p, n = xa.shape[1], xa.shape[2]
+    p, n = wh.inv.shape[-1], q.shape[-1]
     w = kind.weight(weight, wh.d) / n
-    nxt = np.matmul(xa * w[:, None, :], xha)
-    nxt = 0.5 * (nxt + nxt.conj().transpose(0, 2, 1))
+    y = np.matmul(q, w[:, :, None])[:, :, 0]
     # cheap in-loop guards; the full eigenvalue vetting happens on exit
-    diag = np.einsum("kii->ki", nxt).real
-    bad = ~np.isfinite(nxt).all(axis=(1, 2)) | (diag.min(axis=1) <= 0)
+    bad = ~np.isfinite(y).all(axis=1) | (y[:, :p].min(axis=1) <= 0)
+    nxt = _hermitian(y, p)
     eye = np.eye(p, dtype=np.complex128)
     nxt[bad] = eye
-    nxt, nxt_wh = kind.post_step(weight, nxt, xa, alpha)
+    nxt, nxt_wh = kind.post_step(weight, nxt, q, alpha)
     if nxt_wh is not None:
         bad |= nxt_wh.singular
-    ci = wh.chol_inv
-    resid = _residual_norm(eye - ci.conj().transpose(0, 2, 1) @ (ci @ nxt), norm)
+    resid = _residual_norm(eye - wh.inv @ nxt, norm)
     return nxt, nxt_wh, resid, bad
 
 
-def _extrapolate(theta0, theta1, theta2, wh2, xa, bound):
+def _extrapolate(theta0, theta1, theta2, wh2, q, bound):
     """The SQUAREM step from theta0, theta1 = F(theta0), theta2 = F(theta1).
 
     With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, each member
@@ -342,12 +466,12 @@ def _extrapolate(theta0, theta1, theta2, wh2, xa, bound):
     cand = theta0 + (2.0 * a)[:, None, None] * r + (a * a)[:, None, None] * v
     nonfinite = ~np.isfinite(cand).all(axis=(1, 2))
     cand[nonfinite] = theta2[nonfinite]
-    wh = _whiten(cand, xa)
+    wh = _whiten(cand, q)
     fallback = wh.singular & ~nonfinite
     if fallback.any():
         cand[fallback] = theta2[fallback]
         wh.put(fallback, wh2.take(fallback) if wh2 is not None
-               else _whiten(theta2[fallback], xa[fallback]))
+               else _whiten(theta2[fallback], q[fallback]))
         bound = np.where(fallback, np.maximum(bound / _STEP_FACTOR, 1.0), bound)
     return cand, wh, bound
 
@@ -375,6 +499,15 @@ def m_estimate_batch(
     the cone or the next cycle's first residual exceeds the last one.  At
     p=5, n=10 this cuts Tyler from about 35 map evaluations to about 15.
 
+    The robust kinds never touch x inside the iteration.  Both the distances
+    d_i = x_i^H Sigma^{-1} x_i = <Sigma^{-1}, x_i x_i^H> and the weighted
+    step sum_i w_i x_i x_i^H are linear in the outer products x_i x_i^H, so
+    the call first builds their real (B, p*p, n) tensor Q
+    (``_outer_products``), and each map evaluation is two batched real
+    mat-vecs against it: d = g Q with g the packed Sigma^{-1} (``_dual``),
+    and the weighted step Q w.  Members that leave are moved out of Q in
+    place (``_compact_in_place``), so memory never grows past Q itself.
+
     The stopping rule is the plain iteration's: every evaluation is tested
     with ``||I - Sigma^{-1} F(Sigma)|| < epsilon``, and a member is frozen,
     with that F(Sigma) as its estimate, the first time it passes.  So the
@@ -385,9 +518,9 @@ def m_estimate_batch(
     run alone.  Each evaluation factors each member's iterate once; the
     gg_ml scale step and the extrapolation's positive-definiteness test
     factor the next iterate, and the next evaluation reuses that factor.
-    Members whose iterate leaves the positive-definite cone (condition
-    number above 1e14, non-positive or non-finite eigenvalues) are flagged
-    ``ok = False``.
+    Members whose Cholesky factorization fails inside the loop, or whose
+    estimate fails the exit vetting (condition number above 1e14,
+    non-positive or non-finite eigenvalues), are flagged ``ok = False``.
     """
     if opts is None:
         opts = FixedPointOptions()
@@ -398,7 +531,6 @@ def m_estimate_batch(
     if weight.p != p:
         raise ValueError(f"weight function is for p={weight.p}, data has p={p}")
     alpha = float(p) if opts.alpha is None else float(opts.alpha)
-    xh = np.ascontiguousarray(x.conj().transpose(0, 2, 1))
 
     iterations = np.zeros(n_batch, dtype=np.int64)
     residuals = np.full(n_batch, np.inf)
@@ -407,6 +539,7 @@ def m_estimate_batch(
 
     if weight.kind == "scm":
         # u == 1 makes the iteration map constant; one application is exact.
+        xh = np.ascontiguousarray(x.conj().transpose(0, 2, 1))
         estimates = np.matmul(x, xh) / n
         estimates = 0.5 * (estimates + estimates.conj().transpose(0, 2, 1))
         iterations[:] = 1
@@ -417,27 +550,20 @@ def m_estimate_batch(
 
     if n <= p:
         raise ValueError(f"robust estimation requires n > p (got n={n}, p={p})")
-    bad_cols = np.any(np.linalg.norm(x, axis=1) == 0.0, axis=1)
-    ok[bad_cols] = False
-
     initial = _check_initial(opts.initial, p)
     estimates = np.broadcast_to(initial, (n_batch, p, p)).astype(np.complex128)
     kind = _KINDS[weight.kind]
 
-    # The active members' data: x and xh themselves until a member leaves,
-    # then copies.  Compaction copies one array at a time and no other name
-    # holds xh, so each full-size array is freed before the next copy is
-    # made; peak memory then stays below the plain iteration's.
-    active = np.flatnonzero(~bad_cols)
-    xa, xha = x, xh
-    del xh
-
     def compact(keep, *arrays):
         return tuple(None if a is None else a[keep] for a in arrays)
 
-    if active.size < n_batch:
-        xha = xha[active]
-        xa = xa[active]
+    # Q holds the active members' outer products, in the order of ``active``;
+    # its first p rows are the |x_a|^2, so a zero column has zero sum there
+    q = _outer_products(x)
+    bad_cols = np.any(q[:, :p].sum(axis=1) == 0.0, axis=1)
+    ok[bad_cols] = False
+    active = np.flatnonzero(~bad_cols)
+    q = _compact_in_place(q, ~bad_cols)
     cur = estimates[active]  # the iterate F is applied to next
     wh = None  # its whitening, when already known
     base = None  # theta0 of the current cycle, between its two evaluations
@@ -447,18 +573,17 @@ def m_estimate_batch(
         if active.size == 0:
             break
         if wh is None:
-            wh = _whiten(cur, xa)
+            wh = _whiten(cur, q)
         if wh.singular.any():
             ok[active[wh.singular]] = False
             keep = ~wh.singular
-            xha = xha[keep]
-            xa = xa[keep]
+            q = _compact_in_place(q, keep)
             active, cur, base, bound = compact(keep, active, cur, base, bound)
             wh = wh.take(keep)
             if active.size == 0:
                 break
 
-        nxt, nxt_wh, resid, bad = _apply_map(kind, weight, wh, xa, xha, alpha, opts.norm)
+        nxt, nxt_wh, resid, bad = _apply_map(kind, weight, wh, q, alpha, opts.norm)
         done = ~bad & (resid < opts.epsilon)
         if m % 2:
             # a cycle's first evaluation tests the last extrapolation: where
@@ -476,15 +601,14 @@ def m_estimate_batch(
             if leave.all():
                 break
             keep = ~leave
-            xha = xha[keep]
-            xa = xa[keep]
+            q = _compact_in_place(q, keep)
             active, cur, base, nxt, bound = compact(keep, active, cur, base, nxt, bound)
             if nxt_wh is not None:
                 nxt_wh = nxt_wh.take(keep)
         if m % 2:  # theta1 = F(theta0)
             base, cur, wh = cur, nxt, nxt_wh
         else:  # theta2 = F(theta1)
-            cur, wh, bound = _extrapolate(base, cur, nxt, nxt_wh, xa, bound)
+            cur, wh, bound = _extrapolate(base, cur, nxt, nxt_wh, q, bound)
             base = None
 
     # exit vetting: NaN, non-positive or condition number above 1e14

@@ -86,13 +86,8 @@ class SimConfig:
         return tuple(seen)
 
     def weight_for(self, kind: str) -> WeightFunction:
-        if kind == "scm":
-            return WeightFunction.scm(self.p)
-        if kind == "tyler":
-            return WeightFunction.tyler(self.p)
-        if kind == "student_t":
-            return WeightFunction.student_t(self.p, self.student_t_nu)
-        return WeightFunction.gg_ml(self.p, self.noise.shape_s)
+        return WeightFunction.for_kind(kind, self.p, nu=self.student_t_nu,
+                                       shape_s=self.noise.shape_s)
 
 
 @dataclass(frozen=True, eq=False)
