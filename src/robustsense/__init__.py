@@ -38,23 +38,16 @@ from .montecarlo import (
     threshold_grid,
 )
 from .sampling import (
-    ChannelVector,
     Hypothesis,
     NoiseModel,
     RngStream,
     gg_scale,
-    make_channel,
-    sample_ces,
     sample_chunk,
-    sample_complex_sphere,
-    sample_hypothesis,
-    sample_texture,
     sample_trial,
 )
 
 __all__ = [
     "__version__",
-    "ChannelVector",
     "CdfCurve",
     "DetectorSpec",
     "EstimationError",
@@ -80,17 +73,12 @@ __all__ = [
     "largest_eigenvalue",
     "m_estimate",
     "m_estimate_batch",
-    "make_channel",
     "pod_at_pfa",
     "rlrt",
     "roc_curve",
     "run_experiment",
     "run_trials",
-    "sample_ces",
     "sample_chunk",
-    "sample_complex_sphere",
-    "sample_hypothesis",
-    "sample_texture",
     "sample_trial",
     "scm",
     "threshold_grid",

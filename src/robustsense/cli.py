@@ -17,7 +17,6 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .montecarlo import (
     WORKER_BLAS_PINNED,
-    ExperimentResult,
     calibrate_threshold,
     derive_seed,
     empirical_pfa_curve,
@@ -70,16 +69,6 @@ def _config_echo(cfg: ExperimentConfig, seed: int) -> dict:
     echo = asdict(cfg)
     echo["seed"] = seed
     return echo
-
-
-def _detector_counts(result: ExperimentResult) -> dict:
-    counts = {}
-    for spec, sample in result.h0.items():
-        entry = {"trials": result.config.trials, "h0_excluded": sample.n_excluded}
-        if result.h1 is not None:
-            entry["h1_excluded"] = result.h1[spec].n_excluded
-        counts[spec.label] = entry
-    return counts
 
 
 def _manifest(command, cfg, seed, threads, detectors, iteration_stats, outputs, elapsed) -> RunManifest:
@@ -140,12 +129,18 @@ def cmd_roc(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int | None
     sim = cfg.sim_config(cfg.families[0], seed)
     result = run_experiment(sim, with_h1=True, threads=threads)
     outputs: list[Path] = []
+    detectors: dict = {}
     for spec in sim.detectors:
         curve = roc_curve(result.h0[spec], result.h1[spec])
         path = out_dir / f"roc_{spec.label}.csv"
         _write_csv(path, ("pfa", "pod"), (curve.pfa.tolist(), curve.pod.tolist()))
         outputs.append(path)
-    manifest = _manifest("roc", cfg, seed, threads, _detector_counts(result),
+        detectors[spec.label] = {
+            "trials": sim.trials,
+            "h0_excluded": result.h0[spec].n_excluded,
+            "h1_excluded": result.h1[spec].n_excluded,
+        }
+    manifest = _manifest("roc", cfg, seed, threads, detectors,
                          result.iteration_stats, outputs, time.perf_counter() - t0)
     manifest.write(out_dir / "manifest.json")
     return outputs
@@ -203,6 +198,13 @@ def _seed(raw: str) -> int:
     return int(raw)
 
 
+def _threads(raw: str) -> int:
+    # zero or a negative count would silently run serially
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robustsense",
@@ -216,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=_seed, default=None,
                          help="master seed override (default: the config's seed)")
-        cmd.add_argument("--threads", type=int, default=None,
+        cmd.add_argument("--threads", type=_threads, default=None,
                          help="worker cap; never affects numerical results")
 
     common(sub.add_parser("pof-curve", help="threshold vs false-alarm curves under H0"))

@@ -13,6 +13,7 @@ from .montecarlo import SimConfig, derive_seed
 from .sampling import FAMILIES, NoiseModel
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4")
+_ALIASES = {"fig2": "fig1"}  # fig2 views fig1's simulation through the blind statistics
 EXPERIMENT_KINDS = ("pof-curve", "roc")
 
 
@@ -76,7 +77,7 @@ def preset_path(name: str) -> Path | None:
     """Filesystem path of a bundled preset, or None if unknown."""
     if name not in PRESETS:
         return None
-    return Path(str(resources.files("robustsense") / "presets" / f"{name}.ini"))
+    return Path(str(resources.files("robustsense") / "presets" / f"{_ALIASES.get(name, name)}.ini"))
 
 
 def _split_list(raw: str) -> tuple[str, ...]:

@@ -40,6 +40,15 @@ class DetectorSpec:
     def label(self) -> str:
         return f"{self.estimator}_{self.statistic}"
 
+    def evaluate(self, lam_max, trace, p: int):
+        """rlrt = lam_max / sigma2 or glrt = lam_max * p / trace, on scalars or stacks.
+
+        The one definition of both statistics; rlrt ignores ``trace`` and ``p``.
+        """
+        if self.statistic == "rlrt":
+            return lam_max / self.sigma2
+        return lam_max * p / trace
+
 
 def largest_eigenvalue(sigma: np.ndarray) -> float:
     """Top eigenvalue of a Hermitian matrix."""
@@ -53,9 +62,9 @@ def largest_eigenvalue(sigma: np.ndarray) -> float:
 
 def rlrt(sigma_hat: np.ndarray, sigma2: float) -> float:
     """Largest-root statistic: top eigenvalue over the known noise power."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    return largest_eigenvalue(sigma_hat) / sigma2
+    # the spec checks sigma2 > 0; the formula does not depend on its estimator
+    spec = DetectorSpec("rlrt", "scm", sigma2)
+    return spec.evaluate(largest_eigenvalue(sigma_hat), None, None)
 
 
 def glrt(sigma_hat: np.ndarray) -> float:
@@ -69,8 +78,7 @@ def glrt(sigma_hat: np.ndarray) -> float:
     trace = float(np.trace(sigma_hat).real)
     if trace <= 0:
         raise ValueError("trace must be positive")
-    p = sigma_hat.shape[0]
-    return lam * p / trace
+    return DetectorSpec("glrt", "scm").evaluate(lam, trace, sigma_hat.shape[0])
 
 
 def decide(value: float, threshold: float) -> Hypothesis:

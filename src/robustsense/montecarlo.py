@@ -201,12 +201,8 @@ def _collect_samples(config, hypothesis, lam, tr, ok, converged):
                 f"{spec.label}: {excluded} of {config.trials} trials lost to "
                 f"non-convergence (limit {_MAX_EXCLUSION_RATE:.1%})"
             )
-        if spec.statistic == "rlrt":
-            values = lam[kind][mask] / spec.sigma2
-        else:
-            values = lam[kind][mask] * config.p / tr[kind][mask]
         samples[spec] = StatSample(
-            values=np.sort(values),
+            values=np.sort(spec.evaluate(lam[kind][mask], tr[kind][mask], config.p)),
             spec=spec,
             hypothesis=hypothesis,
             n_excluded=excluded,
@@ -272,12 +268,15 @@ def run_experiment(
     )
 
 
+def _rank_grid(values: np.ndarray, resolution: int) -> np.ndarray:
+    """At most ``resolution`` of the sorted ``values``, uniform in rank, ascending."""
+    k = min(int(resolution), values.size)
+    return values[np.unique(np.round(np.linspace(0, values.size - 1, k)).astype(np.int64))]
+
+
 def threshold_grid(sample: StatSample, resolution: int = DEFAULT_ROC_RESOLUTION) -> np.ndarray:
     """Rank-uniform downsampling of the sample support, ascending."""
-    values = sample.values
-    k = min(int(resolution), values.size)
-    ranks = np.unique(np.round(np.linspace(0, values.size - 1, k)).astype(np.int64))
-    return values[ranks]
+    return _rank_grid(sample.values, resolution)
 
 
 def empirical_pfa_curve(sample: StatSample, grid: np.ndarray) -> CdfCurve:
@@ -326,10 +325,7 @@ def roc_curve(
     """
     if h0.spec != h1.spec:
         raise ValueError("H0 and H1 samples come from different detectors")
-    merged = np.sort(np.concatenate([h0.values, h1.values]))
-    k = min(int(resolution), merged.size)
-    ranks = np.unique(np.round(np.linspace(0, merged.size - 1, k)).astype(np.int64))
-    support = merged[ranks]
+    support = _rank_grid(np.sort(np.concatenate([h0.values, h1.values])), resolution)
     thresholds = np.concatenate([support[::-1], [np.nextafter(support[0], -np.inf)]])
     n0, n1 = h0.values.size, h1.values.size
     pfa = (n0 - np.searchsorted(h0.values, thresholds, side="right")) / n0

@@ -1,14 +1,12 @@
 """Complex elliptically symmetric (CES) noise generation and the rank-one
 signal model used by multi-antenna detectors.
 
-A CES vector is built from its stochastic representation
-
-    x = sqrt(Q) * L * u,
-
-where ``Q`` is a positive random texture, ``L`` is the Cholesky factor of the
-scatter matrix and ``u`` is uniform on the complex unit sphere.  Texture laws
-are normalized so that ``E[x x^H] = sigma2 * scatter`` whenever the covariance
-exists.
+A noise column is x = sqrt(Q) * u, with ``Q`` a positive random texture and
+``u`` uniform on the complex unit sphere; texture laws are normalized so that
+``E[x x^H] = sigma2 * I`` whenever the covariance exists.  Under H1 every
+column adds ``h * s`` for a channel ``h`` fixed over the trial and i.i.d.
+unit-variance complex Gaussian symbols ``s``.  ``sample_trial`` and
+``sample_chunk`` are the stream contract (README) and share every draw step.
 """
 
 from __future__ import annotations
@@ -49,14 +47,6 @@ class RngStream:
         return np.random.default_rng(
             np.random.SeedSequence((self.master_seed, self.stream_id))
         )
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
 @dataclass(frozen=True)
@@ -102,36 +92,6 @@ class NoiseModel:
         return cls("student_t", sigma2=sigma2, dof_nu=dof_nu)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelVector:
-    """Fading channel held fixed over one sensing window.
-
-    The squared norm is pinned to ``rho * p * sigma2`` so that ``rho`` is the
-    per-antenna SNR on a linear scale.
-    """
-
-    h: np.ndarray
-    rho: float
-    sigma2: float
-
-    def __post_init__(self):
-        target = self.rho * self.p * self.sigma2
-        actual = float(np.sum(np.abs(self.h) ** 2))
-        if abs(actual - target) > 1e-12 * max(1.0, target):
-            raise ValueError(
-                f"channel norm mismatch: |h|^2 = {actual}, expected rho*p*sigma2 = {target}"
-            )
-
-    @property
-    def p(self) -> int:
-        return self.h.shape[0]
-
-    @classmethod
-    def zero(cls, p: int, sigma2: float = 1.0) -> "ChannelVector":
-        """Silent channel (rho = 0); used for null-hypothesis sampling."""
-        return cls(h=np.zeros(p, dtype=np.complex128), rho=0.0, sigma2=sigma2)
-
-
 def gg_scale(p: int, s: float) -> float:
     """Scale b of the generalized Gaussian density generator exp(-d^s / b).
 
@@ -159,28 +119,6 @@ def _unit_columns(zr: np.ndarray, zi: np.ndarray):
     return z, norms
 
 
-def sample_complex_sphere(p: int, rng, size: int | None = None) -> np.ndarray:
-    """Draw unit vectors uniformly on the complex p-sphere.
-
-    Returns shape (p,) for ``size=None`` and (p, size) otherwise.  Columns are
-    i.i.d., unit-norm, and rotation invariant.
-    """
-    if p < 1:
-        raise ValueError("dimension p must be at least 1")
-    gen = _as_generator(rng)
-    m = 1 if size is None else int(size)
-    if m < 1:
-        raise ValueError("size must be at least 1")
-    zr, zi = gen.standard_normal((p, m)), gen.standard_normal((p, m))
-    u, norms = _unit_columns(zr, zi)
-    while np.any(norms == 0.0):  # probability-zero event; redraw those columns
-        dead = norms == 0.0
-        k = int(dead.sum())
-        zr[:, dead], zi[:, dead] = gen.standard_normal((p, k)), gen.standard_normal((p, k))
-        u, norms = _unit_columns(zr, zi)
-    return u[:, 0] if size is None else u
-
-
 def _texture_draws(model: NoiseModel, p: int, gen, g: np.ndarray, w: np.ndarray | None) -> None:
     """Make one call's raw texture draws, in stream order, into ``g`` and ``w``.
 
@@ -193,7 +131,18 @@ def _texture_draws(model: NoiseModel, p: int, gen, g: np.ndarray, w: np.ndarray 
 
 
 def _texture_law(model: NoiseModel, p: int, g: np.ndarray, w: np.ndarray | None):
-    """Elementwise map from raw texture draws to sigma2 * Q (see sample_texture)."""
+    """Elementwise map from raw texture draws to sigma2 * Q.
+
+    Families and their laws (sigma2 factored out):
+
+    * gaussian:   Q ~ Gamma(p, 1)
+    * gg:         Q = (b * G)^(1/s) with G ~ Gamma(p/s, 1) and b = gg_scale(p, s)
+    * student_t:  Q = (nu - 2) * Gamma(p, 1) / chi2_nu for nu > 2; for
+      nu <= 2 the covariance does not exist and the unnormalized scatter
+      convention Q = nu * Gamma(p, 1) / chi2_nu is used with a warning.
+
+    Each law satisfies E[Q] = p * sigma2 whenever the mean exists.
+    """
     if model.family == "gaussian":
         q = g
     elif model.family == "gg":
@@ -213,96 +162,37 @@ def _texture_law(model: NoiseModel, p: int, g: np.ndarray, w: np.ndarray | None)
     return model.sigma2 * q
 
 
-def sample_texture(model: NoiseModel, p: int, rng, size: int | None = None):
-    """Draw the squared-radius texture Q for one CES family.
-
-    Families and their laws (sigma2 factored out):
-
-    * gaussian:   Q ~ Gamma(p, 1)
-    * gg:         Q = (b * G)^(1/s) with G ~ Gamma(p/s, 1) and b = gg_scale(p, s)
-    * student_t:  Q = (nu - 2) * Gamma(p, 1) / chi2_nu for nu > 2; for
-      nu <= 2 the covariance does not exist and the unnormalized scatter
-      convention Q = nu * Gamma(p, 1) / chi2_nu is used with a warning.
-
-    Each law satisfies E[Q] = p * sigma2 whenever the mean exists, so the
-    implied covariance equals sigma2 times the scatter matrix.
-    """
-    if p < 1:
-        raise ValueError("dimension p must be at least 1")
-    gen = _as_generator(rng)
-    g = np.empty(() if size is None else size)
-    w = np.empty_like(g) if model.family == "student_t" else None
-    _texture_draws(model, p, gen, g, w)
-    return _texture_law(model, p, g, w)
-
-
-def sample_ces(scatter: np.ndarray, model: NoiseModel, n: int, rng) -> np.ndarray:
-    """Draw n i.i.d. CES columns with the given scatter matrix.
-
-    Each column is sqrt(Q) * L * u with L the Cholesky factor of ``scatter``.
-    Draw order per call: all textures first, then all sphere vectors.
-    Raises ``numpy.linalg.LinAlgError`` when ``scatter`` is not positive
-    definite and ``ValueError`` when it is not Hermitian.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    scatter = np.asarray(scatter, dtype=np.complex128)
-    if scatter.ndim != 2 or scatter.shape[0] != scatter.shape[1]:
-        raise ValueError("scatter must be a square matrix")
-    if not np.allclose(scatter, scatter.conj().T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(scatter).max())):
-        raise ValueError("scatter must be Hermitian")
-    p = scatter.shape[0]
-    chol = np.linalg.cholesky(scatter)
-    gen = _as_generator(rng)
-    q = np.atleast_1d(sample_texture(model, p, gen, size=n))
-    u = sample_complex_sphere(p, gen, size=n)
-    x = chol @ (u * np.sqrt(q))
-    while np.any(np.all(x == 0.0, axis=0)):  # texture underflow guard
-        dead = np.all(x == 0.0, axis=0)
+def _sphere(gen, p: int, m: int) -> np.ndarray:
+    """(p, m) columns uniform on the complex p-sphere; zero-norm columns are redrawn."""
+    zr, zi = gen.standard_normal((p, m)), gen.standard_normal((p, m))
+    u, norms = _unit_columns(zr, zi)
+    while np.any(norms == 0.0):
+        dead = norms == 0.0
         k = int(dead.sum())
-        q_new = np.atleast_1d(sample_texture(model, p, gen, size=k))
-        u_new = sample_complex_sphere(p, gen, size=k)
-        x[:, dead] = chol @ (u_new * np.sqrt(q_new))
-    return x
+        zr[:, dead], zi[:, dead] = gen.standard_normal((p, k)), gen.standard_normal((p, k))
+        u, norms = _unit_columns(zr, zi)
+    return u
 
 
-def make_channel(p: int, rho: float, sigma2: float, rng) -> ChannelVector:
-    """Draw a channel with uniform direction and exact squared norm rho*p*sigma2."""
-    if p < 1:
-        raise ValueError("dimension p must be at least 1")
-    if rho < 0:
-        raise ValueError("rho must be non-negative")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    gen = _as_generator(rng)
-    direction = sample_complex_sphere(p, gen)
-    h = np.sqrt(rho * p * sigma2) * direction
-    return ChannelVector(h=h, rho=rho, sigma2=sigma2)
+def _noise(model: NoiseModel, p: int, gen, m: int) -> np.ndarray:
+    """Draw m CES noise columns sqrt(Q) * u: all textures, then all sphere vectors."""
+    g = np.empty(m)
+    w = np.empty(m) if model.family == "student_t" else None
+    _texture_draws(model, p, gen, g, w)
+    return _sphere(gen, p, m) * np.sqrt(_texture_law(model, p, g, w))
 
 
-def sample_hypothesis(
-    model: NoiseModel,
-    channel: ChannelVector,
-    hypothesis: Hypothesis,
-    n: int,
-    rng,
-) -> np.ndarray:
-    """Draw a p x n sample matrix under the null or alternative hypothesis.
+def _channel(direction: np.ndarray, rho: float, p: int, sigma2: float) -> np.ndarray:
+    """Scale unit directions to the channel: ``|h|^2 = rho p sigma2``.
 
-    Under H0 every column is pure CES noise with scatter ``sigma2 * I``.
-    Under H1 each column is s(i) * h + z(i) with i.i.d. unit-variance complex
-    Gaussian symbols s(i) and the channel held constant across all columns.
-    Draw order under H1: the noise matrix first, then the symbol vector.
+    The one place the SNR convention lives; ``rho`` is the per-antenna SNR.
     """
-    gen = _as_generator(rng)
-    p = channel.p
-    if abs(channel.sigma2 - model.sigma2) > 1e-12 * model.sigma2:
-        raise ValueError("channel and noise model disagree on sigma2")
-    noise = sample_ces(np.eye(p), model, n, gen)
-    if hypothesis is Hypothesis.H0:
-        return noise
-    symbols = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) / np.sqrt(2.0)
-    return channel.h[:, None] * symbols[None, :] + noise
+    return np.sqrt(rho * p * sigma2) * direction
+
+
+def _symbols(sr: np.ndarray, si: np.ndarray) -> np.ndarray:
+    """Unit-variance complex Gaussian symbols from real and imaginary draws."""
+    return (sr + 1j * si) / np.sqrt(2.0)
 
 
 def sample_trial(
@@ -315,17 +205,29 @@ def sample_trial(
 ) -> np.ndarray:
     """Draw one Monte Carlo trial's p x n sample matrix from its own stream.
 
-    Under H1 the channel comes first (``make_channel``), under H0 the
-    channel is silent; then ``sample_hypothesis``.  This is the stream
-    contract (README, ``robustsense.sampling``) as per-trial code;
-    ``sample_chunk`` reproduces it byte for byte.
+    Under H0 every column is CES noise with covariance ``sigma2 * I``; under
+    H1 column i is ``h * s(i) + z(i)`` with a uniformly directed channel
+    ``h`` and i.i.d. unit-variance complex Gaussian symbols.  Draw order:
+    under H1 the channel direction, the noise textures and sphere vectors,
+    under H1 the symbols.  This is the stream contract (README) as
+    per-trial code; ``sample_chunk`` reproduces it byte for byte.  Every
+    redraw lives here: zero-norm channel or sphere columns and all-zero
+    noise columns (texture underflow) are redrawn from the same stream.
     """
+    if p < 1 or n < 1 or rho < 0:
+        raise ValueError("require p >= 1, n >= 1 and rho >= 0")
     gen = stream.generator()
-    if hypothesis is Hypothesis.H1:
-        channel = make_channel(p, rho, model.sigma2, gen)
-    else:
-        channel = ChannelVector.zero(p, model.sigma2)
-    return sample_hypothesis(model, channel, hypothesis, n, gen)
+    h1 = hypothesis is Hypothesis.H1
+    if h1:
+        h = _channel(_sphere(gen, p, 1), rho, p, model.sigma2)
+    x = _noise(model, p, gen, n)
+    while np.any(dead := ~np.any(x, axis=0)):  # texture underflow guard
+        x[:, dead] = _noise(model, p, gen, int(dead.sum()))
+    if not h1:
+        return x
+    # symbols as a (1, n) row: numpy rounds a (1, 1) * (1,) complex product
+    # differently from (1, 1) * (1, 1), which sample_chunk's shapes match
+    return h * _symbols(gen.standard_normal(n), gen.standard_normal(n))[None, :] + x
 
 
 def sample_chunk(
@@ -345,11 +247,9 @@ def sample_chunk(
     order of the stream contract (README, ``robustsense.sampling``), into
     chunk-wide buffers.  Phase 2 applies the texture law, the sphere
     normalization and the signal model once to the whole chunk, with the
-    same elementwise operations as the per-trial path (the identity
-    scatter's Cholesky factor is left out; multiplying by it changes no
-    bit).  A trial that hit a probability-zero event (zero channel or
-    sphere norm, all-zero noise column) is redrawn by ``sample_trial``,
-    which owns the redraw loops.
+    same elementwise operations as the per-trial path.  A trial that hit a
+    probability-zero event (zero channel or sphere norm, all-zero noise
+    column) is redrawn by ``sample_trial``, which owns the redraw loops.
     """
     m = hi - lo
     h1 = hypothesis is Hypothesis.H1
@@ -382,9 +282,8 @@ def sample_chunk(
     if h1:
         direction, cnorm = _unit_columns(cr, ci)
         guard |= cnorm[:, 0] == 0.0
-        h = np.sqrt(rho * p * model.sigma2) * direction
-        symbols = (sr + 1j * si) / np.sqrt(2.0)
-        np.add(h * symbols[:, None, :], x, out=x)  # operand order of sample_hypothesis
+        h = _channel(direction, rho, p, model.sigma2)
+        np.add(h * _symbols(sr, si)[:, None, :], x, out=x)  # operand order of sample_trial
     for j in np.flatnonzero(guard):
         x[j] = sample_trial(model, p, n, rho, hypothesis, RngStream(master_seed, lo + j))
     return x

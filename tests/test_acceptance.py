@@ -34,7 +34,8 @@ from robustsense import (
     pod_at_pfa,
     rlrt,
     run_trials,
-    sample_ces,
+    sample_chunk,
+    sample_trial,
     scm,
     tyler_estimate,
 )
@@ -144,10 +145,10 @@ def test_criterion_1_constant_false_alarm(null_cdf_runs):
 def test_criterion_2_tyler_statistic_equivalence(null_cdf_runs, impulsive_roc_dirs):
     # per-trial proportionality at non-trivial sigma2 and alpha
     sigma2, alpha, worst = 2.0, 1.0, 0.0
-    gen = RngStream(6021, 0).generator()
     opts = FixedPointOptions(alpha=alpha)
-    for _ in range(2000):
-        x = sample_ces(np.eye(P), NoiseModel.student_t(3.0, sigma2=sigma2), 10, gen)
+    for k in range(2000):
+        x = sample_trial(NoiseModel.student_t(3.0, sigma2=sigma2), P, 10, 0.0,
+                         Hypothesis.H0, RngStream(6021, k))
         est = tyler_estimate(x, opts).estimate
         expected = (P * sigma2 / alpha) * rlrt(est, sigma2)
         worst = max(worst, abs(glrt(est) - expected) / expected)
@@ -209,10 +210,7 @@ def test_criterion_5_fixed_point_correctness():
     worst_resid, worst_scm, worst_trace = 0.0, 0.0, 0.0
     converged_count, total = 0, 0
     for fi, model in enumerate(FAMILIES.values()):
-        stack = np.empty((per_family, P, n), dtype=complex)
-        for k in range(per_family):
-            stack[k] = sample_ces(np.eye(P), model, n,
-                                  RngStream(9100 + fi, k).generator())
+        stack = sample_chunk(model, P, n, 0.0, Hypothesis.H0, 9100 + fi, 0, per_family)
         for name, w in weights.items():
             batch = m_estimate_batch(stack, w)
             for k in range(per_family):
@@ -238,13 +236,12 @@ def test_criterion_5_fixed_point_correctness():
 
 
 def test_criterion_6_student_t_weight_limits():
-    gen = RngStream(6200, 0).generator()
-    x = sample_ces(np.eye(P), NoiseModel.gaussian(), 100, gen)
+    x = sample_trial(NoiseModel.gaussian(), P, 100, 0.0, Hypothesis.H0, RngStream(6200, 0))
     s = scm(x)
     near_scm = m_estimate(x, WeightFunction.student_t(P, 1e6)).estimate
     dev_scm = np.linalg.norm(near_scm - s) / np.linalg.norm(s)
 
-    x2 = sample_ces(np.eye(P), NoiseModel.student_t(3.0), 50, gen)
+    x2 = sample_trial(NoiseModel.student_t(3.0), P, 50, 0.0, Hypothesis.H0, RngStream(6200, 1))
     tight = FixedPointOptions(epsilon=1e-12, max_iterations=500)
     raw = m_estimate(x2, WeightFunction.student_t(P, 0.0), tight).estimate
     ty = tyler_estimate(x2, tight).estimate
@@ -261,7 +258,7 @@ def test_criterion_7_sampler_normalization():
     draws = 1_000_000
     details, ok = [], True
     for i, (name, model) in enumerate(FAMILIES.items()):
-        x = sample_ces(np.eye(P), model, draws, RngStream(7100, i).generator())
+        x = sample_trial(model, P, draws, 0.0, Hypothesis.H0, RngStream(7100, i))
         sq = np.sum(np.abs(x) ** 2, axis=0)
         se = sq.std() / math.sqrt(draws)
         dev = abs(sq.mean() - P * SIGMA2)

@@ -92,6 +92,11 @@ def test_preset_parameters():
     assert len(fig4.detector_specs()) == 4
 
 
+def test_fig2_is_an_alias_of_fig1():
+    assert preset_path("fig2") == preset_path("fig1")
+    assert load_config("fig2") == load_config("fig1")
+
+
 def test_unknown_preset_or_path():
     with pytest.raises(ConfigError, match="presets"):
         load_config("fig9")
@@ -285,6 +290,18 @@ def test_bad_seed_is_rejected_at_parse_time(tmp_path, capsys, command, seed):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument --seed: must be a non-negative integer" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "x"])
+def test_bad_thread_count_is_rejected_at_parse_time(tmp_path, capsys, threads):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["roc", "--config", "fig4", "--out", str(out), "--threads", threads])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --threads: must be a positive integer" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -13,11 +13,15 @@ from robustsense import (
     glrt,
     largest_eigenvalue,
     rlrt,
-    sample_ces,
+    sample_trial,
     scm,
     tyler_estimate,
 )
 from robustsense.sampling import Hypothesis
+
+
+def noise(model, p, n, seed, trial):
+    return sample_trial(model, p, n, 0.0, Hypothesis.H0, RngStream(seed, trial))
 
 
 def random_hpd(p, seed):
@@ -67,11 +71,9 @@ def test_rlrt_values():
 def test_rlrt_mean_matches_raw_normal_bruteforce():
     # same Wishart largest-eigenvalue mean from two independent pipelines
     p, n, trials = 5, 10, 4000
-    g1 = RngStream(32, 0).generator()
     ours = np.empty(trials)
     for i in range(trials):
-        x = sample_ces(np.eye(p), NoiseModel.gaussian(), n, g1)
-        ours[i] = rlrt(scm(x), 1.0)
+        ours[i] = rlrt(scm(noise(NoiseModel.gaussian(), p, n, 32, i)), 1.0)
     g2 = RngStream(33, 0).generator()
     brute = np.empty(trials)
     for i in range(trials):
@@ -100,6 +102,15 @@ def test_glrt_bounds():
         assert 1.0 <= t <= 5.0
 
 
+def test_spec_evaluates_stacks_like_the_per_matrix_statistics():
+    stack = [random_hpd(4, seed) for seed in range(50, 56)]
+    lam = np.array([largest_eigenvalue(a) for a in stack])
+    trace = np.array([np.trace(a).real for a in stack])
+    rlrt_spec, glrt_spec = DetectorSpec("rlrt", "tyler", 2.0), DetectorSpec("glrt", "gg_ml")
+    assert rlrt_spec.evaluate(lam, trace, 4).tolist() == [rlrt(a, 2.0) for a in stack]
+    assert glrt_spec.evaluate(lam, trace, 4).tolist() == [glrt(a) for a in stack]
+
+
 def test_decide_strict_threshold():
     assert decide(2.0, 1.5) is Hypothesis.H1
     assert decide(1.5, 1.5) is Hypothesis.H0
@@ -121,18 +132,16 @@ def test_detector_spec_validation():
 def test_tyler_statistics_proportional_every_trial():
     # trace pinning makes glrt = (p sigma2 / alpha) * rlrt per realization
     p, sigma2 = 4, 2.0
-    g = RngStream(36, 0).generator()
-    for _ in range(25):
-        x = sample_ces(np.eye(p), NoiseModel.student_t(3.0, sigma2=sigma2), 20, g)
+    for i in range(25):
+        x = noise(NoiseModel.student_t(3.0, sigma2=sigma2), p, 20, 36, i)
         est = tyler_estimate(x).estimate
         assert glrt(est) == pytest.approx(p * sigma2 / p * rlrt(est, sigma2), rel=1e-12)
 
 
 def test_scm_statistic_ratio_varies_across_trials():
-    g = RngStream(37, 0).generator()
     ratios = []
-    for _ in range(25):
-        x = sample_ces(np.eye(4), NoiseModel.gaussian(), 20, g)
+    for i in range(25):
+        x = noise(NoiseModel.gaussian(), 4, 20, 37, i)
         s = scm(x)
         ratios.append(glrt(s) / rlrt(s, 1.0))
     assert np.std(ratios) > 0

@@ -18,17 +18,21 @@ from robustsense import (
     fixed_point_residual,
     m_estimate,
     m_estimate_batch,
-    sample_ces,
     sample_chunk,
+    sample_trial,
     scm,
     tyler_estimate,
 )
 from robustsense.sampling import gg_scale
 
 
-def gaussian_data(p, n, seed, stream=0, scatter=None):
-    scatter = np.eye(p) if scatter is None else scatter
-    return sample_ces(scatter, NoiseModel.gaussian(), n, RngStream(seed, stream).generator())
+def gaussian_data(p, n, seed, stream=0):
+    return sample_trial(NoiseModel.gaussian(), p, n, 0.0, Hypothesis.H0, RngStream(seed, stream))
+
+
+def null_stack(model, trials, p, n, seed):
+    """H0 trials 0 .. trials-1 of ``seed``, one stream each."""
+    return sample_chunk(model, p, n, 0.0, Hypothesis.H0, seed, 0, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +165,7 @@ def test_student_t_large_dof_approaches_scm():
 
 
 def test_student_t_zero_dof_approaches_tyler():
-    x = sample_ces(np.eye(5), NoiseModel.student_t(3.0), 50, RngStream(10, 0).generator())
+    x = sample_trial(NoiseModel.student_t(3.0), 5, 50, 0.0, Hypothesis.H0, RngStream(10, 0))
     opts = FixedPointOptions(epsilon=1e-12, max_iterations=500)
     raw = m_estimate(x, WeightFunction.student_t(5, 0.0), opts).estimate
     ty = tyler_estimate(x, opts).estimate
@@ -183,9 +187,8 @@ tyler_cases = dict(
 
 
 def tyler_case(p, extra, family, seed):
-    g = RngStream(seed, 0).generator()
-    x = sample_ces(np.eye(p), family, p + extra, g)
-    return x, tyler_estimate(x, TIGHT).estimate, g
+    x = sample_trial(family, p, p + extra, 0.0, Hypothesis.H0, RngStream(seed, 0))
+    return x, tyler_estimate(x, TIGHT).estimate, RngStream(seed, 1).generator()
 
 
 def metric_gap(s, t):
@@ -241,8 +244,8 @@ def test_one_step_affine_equivariance(weight):
 
 
 def test_estimates_are_hermitian_positive_definite():
-    x = sample_ces(np.eye(4), NoiseModel.generalized_gaussian(0.2), 40,
-                   RngStream(12, 0).generator())
+    x = sample_trial(NoiseModel.generalized_gaussian(0.2), 4, 40, 0.0, Hypothesis.H0,
+                     RngStream(12, 0))
     for w in (WeightFunction.tyler(4), WeightFunction.student_t(4, 3.0),
               WeightFunction.gg_ml(4, 0.2)):
         e = m_estimate(x, w).estimate
@@ -259,9 +262,7 @@ def test_max_iterations_reported_as_not_converged():
 
 
 def gg_stack(trials, p, n, shape, seed):
-    model = NoiseModel.generalized_gaussian(shape)
-    return np.stack([sample_ces(np.eye(p), model, n, RngStream(seed, t).generator())
-                     for t in range(trials)])
+    return null_stack(NoiseModel.generalized_gaussian(shape), trials, p, n, seed)
 
 
 def test_gg_ml_scale_step_converges_in_few_iterations():
@@ -424,10 +425,7 @@ def test_options_validation():
 # ---------------------------------------------------------------------------
 
 def test_batch_matches_solo_bitwise():
-    g = RngStream(19, 0).generator()
-    stack = np.empty((6, 4, 24), dtype=complex)
-    for i in range(6):
-        stack[i] = sample_ces(np.eye(4), NoiseModel.generalized_gaussian(0.3), 24, g)
+    stack = null_stack(NoiseModel.generalized_gaussian(0.3), 6, 4, 24, seed=19)
     for w in (WeightFunction.tyler(4), WeightFunction.student_t(4, 3.0),
               WeightFunction.gg_ml(4, 0.3)):
         batch = m_estimate_batch(stack, w)
@@ -511,10 +509,8 @@ def test_engine_peak_memory_on_a_full_chunk(weight):
 
 
 def test_batch_flags_bad_members_without_poisoning_others():
-    g = RngStream(20, 0).generator()
-    stack = np.empty((3, 3, 12), dtype=complex)
-    for i in range(3):
-        stack[i] = sample_ces(np.eye(3), NoiseModel.gaussian(), 12, g)
+    stack = null_stack(NoiseModel.gaussian(), 3, 3, 12, seed=20)
+    g = RngStream(20, 3).generator()
     basis = g.standard_normal((3, 1)) + 1j * g.standard_normal((3, 1))
     stack[1] = basis @ (g.standard_normal((1, 12)) + 1j * g.standard_normal((1, 12)))
     for w in (WeightFunction.tyler(3), WeightFunction.gg_ml(3, 0.5)):
@@ -541,5 +537,5 @@ def test_residual_of_converged_tyler_is_small():
 
 
 def test_residual_of_identity_on_anisotropic_data_is_large():
-    x = gaussian_data(2, 400, seed=23, scatter=np.diag([16.0, 1.0]))
+    x = np.diag([4.0, 1.0]) @ gaussian_data(2, 400, seed=23)  # scatter diag(16, 1)
     assert fixed_point_residual(np.eye(2), x, WeightFunction.tyler(2)) > 0.1

@@ -1,4 +1,9 @@
-"""Sampler contracts: sphere uniformity, texture laws, CES moments, signal model."""
+"""Sampler contracts: sphere uniformity, texture laws, CES moments, signal
+model, and the chunk sampler's byte equality with ``sample_trial``.
+
+The sphere and texture laws are checked on the private draw steps that
+``sample_trial`` and ``sample_chunk`` share; the rest on ``sample_trial``.
+"""
 
 import contextlib
 import hashlib
@@ -8,24 +13,28 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from robustsense import (
-    ChannelVector,
-    NoiseModel,
-    RngStream,
-    gg_scale,
-    make_channel,
-    sample_ces,
-    sample_chunk,
-    sample_complex_sphere,
-    sample_hypothesis,
-    sample_texture,
-)
+from robustsense import NoiseModel, RngStream, gg_scale, sample_chunk, sample_trial
 from robustsense import sampling
 from robustsense.sampling import Hypothesis
+
+H0, H1 = Hypothesis.H0, Hypothesis.H1
 
 
 def gen(seed, stream=0):
     return RngStream(seed, stream).generator()
+
+
+def textures(model, p, g, size):
+    """sigma2 * Q for ``size`` draws, through the samplers' own two steps."""
+    raw = np.empty(size)
+    w = np.empty(size) if model.family == "student_t" else None
+    sampling._texture_draws(model, p, g, raw, w)
+    return sampling._texture_law(model, p, raw, w)
+
+
+def noise(model, p, n, seed):
+    """An H0 trial: pure CES noise drawn from the stream (seed, 0)."""
+    return sample_trial(model, p, n, 0.0, H0, RngStream(seed, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -33,24 +42,26 @@ def gen(seed, stream=0):
 # ---------------------------------------------------------------------------
 
 def test_sphere_scalar_is_unit_modulus():
-    u = sample_complex_sphere(1, gen(1))
-    assert abs(abs(complex(u[0] if u.ndim else u)) - 1.0) < 1e-12
+    u = sampling._sphere(gen(1), 1, 1)
+    assert u.shape == (1, 1)
+    assert abs(abs(complex(u[0, 0])) - 1.0) < 1e-12
 
 
 def test_sphere_columns_unit_norm():
-    u = sample_complex_sphere(3, gen(2), size=500)
+    u = sampling._sphere(gen(2), 3, 500)
     assert np.max(np.abs(np.linalg.norm(u, axis=0) - 1.0)) < 1e-12
 
 
-def test_sphere_rejects_zero_dimension():
+@pytest.mark.parametrize("p, n, rho", [(0, 4, 1.0), (3, 0, 1.0), (3, 4, -1.0)])
+def test_trial_rejects_bad_geometry(p, n, rho):
     with pytest.raises(ValueError):
-        sample_complex_sphere(0, gen(3))
+        sample_trial(NoiseModel.gaussian(), p, n, rho, H1, RngStream(3))
 
 
 def test_sphere_second_moment_is_identity_over_p():
     # E[u u^H] = I/p by rotational symmetry
     p, draws = 2, 100_000
-    u = sample_complex_sphere(p, gen(4), size=draws)
+    u = sampling._sphere(gen(4), p, draws)
     second = (u @ u.conj().T) / draws
     assert np.max(np.abs(second - np.eye(p) / p)) < 0.01
 
@@ -58,7 +69,7 @@ def test_sphere_second_moment_is_identity_over_p():
 def test_sphere_rotation_invariance():
     # |e1^H u| has the same law before and after a fixed unitary rotation
     p, draws = 4, 20_000
-    u = sample_complex_sphere(p, gen(5), size=draws)
+    u = sampling._sphere(gen(5), p, draws)
     z = gen(6).standard_normal((p, p)) + 1j * gen(7).standard_normal((p, p))
     q, _ = np.linalg.qr(z)
     s0 = np.sort(np.abs(u[0, :]))
@@ -74,7 +85,7 @@ def test_sphere_rotation_invariance():
 # ---------------------------------------------------------------------------
 
 def test_gaussian_texture_mean():
-    q = sample_texture(NoiseModel.gaussian(), 5, gen(8), size=1_000_000)
+    q = textures(NoiseModel.gaussian(), 5, gen(8), size=1_000_000)
     assert abs(q.mean() - 5.0) < 0.02
 
 
@@ -84,13 +95,13 @@ def test_gg_shape_one_is_gaussian():
         b_exact = p * math.factorial(p - 1) / math.factorial(p)
         assert b_exact == 1.0
         assert abs(gg_scale(p, 1.0) - 1.0) < 1e-12
-    q_gg = sample_texture(NoiseModel.generalized_gaussian(1.0), 5, gen(9), size=1000)
-    q_ga = sample_texture(NoiseModel.gaussian(), 5, gen(9), size=1000)
+    q_gg = textures(NoiseModel.generalized_gaussian(1.0), 5, gen(9), size=1000)
+    q_ga = textures(NoiseModel.gaussian(), 5, gen(9), size=1000)
     assert np.allclose(q_gg, q_ga, rtol=1e-12)
 
 
 def test_gg_texture_mean_three_sigma():
-    q = sample_texture(NoiseModel.generalized_gaussian(0.1), 5, gen(10), size=1_000_000)
+    q = textures(NoiseModel.generalized_gaussian(0.1), 5, gen(10), size=1_000_000)
     se = q.std() / math.sqrt(q.size)
     assert abs(q.mean() - 5.0) < 3.0 * se
 
@@ -118,14 +129,14 @@ def test_gg_radial_density_quadrature_oracle():
 
 
 def test_student_t_texture_mean():
-    q = sample_texture(NoiseModel.student_t(5.0), 5, gen(11), size=1_000_000)
+    q = textures(NoiseModel.student_t(5.0), 5, gen(11), size=1_000_000)
     se = q.std() / math.sqrt(q.size)
     assert abs(q.mean() - 5.0) < 3.0 * se
 
 
 def test_student_t_low_dof_warns_and_proceeds():
     with pytest.warns(RuntimeWarning, match="covariance"):
-        q = sample_texture(NoiseModel.student_t(2.0), 5, gen(12), size=100)
+        q = textures(NoiseModel.student_t(2.0), 5, gen(12), size=100)
     assert np.all(q > 0)
 
 
@@ -141,39 +152,19 @@ def test_noise_model_validation():
 
 
 # ---------------------------------------------------------------------------
-# CES sampling
+# CES noise
 # ---------------------------------------------------------------------------
 
 def test_ces_identity_gaussian_covariance():
-    x = sample_ces(np.eye(2), NoiseModel.gaussian(), 100_000, gen(13))
+    x = noise(NoiseModel.gaussian(), 2, 100_000, 13)
     emp = (x @ x.conj().T) / x.shape[1]
     assert np.max(np.abs(emp - np.eye(2))) < 0.02
 
 
-@pytest.mark.parametrize("model", [
-    NoiseModel.gaussian(),
-    NoiseModel.generalized_gaussian(0.5),
-    NoiseModel.student_t(5.0),
-])
-def test_ces_anisotropic_covariance_proportional(model):
-    scatter = np.diag([4.0, 1.0]).astype(complex)
-    x = sample_ces(scatter, model, 100_000, gen(14))
-    emp = (x @ x.conj().T).real / x.shape[1]
-    target = scatter.real * model.sigma2
-    assert np.max(np.abs(emp / np.trace(emp) - target / np.trace(target))) < 0.02
-
-
 def test_ces_single_column():
-    x = sample_ces(np.eye(3), NoiseModel.gaussian(), 1, gen(15))
+    x = noise(NoiseModel.gaussian(), 3, 1, 15)
     assert x.shape == (3, 1)
     assert np.linalg.norm(x) > 0
-
-
-def test_ces_rejects_bad_scatter():
-    with pytest.raises(np.linalg.LinAlgError):
-        sample_ces(np.diag([1.0, -1.0]), NoiseModel.gaussian(), 4, gen(16))
-    with pytest.raises(ValueError):
-        sample_ces(np.array([[1.0, 1.0], [0.0, 1.0]]), NoiseModel.gaussian(), 4, gen(17))
 
 
 def test_squared_norm_mean_per_family():
@@ -182,7 +173,7 @@ def test_squared_norm_mean_per_family():
     for model in (NoiseModel.gaussian(sigma2=2.0),
                   NoiseModel.generalized_gaussian(0.1),
                   NoiseModel.student_t(3.0)):
-        x = sample_ces(np.eye(p), model, draws, gen(18))
+        x = noise(model, p, draws, 18)
         sq = np.sum(np.abs(x) ** 2, axis=0)
         se = sq.std() / math.sqrt(draws)
         assert abs(sq.mean() - p * model.sigma2) < 3.0 * se
@@ -192,56 +183,46 @@ def test_squared_norm_mean_per_family():
 # channel and hypotheses
 # ---------------------------------------------------------------------------
 
+def channel(p, rho, sigma2, g):
+    return sampling._channel(sampling._sphere(g, p, 1), rho, p, sigma2)
+
+
 def test_channel_zero_snr_is_silent():
-    ch = make_channel(4, 0.0, 1.0, gen(19))
-    assert np.all(ch.h == 0)
+    assert np.all(channel(4, 0.0, 1.0, gen(19)) == 0)
 
 
 def test_channel_norm_at_zero_db():
-    ch = make_channel(5, 1.0, 1.0, gen(20))
-    assert abs(np.sum(np.abs(ch.h) ** 2) - 5.0) < 1e-12
+    h = channel(5, 1.0, 1.0, gen(20))
+    assert abs(np.sum(np.abs(h) ** 2) - 5.0) < 1e-12
 
 
 def test_channel_norm_formula():
-    ch = make_channel(2, 2.0, 0.5, gen(21))
-    assert abs(np.sum(np.abs(ch.h) ** 2) - 2.0) < 1e-12
-
-
-def test_channel_invariant_enforced():
-    with pytest.raises(ValueError):
-        ChannelVector(h=np.ones(3, dtype=complex), rho=2.0, sigma2=1.0)
+    h = channel(2, 2.0, 0.5, gen(21))
+    assert abs(np.sum(np.abs(h) ** 2) - 2.0) < 1e-12
 
 
 def test_h0_matches_plain_ces_draw():
     model = NoiseModel.generalized_gaussian(0.3)
-    ch = ChannelVector.zero(4)
-    a = sample_hypothesis(model, ch, Hypothesis.H0, 20, gen(22))
-    b = sample_ces(np.eye(4), model, 20, gen(22))
-    assert np.array_equal(a, b)
+    assert np.array_equal(noise(model, 4, 20, 22), sampling._noise(model, 4, gen(22), 20))
 
 
-def test_h1_with_zero_channel_equals_h0():
-    # noise is drawn before the symbols, so a silent channel reproduces H0 exactly
-    model = NoiseModel.gaussian()
-    ch = ChannelVector.zero(3)
-    a = sample_hypothesis(model, ch, Hypothesis.H1, 15, gen(23))
-    b = sample_hypothesis(model, ch, Hypothesis.H0, 15, gen(23))
-    assert np.array_equal(a, b)
+def test_h1_trial_at_zero_snr_is_its_noise_after_the_channel_draw():
+    # the channel direction is drawn first and the symbols last, so a silent
+    # channel leaves exactly the noise that follows the direction's draws
+    model, p, n = NoiseModel.gaussian(), 3, 15
+    g = gen(23)
+    sampling._sphere(g, p, 1)
+    expected = sampling._noise(model, p, g, n)
+    assert np.array_equal(sample_trial(model, p, n, 0.0, H1, RngStream(23)), expected)
 
 
 def test_h1_covariance_is_spiked():
     p, n = 2, 100_000
-    ch = make_channel(p, 1.0, 1.0, gen(24))
-    x = sample_hypothesis(NoiseModel.gaussian(), ch, Hypothesis.H1, n, gen(25))
+    h = channel(p, 1.0, 1.0, gen(25))  # the trial's own first draws
+    x = sample_trial(NoiseModel.gaussian(), p, n, 1.0, H1, RngStream(25))
     emp = (x @ x.conj().T) / n
-    target = np.outer(ch.h, ch.h.conj()) + np.eye(p)
+    target = h @ h.conj().T + np.eye(p)
     assert np.max(np.abs(emp - target)) < 0.02 * np.max(np.abs(target))
-
-
-def test_hypothesis_sigma2_consistency_check():
-    ch = ChannelVector.zero(3, sigma2=2.0)
-    with pytest.raises(ValueError):
-        sample_hypothesis(NoiseModel.gaussian(sigma2=1.0), ch, Hypothesis.H0, 5, gen(26))
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +231,14 @@ def test_hypothesis_sigma2_consistency_check():
 
 def test_same_stream_reproduces_bitwise():
     model = NoiseModel.student_t(3.0)
-    a = sample_ces(np.eye(3), model, 50, RngStream(99, 7).generator())
-    b = sample_ces(np.eye(3), model, 50, RngStream(99, 7).generator())
+    a = sample_trial(model, 3, 50, 1.0, H1, RngStream(99, 7))
+    b = sample_trial(model, 3, 50, 1.0, H1, RngStream(99, 7))
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = sample_ces(np.eye(3), NoiseModel.gaussian(), 50, RngStream(99, 7).generator())
-    b = sample_ces(np.eye(3), NoiseModel.gaussian(), 50, RngStream(99, 8).generator())
+    a = sample_trial(NoiseModel.gaussian(), 3, 50, 0.0, H0, RngStream(99, 7))
+    b = sample_trial(NoiseModel.gaussian(), 3, 50, 0.0, H0, RngStream(99, 8))
     assert not np.array_equal(a, b)
 
 
@@ -271,16 +252,9 @@ def test_stream_rejects_negative_ids():
 # ---------------------------------------------------------------------------
 
 def reference_chunk(model, p, n, rho, hypothesis, seed, lo, hi):
-    """The per-trial loop: one stream per trial, channel then sample matrix."""
-    x = np.empty((hi - lo, p, n), dtype=np.complex128)
-    for j, t in enumerate(range(lo, hi)):
-        g = RngStream(seed, t).generator()
-        if hypothesis is Hypothesis.H1:
-            channel = make_channel(p, rho, model.sigma2, g)
-        else:
-            channel = ChannelVector.zero(p, model.sigma2)
-        x[j] = sample_hypothesis(model, channel, hypothesis, n, g)
-    return x
+    """The per-trial loop: one ``sample_trial`` per trial, on its own stream."""
+    return np.stack([sample_trial(model, p, n, rho, hypothesis, RngStream(seed, t))
+                     for t in range(lo, hi)])
 
 
 def warns_if_no_covariance(model):
@@ -300,9 +274,9 @@ CHUNK_MODELS = [
 
 @pytest.mark.parametrize("model", CHUNK_MODELS, ids=lambda m: f"{m.family}-{m.sigma2}")
 @pytest.mark.parametrize("hypothesis, rho", [
-    (Hypothesis.H0, 0.0),
-    (Hypothesis.H1, 0.0),  # snr_db = -inf still draws a channel direction
-    (Hypothesis.H1, 1.0),
+    (H0, 0.0),
+    (H1, 0.0),  # snr_db = -inf still draws a channel direction
+    (H1, 1.0),
 ])
 @pytest.mark.parametrize("p, n", [(5, 10), (5, 50), (9, 12), (1, 1)])
 def test_chunk_sampler_is_bitwise_equal_to_per_trial_path(model, hypothesis, rho, p, n):
@@ -351,13 +325,48 @@ def test_chunk_sampler_redraws_a_guard_trial_like_the_per_trial_path(monkeypatch
     unforced = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
     mark = seen[0][forced - lo, 0]  # the forced trial's first raw texture draw
 
+    calls = []
+
     def zero_marked(model, p, g, w):
         # all-zero noise columns in the marked trial; redraws are unmarked
+        calls.append(g.shape)
         return np.where(g[..., :1] == mark, 0.0, law(model, p, g, w))
 
     monkeypatch.setattr(sampling, "_texture_law", zero_marked)
     batched = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
+    assert calls == [(hi - lo, n), (n,), (n,)]  # the chunk, the forced trial, its redraw
     expected = reference_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
+    assert batched.tobytes() == expected.tobytes()
+    changed = np.any(batched != unforced, axis=(1, 2))
+    assert np.flatnonzero(changed).tolist() == [forced - lo]
+
+
+@pytest.mark.parametrize("hypothesis, call", [(H0, 0), (H1, 0), (H1, 1)],
+                         ids=["sphere-H0", "sphere-H1", "channel-H1"])
+def test_chunk_sampler_redraws_a_zero_norm_trial_like_the_per_trial_path(
+        monkeypatch, hypothesis, call):
+    # call 0 of the chunk's sphere normalization is the noise, call 1 the channel
+    model, p, n, seed, lo, hi, forced = NoiseModel.student_t(3.0), 3, 8, 12, 100, 124, 109
+    unit = sampling._unit_columns
+    seen = []
+
+    def spy(zr, zi):
+        seen.append(zr.copy())
+        return unit(zr, zi)
+
+    monkeypatch.setattr(sampling, "_unit_columns", spy)
+    unforced = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
+    mark = seen[call][forced - lo, 0, 0]  # the forced trial's first raw draw
+
+    def zero_marked(zr, zi):
+        # zero-norm columns where the marked draw appears; redraws are unmarked
+        dead = zr[..., :1, :] == mark
+        return unit(np.where(dead, 0.0, zr), np.where(dead, 0.0, zi))
+
+    monkeypatch.setattr(sampling, "_unit_columns", zero_marked)
+    batched = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
+    expected = reference_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
+    assert np.isfinite(batched).all()
     assert batched.tobytes() == expected.tobytes()
     changed = np.any(batched != unforced, axis=(1, 2))
     assert np.flatnonzero(changed).tolist() == [forced - lo]
