@@ -7,7 +7,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,55 +39,31 @@ def _write_csv(path: Path, header: tuple[str, ...], columns) -> None:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run and audit its health."""
-
-    command: str
-    version: str
-    config_path: str
-    config: dict
-    master_seed: int
-    threads: int | None
-    worker_blas_pinned: bool  # threadpoolctl found: pool workers run single-threaded BLAS
-    # versions the output bytes rest on; numpy's Generator algorithms define every draw
-    python: str
-    numpy: str
-    scipy: str
-    detectors: dict
-    estimator_iterations: dict
-    outputs: list[str]
-    wall_clock_s: float
-
-    def write(self, path: Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _config_echo(cfg: ExperimentConfig, seed: int) -> dict:
-    echo = asdict(cfg)
-    echo["seed"] = seed
-    return echo
-
-
-def _manifest(command, cfg, seed, threads, detectors, iteration_stats, outputs, elapsed) -> RunManifest:
-    return RunManifest(
-        command=command,
-        version=__version__,
-        config_path=cfg.path,
-        config=_config_echo(cfg, seed),
-        master_seed=seed,
-        threads=threads,
-        worker_blas_pinned=WORKER_BLAS_PINNED,
-        python="{}.{}.{}".format(*sys.version_info[:3]),
-        numpy=np.__version__,
-        scipy=scipy.__version__,
-        detectors=detectors,
-        estimator_iterations=iteration_stats,
-        outputs=sorted(str(o) for o in outputs),
-        wall_clock_s=elapsed,
-    )
+def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seed: int,
+                    threads: int | None, detectors: dict, iterations: dict,
+                    outputs: list[Path], t0: float) -> None:
+    """Write ``manifest.json``: everything needed to reproduce the run and audit its health."""
+    manifest = {
+        "command": command,
+        "version": __version__,
+        "config_path": cfg.path,
+        "config": {**asdict(cfg), "seed": seed},
+        "master_seed": seed,
+        "threads": threads,
+        # threadpoolctl found: pool workers run single-threaded BLAS
+        "worker_blas_pinned": WORKER_BLAS_PINNED,
+        # versions the output bytes rest on; numpy's Generator algorithms define every draw
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "detectors": detectors,
+        "estimator_iterations": iterations,
+        "outputs": sorted(str(o) for o in outputs),
+        "wall_clock_s": time.perf_counter() - t0,
+    }
+    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_pof_curve(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int | None) -> list[Path]:
@@ -114,9 +90,7 @@ def cmd_pof_curve(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int 
             }
         for kind, entry in result.iteration_stats.items():
             iteration_stats[f"{family}/{kind}"] = entry
-    manifest = _manifest("pof-curve", cfg, seed, threads, detectors, iteration_stats,
-                         outputs, time.perf_counter() - t0)
-    manifest.write(out_dir / "manifest.json")
+    _write_manifest(out_dir, "pof-curve", cfg, seed, threads, detectors, iteration_stats, outputs, t0)
     return outputs
 
 
@@ -140,9 +114,7 @@ def cmd_roc(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int | None
             "h0_excluded": result.h0[spec].n_excluded,
             "h1_excluded": result.h1[spec].n_excluded,
         }
-    manifest = _manifest("roc", cfg, seed, threads, detectors,
-                         result.iteration_stats, outputs, time.perf_counter() - t0)
-    manifest.write(out_dir / "manifest.json")
+    _write_manifest(out_dir, "roc", cfg, seed, threads, detectors, result.iteration_stats, outputs, t0)
     return outputs
 
 
@@ -185,9 +157,8 @@ def cmd_calibrate(
         }
         for spec in sim_cal.detectors
     }
-    manifest = _manifest("calibrate", cfg, seed, threads, detectors,
-                         result_cal.iteration_stats, [path], time.perf_counter() - t0)
-    manifest.write(out_dir / "manifest.json")
+    _write_manifest(out_dir, "calibrate", cfg, seed, threads, detectors,
+                    result_cal.iteration_stats, [path], t0)
     return path
 
 

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .detectors import STATISTICS, DetectorSpec
-from .estimators import KINDS
+from .detectors import DetectorSpec
 from .montecarlo import SimConfig, derive_seed
-from .sampling import FAMILIES, NoiseModel
+from .sampling import NoiseModel
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4")
 _ALIASES = {"fig2": "fig1"}  # fig2 views fig1's simulation through the blind statistics
@@ -43,14 +42,15 @@ class ExperimentConfig:
     @property
     def rho(self) -> float:
         """Linear-scale SNR; internals never see decibels."""
-        return 0.0 if self.snr_db is None else 10.0 ** (self.snr_db / 10.0)
+        try:
+            return 0.0 if self.snr_db is None else 10.0 ** (self.snr_db / 10.0)
+        except OverflowError:  # snr_db above ~3083; SimConfig rejects the infinite rho
+            return float("inf")
 
     def noise_model(self, family: str) -> NoiseModel:
-        if family == "gaussian":
-            return NoiseModel.gaussian(self.sigma2)
-        if family == "gg":
-            return NoiseModel.generalized_gaussian(self.gg_shape, self.sigma2)
-        return NoiseModel.student_t(self.student_t_dof, self.sigma2)
+        return NoiseModel(family, self.sigma2,
+                          shape_s=self.gg_shape if family == "gg" else None,
+                          dof_nu=self.student_t_dof if family == "student_t" else None)
 
     def detector_specs(self) -> tuple[DetectorSpec, ...]:
         specs = []
@@ -85,7 +85,8 @@ def _split_list(raw: str) -> tuple[str, ...]:
 
 
 def load_config(path_or_preset: str) -> ExperimentConfig:
-    """Load and validate a config file; bare preset names resolve to bundled files."""
+    """Parse a config file (bare preset names resolve to bundled files) and
+    build its simulations, whose model objects check every value."""
     path = Path(path_or_preset)
     if not path.exists():
         bundled = preset_path(path_or_preset)
@@ -147,11 +148,6 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
     if fam_raw is None:
         raise ConfigError(f"{where}: [noise] needs 'families' (or 'family')")
     families = _split_list(fam_raw)
-    unknown = [f for f in families if f not in FAMILIES]
-    if unknown:
-        raise ConfigError(
-            f"{where}: [noise] unknown families {unknown}; expected from {', '.join(FAMILIES)}"
-        )
     if not families:
         raise ConfigError(f"{where}: [noise] at least one family is required")
     if kind == "roc" and len(families) != 1:
@@ -165,23 +161,6 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
 
     estimators = _split_list(need("detectors", "estimators"))
     statistics = _split_list(need("detectors", "statistics"))
-    bad_est = [e for e in estimators if e not in KINDS]
-    if bad_est:
-        raise ConfigError(
-            f"{where}: [detectors] unknown estimators {bad_est}; expected from {', '.join(KINDS)}"
-        )
-    bad_stat = [s for s in statistics if s not in STATISTICS]
-    if bad_stat:
-        raise ConfigError(
-            f"{where}: [detectors] unknown statistics {bad_stat}; expected from {', '.join(STATISTICS)}"
-        )
-    if not estimators or not statistics:
-        raise ConfigError(f"{where}: [detectors] estimators and statistics must be non-empty")
-    if "gg_ml" in estimators and (len(families) != 1 or families[0] != "gg"):
-        raise ConfigError(
-            f"{where}: [detectors] gg_ml requires the noise family to be gg "
-            "(its weight needs the true shape)"
-        )
     student_t_nu = as_float("detectors", "student_t_nu", grab("detectors", "student_t_nu", "3.0"))
 
     cfg = ExperimentConfig(

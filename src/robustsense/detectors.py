@@ -31,8 +31,8 @@ class DetectorSpec:
         if self.estimator not in KINDS:
             raise ValueError(f"unknown estimator {self.estimator!r}; expected one of {KINDS}")
         if self.statistic == "rlrt":
-            if self.sigma2 is None or self.sigma2 <= 0:
-                raise ValueError("rlrt requires a positive sigma2")
+            if self.sigma2 is None or not 0 < self.sigma2 < np.inf:
+                raise ValueError(f"rlrt requires a positive finite sigma2, got {self.sigma2}")
         elif self.sigma2 is not None:
             raise ValueError("glrt is blind to the noise power; sigma2 must be None")
 

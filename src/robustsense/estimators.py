@@ -10,7 +10,7 @@ right-hand side at the previous iterate and rescales the result by the
 estimator kind's post-step normalization.  The engine runs F in SQUAREM
 cycles (Varadhan & Roland, Scand. J. Stat. 2008): two evaluations of F, then
 an extrapolation from the three iterates.  Every evaluation is tested with
-``||I - Sigma^{-1} F(Sigma)|| < epsilon``, and the returned estimate is always
+``||I - Sigma^{-1} F(Sigma)||_F < epsilon``, and the returned estimate is always
 an output of F.  The engine operates on stacks of sample matrices; each stack
 member follows exactly the trajectory it would follow alone, so batched and
 one-at-a-time results agree.
@@ -301,10 +301,10 @@ class WeightFunction:
             raise ValueError(f"unknown weight kind {self.kind!r}; expected one of {KINDS}")
         if self.p < 1:
             raise ValueError("dimension p must be at least 1")
-        if self.kind == "student_t" and (self.nu is None or self.nu < 0):
-            raise ValueError("student_t weight requires nu >= 0")
-        if self.kind == "gg_ml" and (self.shape_s is None or self.shape_s <= 0):
-            raise ValueError("gg_ml weight requires shape_s > 0")
+        if self.kind == "student_t" and (self.nu is None or not 0 <= self.nu < np.inf):
+            raise ValueError(f"student_t weight requires a finite nu >= 0, got {self.nu}")
+        if self.kind == "gg_ml" and (self.shape_s is None or not 0 < self.shape_s < np.inf):
+            raise ValueError(f"gg_ml weight requires a finite shape_s > 0, got {self.shape_s}")
 
     @classmethod
     def for_kind(
@@ -346,7 +346,6 @@ class FixedPointOptions:
 
     epsilon: float = 1e-6
     max_iterations: int = 200
-    norm: str = "fro"
     alpha: float | None = None
     initial: np.ndarray | None = None
 
@@ -355,8 +354,6 @@ class FixedPointOptions:
             raise ValueError("epsilon must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.norm not in ("fro", "spectral"):
-            raise ValueError("norm must be 'fro' or 'spectral'")
         if self.alpha is not None and self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
@@ -413,19 +410,13 @@ def _check_initial(initial: np.ndarray | None, p: int) -> np.ndarray:
     return initial
 
 
-def _residual_norm(r: np.ndarray, norm: str) -> np.ndarray:
-    if norm == "fro":
-        return np.linalg.norm(r, axis=(1, 2))
-    return np.linalg.svd(r, compute_uv=False)[:, 0]
-
-
-def _apply_map(kind: _Kind, weight, wh: _Whitened, q, alpha, norm):
+def _apply_map(kind: _Kind, weight, wh: _Whitened, q, alpha):
     """One evaluation of the iteration map F on factored iterates.
 
     The weighted step sum_i w_i x_i x_i^H is the mat-vec Q w, unpacked into
     an exactly Hermitian matrix.  Returns F(Sigma), its whitening when the
     post-step made one (else None), the stopping-rule residuals
-    ||I - Sigma^{-1} F(Sigma)|| and the members whose F(Sigma) is unusable
+    ||I - Sigma^{-1} F(Sigma)||_F and the members whose F(Sigma) is unusable
     (those get the identity as a placeholder).
     """
     p, n = wh.inv.shape[-1], q.shape[-1]
@@ -439,7 +430,7 @@ def _apply_map(kind: _Kind, weight, wh: _Whitened, q, alpha, norm):
     nxt, nxt_wh = kind.post_step(weight, nxt, q, alpha)
     if nxt_wh is not None:
         bad |= nxt_wh.singular
-    resid = _residual_norm(eye - wh.inv @ nxt, norm)
+    resid = np.linalg.norm(eye - wh.inv @ nxt, axis=(1, 2))
     return nxt, nxt_wh, resid, bad
 
 
@@ -509,7 +500,7 @@ def m_estimate_batch(
     place (``_compact_in_place``), so memory never grows past Q itself.
 
     The stopping rule is the plain iteration's: every evaluation is tested
-    with ``||I - Sigma^{-1} F(Sigma)|| < epsilon``, and a member is frozen,
+    with ``||I - Sigma^{-1} F(Sigma)||_F < epsilon``, and a member is frozen,
     with that F(Sigma) as its estimate, the first time it passes.  So the
     estimate is always an output of F and carries its normalization exactly.
     ``iterations`` and ``max_iterations`` count map evaluations.  Members move
@@ -583,7 +574,7 @@ def m_estimate_batch(
             if active.size == 0:
                 break
 
-        nxt, nxt_wh, resid, bad = _apply_map(kind, weight, wh, q, alpha, opts.norm)
+        nxt, nxt_wh, resid, bad = _apply_map(kind, weight, wh, q, alpha)
         done = ~bad & (resid < opts.epsilon)
         if m % 2:
             # a cycle's first evaluation tests the last extrapolation: where
@@ -633,8 +624,8 @@ def m_estimate(
         covariance directly (the iteration map is constant); the robust
         kinds additionally require n > p.
     opts : FixedPointOptions, optional
-        Iteration controls; defaults to epsilon=1e-6, at most 200 steps,
-        Frobenius stopping norm, identity start.
+        Iteration controls; defaults to epsilon=1e-6, at most 200 map
+        evaluations, identity start.
 
     Returns
     -------

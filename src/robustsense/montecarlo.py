@@ -65,8 +65,8 @@ class SimConfig:
             raise ValueError("p and n must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative")
+        if not 0 <= self.rho < np.inf:
+            raise ValueError(f"rho must be non-negative and finite, got {self.rho}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
         if not self.detectors:
@@ -78,6 +78,8 @@ class SimConfig:
             )
         if any(s.estimator == "gg_ml" for s in self.detectors) and self.noise.family != "gg":
             raise ValueError("the gg_ml estimator needs the true gg shape; noise family must be gg")
+        for kind in self.estimator_kinds():
+            self.weight_for(kind)  # a bad weight parameter fails here, not in the first chunk
 
     def estimator_kinds(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}

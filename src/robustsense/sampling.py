@@ -66,16 +66,16 @@ class NoiseModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}; expected one of {FAMILIES}")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if self.family == "gg":
-            if self.shape_s is None or self.shape_s <= 0:
-                raise ValueError("gg noise requires shape_s > 0")
+            if self.shape_s is None or not 0 < self.shape_s < np.inf:
+                raise ValueError(f"gg noise requires a finite shape_s > 0, got {self.shape_s}")
         elif self.shape_s is not None:
             raise ValueError("shape_s only applies to the gg family")
         if self.family == "student_t":
-            if self.dof_nu is None or self.dof_nu <= 0:
-                raise ValueError("student_t noise requires dof_nu > 0")
+            if self.dof_nu is None or not 0 < self.dof_nu < np.inf:
+                raise ValueError(f"student_t noise requires a finite dof_nu > 0, got {self.dof_nu}")
         elif self.dof_nu is not None:
             raise ValueError("dof_nu only applies to the student_t family")
 

@@ -106,13 +106,64 @@ def test_unknown_preset_or_path():
 # config validation
 # ---------------------------------------------------------------------------
 
-def test_config_error_messages_are_anchored(tmp_path):
-    bad = write_config(tmp_path, POF_TEMPLATE.format(trials=10, seed=1).replace(
-        "families = gaussian, gg, student_t", "families = gaussian, cauchy"))
+POF = POF_TEMPLATE.format(trials=10, seed=1)
+ROC = ROC_TEMPLATE.format(trials=10, seed=1, snr_db=0.0)
+
+
+@pytest.mark.parametrize("text, old, new, bad_value", [
+    (POF, "families = gaussian, gg, student_t", "families = gaussian, cauchy", "cauchy"),
+    (POF, "estimators = scm, tyler", "estimators = scm, huber", "huber"),
+    (POF, "statistics = rlrt, glrt", "statistics = rlrt, lmpit", "lmpit"),
+    (POF, "estimators = scm, tyler", "estimators =", "detector"),
+    (ROC, "family = gg", "family = gaussian", "gg_ml"),
+], ids=["family", "estimator", "statistic", "no-estimators", "gg_ml-gaussian"])
+def test_config_error_messages_are_anchored(tmp_path, text, old, new, bad_value):
+    # the model object that owns the value rejects it; the message names the file
+    bad = write_config(tmp_path, text.replace(old, new))
     with pytest.raises(ConfigError) as err:
         load_config(bad)
-    assert bad in str(err.value)
-    assert "cauchy" in str(err.value)
+    assert str(err.value).startswith(f"{bad}: ")
+    assert bad_value in str(err.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value)
+    for key in ("snr_db", "sigma2", "gg_shape", "student_t_dof", "student_t_nu")
+    for value in ("nan", "inf")
+] + [("snr_db", "4000")])  # 10^400 overflows a float
+def test_non_finite_values_are_rejected_at_load(tmp_path, capsys, key, value):
+    text = ROC_TEMPLATE.format(trials=16, seed=1, snr_db=0.0)
+    if key == "student_t_dof":
+        text = POF_TEMPLATE.format(trials=16, seed=1)
+    elif key == "student_t_nu":
+        text = text.replace("estimators = scm, tyler, gg_ml", "estimators = student_t")
+        text += "student_t_nu = 3.0\n"
+    assert f"{key} = " in text
+    text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line
+                     for line in text.splitlines()) + "\n"
+    config = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="finite") as err:
+        load_config(config)
+    assert str(err.value).startswith(f"{config}: ")
+    command = "roc" if "kind = roc" in text else "pof-curve"
+    out = tmp_path / "o"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    stderr = capsys.readouterr().err
+    assert config in stderr and "Traceback" not in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nu", ["-1", "nan"])
+def test_bad_weight_parameter_is_rejected_at_load(tmp_path, capsys, nu):
+    text = POF_TEMPLATE.format(trials=16, seed=1).replace(
+        "estimators = scm, tyler", "estimators = scm, student_t") + f"student_t_nu = {nu}\n"
+    config = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="student_t weight requires a finite nu >= 0"):
+        load_config(config)
+    out = tmp_path / "o"
+    assert main(["pof-curve", "--config", config, "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_requires_gg_shape(tmp_path):

@@ -365,13 +365,6 @@ def test_bounded_step_converges_where_an_unbounded_one_cycles():
     assert res.iterations.max() <= 100
 
 
-def test_spectral_norm_stopping_rule():
-    x = gaussian_data(3, 20, seed=14)
-    res = m_estimate(x, WeightFunction.tyler(3), FixedPointOptions(norm="spectral"))
-    assert res.converged
-    assert res.final_residual < 1e-6
-
-
 # ---------------------------------------------------------------------------
 # preconditions and failure modes
 # ---------------------------------------------------------------------------
@@ -414,8 +407,6 @@ def test_options_validation():
         FixedPointOptions(epsilon=0.0)
     with pytest.raises(ValueError):
         FixedPointOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        FixedPointOptions(norm="nuclear")
     with pytest.raises(ValueError):
         FixedPointOptions(alpha=-1.0)
 

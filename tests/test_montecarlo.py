@@ -16,6 +16,7 @@ from robustsense import (
     NoiseModel,
     SimConfig,
     StatSample,
+    WeightFunction,
     calibrate_threshold,
     derive_seed,
     empirical_pfa_curve,
@@ -74,6 +75,21 @@ def test_config_validation(tmp_path):
         load_config(str(config))
     # scm-only configs may have n <= p
     assert small_config(n=2, p=3, detectors=(SCM_G,)).n == 2
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("build", [
+    lambda v: NoiseModel.gaussian(v),
+    lambda v: NoiseModel.generalized_gaussian(v),
+    lambda v: NoiseModel.student_t(v),
+    lambda v: small_config(rho=v),
+    lambda v: DetectorSpec("rlrt", "scm", v),
+    lambda v: WeightFunction.student_t(3, v),
+    lambda v: WeightFunction("gg_ml", 3, shape_s=v, scale_b=1.0),
+], ids=["sigma2", "shape_s", "dof_nu", "rho", "rlrt-sigma2", "nu", "gg_ml-shape_s"])
+def test_each_owner_rejects_non_finite_values(build, value):
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
 
 
 def test_derive_seed_is_deterministic_and_salted():
