@@ -252,11 +252,11 @@ _KINDS = {
     "tyler": _Kind(lambda w, d: w.p / d, _pin_trace, lambda p, nu, s: {}),
     "student_t": _Kind(
         lambda w, d: (2.0 * w.p + w.nu) / (w.nu + 2.0 * d), _no_scaling,
-        lambda p, nu, s: {"nu": float(nu)},
+        lambda p, nu, s: {"nu": nu},
     ),
     "gg_ml": _Kind(
         lambda w, d: (w.shape_s / w.scale_b) * d ** (w.shape_s - 1.0), _ml_scale,
-        lambda p, nu, s: {"shape_s": float(s), "scale_b": gg_scale(p, s)},
+        lambda p, nu, s: {"shape_s": s},
     ),
 }
 KINDS = tuple(_KINDS)
@@ -294,7 +294,6 @@ class WeightFunction:
     p: int
     nu: float | None = None
     shape_s: float | None = None
-    scale_b: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -331,6 +330,11 @@ class WeightFunction:
     def gg_ml(cls, p: int, shape_s: float) -> "WeightFunction":
         return cls.for_kind("gg_ml", p, shape_s=shape_s)
 
+    @property
+    def scale_b(self) -> float:
+        """The gg_ml density scale b = gg_scale(p, shape_s)."""
+        return gg_scale(self.p, self.shape_s)
+
     def __call__(self, d):
         return _KINDS[self.kind].weight(self, np.asarray(d, dtype=np.float64))
 
@@ -350,12 +354,12 @@ class FixedPointOptions:
     initial: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        if self.alpha is not None and not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,6 @@ bit-identical for any worker count and any chunk size.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +33,10 @@ DEFAULT_ROC_RESOLUTION = 512
 # Pool workers can pin BLAS to one thread only through threadpoolctl; without
 # it they keep the BLAS default and may oversubscribe the cores.
 WORKER_BLAS_PINNED = threadpool_limits is not None
+
+# one trial's outcome for one estimator kind (fields: see run_experiment)
+_TRIAL = np.dtype([("lam", np.float64), ("trace", np.float64), ("iterations", np.int64),
+                   ("ok", np.bool_), ("converged", np.bool_)])
 
 
 class ExclusionRateError(RuntimeError):
@@ -82,10 +85,7 @@ class SimConfig:
             self.weight_for(kind)  # a bad weight parameter fails here, not in the first chunk
 
     def estimator_kinds(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for spec in self.detectors:
-            seen.setdefault(spec.estimator, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(spec.estimator for spec in self.detectors))
 
     def weight_for(self, kind: str) -> WeightFunction:
         return WeightFunction.for_kind(kind, self.p, nu=self.student_t_nu,
@@ -98,7 +98,6 @@ class StatSample:
 
     values: np.ndarray
     spec: DetectorSpec
-    hypothesis: Hypothesis
     n_excluded: int = 0
 
 
@@ -117,24 +116,25 @@ class RocCurve:
 
     pfa: np.ndarray
     pod: np.ndarray
-    spec: DetectorSpec
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """Everything one simulation produced, reproducible from its config."""
 
-    config: SimConfig
     h0: dict[DetectorSpec, StatSample]
     h1: dict[DetectorSpec, StatSample] | None
     iteration_stats: dict[str, dict[str, float]]
-    wall_clock: float
 
 
 def _single_threaded_blas():
     # worker processes must not oversubscribe the cores with BLAS threads
     if WORKER_BLAS_PINNED:
         threadpool_limits(limits=1)
+
+
+def _usable(trials: np.ndarray) -> np.ndarray:
+    return trials["ok"] & trials["converged"]
 
 
 def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
@@ -145,35 +145,22 @@ def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
     out = {}
     for kind in config.estimator_kinds():
         res = m_estimate_batch(x, config.weight_for(kind), config.options)
-        out[kind] = (
-            res.eigenvalues[:, -1],
-            np.einsum("kii->k", res.estimates).real,
-            res.ok,
-            res.converged,
-            res.iterations,
-        )
+        out[kind] = np.rec.fromarrays(
+            (res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real,
+             res.iterations, res.ok, res.converged), dtype=_TRIAL)
     return lo, out
 
 
 def _run_chunks(config: SimConfig, hypothesis: Hypothesis, threads: int | None):
     """Chunk-batched sampling and estimation over fixed-size chunks.
 
-    Returns per-estimator-kind arrays indexed by trial: lambda_max, trace,
-    ``ok`` (no singular iterate), ``converged`` and the iteration counts.  A
-    trial is usable where it is both ok and converged.  Chunk boundaries are
-    fixed, every trial draws from its own stream, and chunks are merged by
-    index, so the worker count cannot change the result.
+    Returns one ``_TRIAL`` record array per estimator kind, indexed by
+    trial.  Chunk boundaries are fixed, every trial draws from its own
+    stream, and chunks are merged by index, so the worker count cannot
+    change the result.
     """
-    kinds = config.estimator_kinds()
-    trials = config.trials
-
-    lam = {kind: np.empty(trials) for kind in kinds}
-    tr = {kind: np.empty(trials) for kind in kinds}
-    ok = {kind: np.zeros(trials, dtype=bool) for kind in kinds}
-    converged = {kind: np.zeros(trials, dtype=bool) for kind in kinds}
-    iters = {kind: np.zeros(trials, dtype=np.int64) for kind in kinds}
-
-    starts = range(0, trials, _CHUNK)
+    records = {kind: np.empty(config.trials, _TRIAL) for kind in config.estimator_kinds()}
+    starts = range(0, config.trials, _CHUNK)
     if threads is None or threads <= 1 or len(starts) <= 1:
         results = (_chunk_stats(config, hypothesis, lo) for lo in starts)
         pool = None
@@ -182,33 +169,29 @@ def _run_chunks(config: SimConfig, hypothesis: Hypothesis, threads: int | None):
         results = pool.map(_chunk_stats, repeat(config), repeat(hypothesis), starts)
     try:
         for lo, chunk in results:
-            hi = min(lo + _CHUNK, trials)
-            for kind in kinds:
-                (lam[kind][lo:hi], tr[kind][lo:hi], ok[kind][lo:hi],
-                 converged[kind][lo:hi], iters[kind][lo:hi]) = chunk[kind]
+            for kind, trials in chunk.items():
+                records[kind][lo:lo + trials.size] = trials
     finally:
         if pool is not None:
             pool.shutdown()
-    return lam, tr, ok, converged, iters
+    return records
 
 
-def _collect_samples(config, hypothesis, lam, tr, ok, converged):
+def _collect_samples(config: SimConfig, hypothesis: Hypothesis,
+                     trials: dict[str, np.ndarray]) -> dict[DetectorSpec, StatSample]:
+    """Each detector's sorted statistic over its kind's usable trials.
+    ``hypothesis`` is not read here; the benchmark's tracer tags spans with it."""
     samples: dict[DetectorSpec, StatSample] = {}
     for spec in config.detectors:
-        kind = spec.estimator
-        mask = ok[kind] & converged[kind]
-        excluded = config.trials - int(mask.sum())
+        usable = trials[spec.estimator][_usable(trials[spec.estimator])]
+        excluded = config.trials - usable.size
         if excluded > _MAX_EXCLUSION_RATE * config.trials:
             raise ExclusionRateError(
                 f"{spec.label}: {excluded} of {config.trials} trials lost to "
                 f"non-convergence (limit {_MAX_EXCLUSION_RATE:.1%})"
             )
-        samples[spec] = StatSample(
-            values=np.sort(spec.evaluate(lam[kind][mask], tr[kind][mask], config.p)),
-            spec=spec,
-            hypothesis=hypothesis,
-            n_excluded=excluded,
-        )
+        values = spec.evaluate(usable["lam"], usable["trace"], config.p)
+        samples[spec] = StatSample(values=np.sort(values), spec=spec, n_excluded=excluded)
     return samples
 
 
@@ -221,11 +204,10 @@ def run_trials(
 
     Each trial draws a fresh channel (under H1) and sample matrix from the
     stream ``(master_seed, trial_index)``, computes each requested estimator
-    once, and feeds every statistic sharing it.  Trials whose estimator did
-    not converge are dropped; more than 0.1% drops abort the run.
+    once, and feeds every statistic sharing it.  Unusable trials (see
+    ``run_experiment``) are dropped; more than 0.1% drops abort the run.
     """
-    lam, tr, ok, converged, _ = _run_chunks(config, hypothesis, threads)
-    return _collect_samples(config, hypothesis, lam, tr, ok, converged)
+    return _collect_samples(config, hypothesis, _run_chunks(config, hypothesis, threads))
 
 
 def run_experiment(
@@ -235,39 +217,35 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run H0 (and optionally H1) trials and gather iteration diagnostics.
 
-    ``iteration_stats`` holds, per estimator kind, the mean, max and 50th,
-    90th and 99th percentiles of the iteration counts of the usable trials,
-    and why the other trials were excluded: ``singular`` (an iterate left
-    the positive-definite cone) and ``max_iterations`` (no convergence
-    within the iteration budget), all pooled over both hypotheses.
+    Every trial leaves one record per estimator kind: the estimate's largest
+    eigenvalue and trace, its iteration count (map evaluations), ``ok`` (no
+    singular iterate) and ``converged``.  A trial is *usable* for a kind when
+    it is both ok and converged; only usable trials feed the statistics.
+    ``iteration_stats`` holds, per kind, the mean, max and 50th, 90th and
+    99th percentiles of the usable trials' iteration counts, and why the
+    other trials were excluded: ``singular`` (an iterate left the
+    positive-definite cone) and ``max_iterations`` (no convergence within
+    the iteration budget), all pooled over both hypotheses.
     """
-    t0 = time.perf_counter()
     kinds = config.estimator_kinds()
     counts: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
-    singular = dict.fromkeys(kinds, 0)
-    capped = dict.fromkeys(kinds, 0)
+    excluded = {kind: {"singular": 0, "max_iterations": 0} for kind in kinds}
     samples = {}
     for hypothesis in (Hypothesis.H0, Hypothesis.H1) if with_h1 else (Hypothesis.H0,):
-        lam, tr, ok, converged, iters = _run_chunks(config, hypothesis, threads)
-        samples[hypothesis] = _collect_samples(config, hypothesis, lam, tr, ok, converged)
-        for kind in kinds:
-            counts[kind].append(iters[kind][ok[kind] & converged[kind]])
-            singular[kind] += int(np.count_nonzero(~ok[kind]))
-            capped[kind] += int(np.count_nonzero(ok[kind] & ~converged[kind]))
+        trials = _run_chunks(config, hypothesis, threads)
+        samples[hypothesis] = _collect_samples(config, hypothesis, trials)
+        for kind, rec in trials.items():
+            counts[kind].append(rec["iterations"][_usable(rec)])
+            excluded[kind]["singular"] += int(np.count_nonzero(~rec["ok"]))
+            excluded[kind]["max_iterations"] += int(np.count_nonzero(rec["ok"] & ~rec["converged"]))
     stats = {}
     for kind, chunks in counts.items():
         pooled = np.concatenate(chunks)
         p50, p90, p99 = np.percentile(pooled, (50, 90, 99))
         stats[kind] = {"mean": float(pooled.mean()), "max": float(pooled.max()),
-                       "p50": float(p50), "p90": float(p90), "p99": float(p99),
-                       "singular": singular[kind], "max_iterations": capped[kind]}
-    return ExperimentResult(
-        config=config,
-        h0=samples[Hypothesis.H0],
-        h1=samples.get(Hypothesis.H1),
-        iteration_stats=stats,
-        wall_clock=time.perf_counter() - t0,
-    )
+                       "p50": float(p50), "p90": float(p90), "p99": float(p99), **excluded[kind]}
+    return ExperimentResult(h0=samples[Hypothesis.H0], h1=samples.get(Hypothesis.H1),
+                            iteration_stats=stats)
 
 
 def _rank_grid(values: np.ndarray, resolution: int) -> np.ndarray:
@@ -332,7 +310,7 @@ def roc_curve(
     n0, n1 = h0.values.size, h1.values.size
     pfa = (n0 - np.searchsorted(h0.values, thresholds, side="right")) / n0
     pod = (n1 - np.searchsorted(h1.values, thresholds, side="right")) / n1
-    return RocCurve(pfa=pfa, pod=pod, spec=h0.spec)
+    return RocCurve(pfa=pfa, pod=pod)
 
 
 def pod_at_pfa(curve: RocCurve, pfa_target: float) -> float:
@@ -350,6 +328,8 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov distance sup_t |F_a(t) - F_b(t)|."""
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
+    if not a.size or not b.size:
+        raise ValueError("ks_distance needs two non-empty samples")
     grid = np.concatenate([a, b])
     ca = np.searchsorted(a, grid, side="right") / a.size
     cb = np.searchsorted(b, grid, side="right") / b.size

@@ -99,8 +99,8 @@ def gg_scale(p: int, s: float) -> float:
     squared radius has mean p.  Evaluated in log space; the Gamma ratio
     overflows for small s otherwise.
     """
-    if p < 1 or s <= 0:
-        raise ValueError("require p >= 1 and s > 0")
+    if p < 1 or not 0 < s < np.inf:
+        raise ValueError(f"require p >= 1 and a finite s > 0, got p={p}, s={s}")
     return float(np.exp(s * (np.log(p) + gammaln(p / s) - gammaln((p + 1) / s))))
 
 
@@ -214,8 +214,8 @@ def sample_trial(
     redraw lives here: zero-norm channel or sphere columns and all-zero
     noise columns (texture underflow) are redrawn from the same stream.
     """
-    if p < 1 or n < 1 or rho < 0:
-        raise ValueError("require p >= 1, n >= 1 and rho >= 0")
+    if p < 1 or n < 1 or not 0 <= rho < np.inf:
+        raise ValueError("require p >= 1, n >= 1 and a finite rho >= 0")
     gen = stream.generator()
     h1 = hypothesis is Hypothesis.H1
     if h1:

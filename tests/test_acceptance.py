@@ -68,7 +68,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def load_roc_csv(path) -> RocCurve:
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return RocCurve(pfa=data[:, 0], pod=data[:, 1], spec=None)
+    return RocCurve(pfa=data[:, 0], pod=data[:, 1])
 
 
 def three_se_margin(pod_a: float, pod_b: float, trials: int = TRIALS) -> float:

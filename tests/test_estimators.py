@@ -1,5 +1,6 @@
 """Fixed-point engine contracts: weights, convergence, invariances, residuals."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,13 @@ def test_weight_validation():
         WeightFunction.student_t(5, -1.0)
     with pytest.raises(ValueError):
         WeightFunction.gg_ml(5, 0.0)
+    # a kind's own parameter is required, and the gg_ml scale b is derived, not set
+    with pytest.raises(ValueError, match="shape_s"):
+        WeightFunction.for_kind("gg_ml", 5)
+    with pytest.raises(ValueError, match="nu"):
+        WeightFunction.for_kind("student_t", 5)
+    with pytest.raises(TypeError):
+        WeightFunction("gg_ml", 3, shape_s=0.5, scale_b=math.nan)
 
 
 def test_for_kind_reads_only_the_kinds_own_parameter():
@@ -102,7 +110,8 @@ def test_for_kind_reads_only_the_kinds_own_parameter():
     assert WeightFunction.for_kind("student_t", 5, nu=3, shape_s=0.1) == WeightFunction(
         "student_t", 5, nu=3.0)
     gg = WeightFunction.for_kind("gg_ml", 5, nu=3.0, shape_s=0.1)
-    assert gg == WeightFunction("gg_ml", 5, shape_s=0.1, scale_b=gg_scale(5, 0.1))
+    assert gg == WeightFunction("gg_ml", 5, shape_s=0.1)
+    assert gg.scale_b == gg_scale(5, 0.1)
     assert gg == WeightFunction.gg_ml(5, 0.1)
 
 
@@ -409,6 +418,14 @@ def test_options_validation():
         FixedPointOptions(max_iterations=0)
     with pytest.raises(ValueError):
         FixedPointOptions(alpha=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            FixedPointOptions(epsilon=bad)
+        with pytest.raises(ValueError, match="alpha"):
+            FixedPointOptions(alpha=bad)
+    with pytest.raises(ValueError, match="max_iterations"):
+        FixedPointOptions(max_iterations=2.5)
+    assert FixedPointOptions(max_iterations=np.int64(5)).max_iterations == 5
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,8 @@ def small_config(trials=500, noise=None, detectors=(SCM_G, TY_G), seed=42, rho=0
                      detectors=tuple(detectors), master_seed=seed, rho=rho)
 
 
-def h0_sample(values, spec=SCM_G):
-    return StatSample(values=np.sort(np.asarray(values, dtype=float)), spec=spec,
-                      hypothesis=Hypothesis.H0)
+def sample_of(values, spec=SCM_G):
+    return StatSample(values=np.sort(np.asarray(values, dtype=float)), spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +84,7 @@ def test_config_validation(tmp_path):
     lambda v: small_config(rho=v),
     lambda v: DetectorSpec("rlrt", "scm", v),
     lambda v: WeightFunction.student_t(3, v),
-    lambda v: WeightFunction("gg_ml", 3, shape_s=v, scale_b=1.0),
+    lambda v: WeightFunction("gg_ml", 3, shape_s=v),
 ], ids=["sigma2", "shape_s", "dof_nu", "rho", "rlrt-sigma2", "nu", "gg_ml-shape_s"])
 def test_each_owner_rejects_non_finite_values(build, value):
     with pytest.raises(ValueError, match="finite"):
@@ -126,10 +125,9 @@ FAMILY_CONFIGS = {
 
 
 def assert_chunks_equal(a, b):
-    for da, db in zip(a, b):
-        assert da.keys() == db.keys()
-        for kind in da:
-            assert da[kind].tobytes() == db[kind].tobytes()
+    assert a.keys() == b.keys()
+    for kind in a:
+        assert a[kind].tobytes() == b[kind].tobytes()
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
@@ -191,10 +189,10 @@ def test_run_experiment_counts_exclusions_by_cause(monkeypatch):
                     options=FixedPointOptions(max_iterations=12))
     capped = 0
     for hypothesis in Hypothesis:
-        _, _, ok, converged, iters = montecarlo._run_chunks(cfg, hypothesis, None)
-        assert ok["tyler"].all()
-        assert (iters["tyler"][~converged["tyler"]] == 12).all()
-        capped += int(np.count_nonzero(~converged["tyler"]))
+        tyler = montecarlo._run_chunks(cfg, hypothesis, None)["tyler"]
+        assert tyler["ok"].all()
+        assert (tyler["iterations"][~tyler["converged"]] == 12).all()
+        capped += int(np.count_nonzero(~tyler["converged"]))
     assert 0 < capped < 2 * 64
     # pooled over both hypotheses; scm is exact in one step
     stats = run_experiment(cfg, with_h1=True).iteration_stats
@@ -216,7 +214,6 @@ def test_scm_depends_on_family_tyler_does_not():
 def test_run_experiment_diagnostics():
     cfg = small_config(trials=300, rho=1.0, detectors=(SCM_G, TY_G))
     res = run_experiment(cfg, with_h1=True, threads=1)
-    assert res.wall_clock > 0
     assert set(res.iteration_stats) == {"scm", "tyler"}
     assert res.iteration_stats["scm"] == dict(
         dict.fromkeys(("mean", "max", "p50", "p90", "p99"), 1.0), singular=0, max_iterations=0)
@@ -231,14 +228,14 @@ def test_run_experiment_diagnostics():
 # ---------------------------------------------------------------------------
 
 def test_pfa_curve_simple_counts():
-    sample = h0_sample([1.0, 2.0, 3.0, 4.0])
+    sample = sample_of([1.0, 2.0, 3.0, 4.0])
     curve = empirical_pfa_curve(sample, np.array([2.5]))
     assert curve.pfa[0] == 0.5
     assert curve.cdf[0] == 0.5
 
 
 def test_pfa_curve_endpoints():
-    sample = h0_sample([1.0, 2.0, 3.0])
+    sample = sample_of([1.0, 2.0, 3.0])
     curve = empirical_pfa_curve(sample, np.array([0.0, 5.0]))
     assert curve.pfa[0] == 1.0 and curve.pfa[-1] == 0.0
     assert curve.cdf[0] == 0.0 and curve.cdf[-1] == 1.0
@@ -248,7 +245,7 @@ def test_pfa_curve_matches_naive_counting():
     g = np.random.default_rng(3)
     values = np.sort(g.standard_normal(500))
     grid = np.sort(g.standard_normal(64))
-    sample = h0_sample(values)
+    sample = sample_of(values)
     curve = empirical_pfa_curve(sample, grid)
     naive = np.array([np.sum(values > t) / values.size for t in grid])
     assert np.array_equal(curve.pfa, naive)
@@ -256,7 +253,7 @@ def test_pfa_curve_matches_naive_counting():
 
 
 def test_threshold_grid_spans_support():
-    sample = h0_sample(np.linspace(0, 1, 2000))
+    sample = sample_of(np.linspace(0, 1, 2000))
     grid = threshold_grid(sample, resolution=128)
     assert grid[0] == sample.values[0]
     assert grid[-1] == sample.values[-1]
@@ -268,27 +265,27 @@ def test_threshold_grid_spans_support():
 # ---------------------------------------------------------------------------
 
 def test_calibrate_order_statistic_rule():
-    sample = h0_sample(np.arange(1.0, 101.0))
+    sample = sample_of(np.arange(1.0, 101.0))
     t = calibrate_threshold(sample, 0.05)
     assert t == 95.0
     assert np.sum(sample.values > t) / 100 == 0.05
 
 
 def test_calibrate_two_values():
-    t = calibrate_threshold(h0_sample([1.0, 2.0]), 0.5)
+    t = calibrate_threshold(sample_of([1.0, 2.0]), 0.5)
     assert t == 1.0
 
 
 def test_calibrate_guarantees_pfa_at_most_target():
     g = np.random.default_rng(4)
-    sample = h0_sample(g.standard_normal(997))
+    sample = sample_of(g.standard_normal(997))
     for alpha in (0.01, 0.1, 0.3, 0.77):
         t = calibrate_threshold(sample, alpha)
         assert np.sum(sample.values > t) / sample.values.size <= alpha
 
 
 def test_calibrate_warns_on_unresolvable_quantile():
-    sample = h0_sample(np.arange(1000.0))
+    sample = sample_of(np.arange(1000.0))
     with pytest.warns(RuntimeWarning, match="unresolvable"):
         calibrate_threshold(sample, 0.999999)
     with pytest.warns(RuntimeWarning, match="unresolvable"):
@@ -296,7 +293,7 @@ def test_calibrate_warns_on_unresolvable_quantile():
 
 
 def test_calibrate_rejects_bad_target():
-    sample = h0_sample([1.0, 2.0])
+    sample = sample_of([1.0, 2.0])
     for alpha in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
             calibrate_threshold(sample, alpha)
@@ -318,16 +315,16 @@ def test_calibrated_threshold_validates_on_holdout():
 
 def test_roc_identical_samples_lie_on_diagonal():
     values = np.random.default_rng(5).standard_normal(800)
-    h0 = h0_sample(values)
-    h1 = StatSample(values=np.sort(values), spec=SCM_G, hypothesis=Hypothesis.H1)
+    h0 = sample_of(values)
+    h1 = sample_of(values)
     curve = roc_curve(h0, h1)
     assert np.array_equal(curve.pfa, curve.pod)
 
 
 def test_roc_perfect_separation():
     values = np.sort(np.random.default_rng(6).standard_normal(500))
-    h0 = h0_sample(values)
-    h1 = StatSample(values=values + 10.0, spec=SCM_G, hypothesis=Hypothesis.H1)
+    h0 = sample_of(values)
+    h1 = sample_of(values + 10.0)
     curve = roc_curve(h0, h1)
     # full detection is achievable at every false-alarm level below one
     assert np.all(curve.pod[(curve.pfa > 0.0) & (curve.pfa < 1.0)] == 1.0)
@@ -337,9 +334,8 @@ def test_roc_perfect_separation():
 
 def test_roc_endpoints_and_monotonicity():
     g = np.random.default_rng(7)
-    h0 = h0_sample(g.standard_normal(600))
-    h1 = StatSample(values=np.sort(g.standard_normal(600) + 0.7), spec=SCM_G,
-                    hypothesis=Hypothesis.H1)
+    h0 = sample_of(g.standard_normal(600))
+    h1 = sample_of(g.standard_normal(600) + 0.7)
     curve = roc_curve(h0, h1)
     assert curve.pfa[0] == 0.0
     assert curve.pfa[-1] == 1.0 and curve.pod[-1] == 1.0
@@ -350,8 +346,8 @@ def test_roc_endpoints_and_monotonicity():
 
 
 def test_roc_rejects_mismatched_specs():
-    h0 = h0_sample([1.0, 2.0], spec=SCM_G)
-    h1 = StatSample(values=np.array([1.0, 2.0]), spec=TY_G, hypothesis=Hypothesis.H1)
+    h0 = sample_of([1.0, 2.0], spec=SCM_G)
+    h1 = sample_of([1.0, 2.0], spec=TY_G)
     with pytest.raises(ValueError):
         roc_curve(h0, h1)
 
@@ -368,12 +364,10 @@ def test_tyler_rlrt_and_glrt_share_roc_points():
 
 def test_pod_at_pfa_interpolation():
     diag = np.linspace(0, 1, 11)
-    curve_diag = roc_curve(h0_sample(diag), StatSample(values=diag, spec=SCM_G,
-                                                       hypothesis=Hypothesis.H1))
+    curve_diag = roc_curve(sample_of(diag), sample_of(diag))
     assert pod_at_pfa(curve_diag, 0.3) == pytest.approx(0.3, abs=1e-12)
     values = np.linspace(0, 1, 50)
-    sep = roc_curve(h0_sample(values), StatSample(values=values + 10.0, spec=SCM_G,
-                                                  hypothesis=Hypothesis.H1))
+    sep = roc_curve(sample_of(values), sample_of(values + 10.0))
     assert pod_at_pfa(sep, 0.1) == 1.0
     with pytest.raises(ValueError):
         pod_at_pfa(sep, 1.5)
@@ -390,3 +384,6 @@ def test_ks_distance_basics():
     assert ks_distance(a, a) == 0.0
     assert ks_distance(a, a + 100.0) == 1.0
     assert ks_distance(a, np.array([1.5, 2.5])) == 0.5
+    for empty in ((a, a[:0]), (a[:0], a)):
+        with pytest.raises(ValueError, match="non-empty"):
+            ks_distance(*empty)

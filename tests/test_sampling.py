@@ -52,7 +52,8 @@ def test_sphere_columns_unit_norm():
     assert np.max(np.abs(np.linalg.norm(u, axis=0) - 1.0)) < 1e-12
 
 
-@pytest.mark.parametrize("p, n, rho", [(0, 4, 1.0), (3, 0, 1.0), (3, 4, -1.0)])
+@pytest.mark.parametrize("p, n, rho", [(0, 4, 1.0), (3, 0, 1.0), (3, 4, -1.0),
+                                       (3, 4, math.nan), (3, 4, math.inf)])
 def test_trial_rejects_bad_geometry(p, n, rho):
     with pytest.raises(ValueError):
         sample_trial(NoiseModel.gaussian(), p, n, rho, H1, RngStream(3))
@@ -149,6 +150,9 @@ def test_noise_model_validation():
         NoiseModel.generalized_gaussian(-0.1)
     with pytest.raises(ValueError):
         NoiseModel("gaussian", shape_s=0.5)
+    for p, s in ((0, 1.0), (3, 0.0), (3, math.nan), (3, math.inf)):
+        with pytest.raises(ValueError):
+            gg_scale(p, s)
 
 
 # ---------------------------------------------------------------------------
