@@ -11,12 +11,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .montecarlo import (
-    WORKER_BLAS_PINNED,
     calibrate_threshold,
     derive_seed,
     empirical_pfa_curve,
@@ -50,12 +48,10 @@ def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seed: in
         "config": {**asdict(cfg), "seed": seed},
         "master_seed": seed,
         "threads": threads,
-        # threadpoolctl found: pool workers run single-threaded BLAS
-        "worker_blas_pinned": WORKER_BLAS_PINNED,
-        # versions the output bytes rest on; numpy's Generator algorithms define every draw
+        # versions the output bytes rest on: numpy's Generator algorithms define
+        # every draw, and Python's math.lgamma the gg texture scale
         "python": "{}.{}.{}".format(*sys.version_info[:3]),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "detectors": detectors,
         "estimator_iterations": iterations,
         "outputs": sorted(str(o) for o in outputs),

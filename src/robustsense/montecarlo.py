@@ -17,11 +17,6 @@ from itertools import repeat
 
 import numpy as np
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
-
 from .detectors import DetectorSpec
 from .estimators import FixedPointOptions, WeightFunction, m_estimate_batch
 from .sampling import Hypothesis, NoiseModel, sample_chunk
@@ -29,10 +24,6 @@ from .sampling import Hypothesis, NoiseModel, sample_chunk
 _CHUNK = 4096
 _MAX_EXCLUSION_RATE = 1e-3
 DEFAULT_ROC_RESOLUTION = 512
-
-# Pool workers can pin BLAS to one thread only through threadpoolctl; without
-# it they keep the BLAS default and may oversubscribe the cores.
-WORKER_BLAS_PINNED = threadpool_limits is not None
 
 # one trial's outcome for one estimator kind (fields: see run_experiment)
 _TRIAL = np.dtype([("lam", np.float64), ("trace", np.float64), ("iterations", np.int64),
@@ -127,12 +118,6 @@ class ExperimentResult:
     iteration_stats: dict[str, dict[str, float]]
 
 
-def _single_threaded_blas():
-    # worker processes must not oversubscribe the cores with BLAS threads
-    if WORKER_BLAS_PINNED:
-        threadpool_limits(limits=1)
-
-
 def _usable(trials: np.ndarray) -> np.ndarray:
     return trials["ok"] & trials["converged"]
 
@@ -165,7 +150,7 @@ def _run_chunks(config: SimConfig, hypothesis: Hypothesis, threads: int | None):
         results = (_chunk_stats(config, hypothesis, lo) for lo in starts)
         pool = None
     else:
-        pool = ProcessPoolExecutor(max_workers=threads, initializer=_single_threaded_blas)
+        pool = ProcessPoolExecutor(max_workers=threads)
         results = pool.map(_chunk_stats, repeat(config), repeat(hypothesis), starts)
     try:
         for lo, chunk in results:
@@ -250,6 +235,8 @@ def run_experiment(
 
 def _rank_grid(values: np.ndarray, resolution: int) -> np.ndarray:
     """At most ``resolution`` of the sorted ``values``, uniform in rank, ascending."""
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
     k = min(int(resolution), values.size)
     return values[np.unique(np.round(np.linspace(0, values.size - 1, k)).astype(np.int64))]
 

@@ -11,12 +11,12 @@ unit-variance complex Gaussian symbols ``s``.  ``sample_trial`` and
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 FAMILIES = ("gaussian", "gg", "student_t")
 
@@ -96,12 +96,12 @@ def gg_scale(p: int, s: float) -> float:
     """Scale b of the generalized Gaussian density generator exp(-d^s / b).
 
     b = [p * Gamma(p/s) / Gamma((p+1)/s)]^s, the unique choice for which the
-    squared radius has mean p.  Evaluated in log space; the Gamma ratio
-    overflows for small s otherwise.
+    squared radius has mean p.  Evaluated in log space with ``math.lgamma``;
+    the Gamma ratio overflows for small s otherwise.
     """
     if p < 1 or not 0 < s < np.inf:
         raise ValueError(f"require p >= 1 and a finite s > 0, got p={p}, s={s}")
-    return float(np.exp(s * (np.log(p) + gammaln(p / s) - gammaln((p + 1) / s))))
+    return float(np.exp(s * (np.log(p) + math.lgamma(p / s) - math.lgamma((p + 1) / s))))
 
 
 def _unit_columns(zr: np.ndarray, zi: np.ndarray):
@@ -195,6 +195,12 @@ def _symbols(sr: np.ndarray, si: np.ndarray) -> np.ndarray:
     return (sr + 1j * si) / np.sqrt(2.0)
 
 
+def _check_geometry(p: int, n: int, rho: float) -> None:
+    """The one argument check both samplers share."""
+    if p < 1 or n < 1 or not 0 <= rho < np.inf:
+        raise ValueError(f"require p >= 1, n >= 1 and a finite rho >= 0, got p={p}, n={n}, rho={rho}")
+
+
 def sample_trial(
     model: NoiseModel,
     p: int,
@@ -214,8 +220,7 @@ def sample_trial(
     redraw lives here: zero-norm channel or sphere columns and all-zero
     noise columns (texture underflow) are redrawn from the same stream.
     """
-    if p < 1 or n < 1 or not 0 <= rho < np.inf:
-        raise ValueError("require p >= 1, n >= 1 and a finite rho >= 0")
+    _check_geometry(p, n, rho)
     gen = stream.generator()
     h1 = hypothesis is Hypothesis.H1
     if h1:
@@ -251,6 +256,9 @@ def sample_chunk(
     probability-zero event (zero channel or sphere norm, all-zero noise
     column) is redrawn by ``sample_trial``, which owns the redraw loops.
     """
+    _check_geometry(p, n, rho)
+    if hi < lo:
+        raise ValueError(f"require lo <= hi, got lo={lo}, hi={hi}")
     m = hi - lo
     h1 = hypothesis is Hypothesis.H1
     g = np.empty((m, n))

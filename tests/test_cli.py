@@ -1,13 +1,16 @@
 """Command-line surface: presets, CSV schemas, manifests, determinism, exits."""
 
-import importlib.util
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
+import robustsense
 from robustsense.cli import main
 from robustsense.config import PRESETS, ConfigError, load_config, preset_path
 
@@ -220,11 +223,9 @@ def test_pof_curve_emits_one_csv_per_detector_family_pair(tmp_path):
     tyler = manifest["estimator_iterations"]["gg/tyler"]
     assert set(tyler) == {"mean", "max", "p50", "p90", "p99", "singular", "max_iterations"}
     assert tyler["singular"] == tyler["max_iterations"] == 0
-    has_threadpoolctl = importlib.util.find_spec("threadpoolctl") is not None
-    assert manifest["worker_blas_pinned"] is has_threadpoolctl
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
-    assert manifest["scipy"] == scipy.__version__
+    assert "scipy" not in manifest and "worker_blas_pinned" not in manifest
 
 
 def test_pof_curve_single_trial_degenerate(tmp_path):
@@ -369,3 +370,24 @@ def test_malformed_config_exits_nonzero(tmp_path, capsys):
     assert main(["pof-curve", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "bad.ini" in err
+
+
+# ---------------------------------------------------------------------------
+# runtime footprint
+# ---------------------------------------------------------------------------
+
+def test_cli_run_imports_numpy_alone(tmp_path):
+    # a fresh interpreter: this test process has scipy loaded already
+    config = write_config(tmp_path, ROC_TEMPLATE.format(trials=64, seed=1, snr_db=0.0))
+    script = (
+        "import sys\n"
+        "from robustsense.cli import main\n"
+        f"assert main(['roc', '--config', {config!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in ('scipy', 'threadpoolctl') if m in sys.modules))\n"
+    )
+    src = str(Path(robustsense.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gamma, gammainc
 
 from robustsense import (
     DetectorSpec,
@@ -223,6 +224,34 @@ def test_run_experiment_diagnostics():
     assert res.h1 is not None and len(res.h1) == 2
 
 
+def khatri_cdf(x, p, n):
+    """P(lam_max(X X^H) <= x) for p x n X with i.i.d. CN(0, 1) entries, n >= p.
+
+    Khatri (1964): det[gamma(n-p+i+j+1, x)] / det[Gamma(n-p+i+j+1)] over
+    i, j = 0..p-1, with gamma the lower incomplete Gamma function.
+    """
+    a = n - p + 1 + np.add.outer(np.arange(p), np.arange(p))
+    full = gamma(a)
+    lower = gammainc(a, np.asarray(x, dtype=float)[..., None, None]) * full
+    return np.linalg.det(lower) / np.linalg.det(full)
+
+
+def test_gaussian_scm_rlrt_null_follows_the_khatri_law():
+    # rlrt = lam_max(X X^H / n) / sigma2 with sigma2 = 1, so P(rlrt <= t) = Khatri(n t)
+    p, n, trials = 5, 10, 50_000
+    x = np.linspace(0.5, 40, 9)
+    assert np.allclose(khatri_cdf(x, 1, n), gammainc(n, x))  # p = 1: |x|^2 ~ Gamma(n, 1)
+    config = SimConfig(p=p, n=n, trials=trials, noise=NoiseModel.gaussian(),
+                       detectors=(SCM_R,), master_seed=99)
+    values = run_trials(config, Hypothesis.H0)[SCM_R].values
+    assert values.size == trials
+    exact = khatri_cdf(n * values, p, n)
+    ecdf = np.arange(trials + 1) / trials  # ecdf[k]: the empirical CDF just right of point k-1
+    gap = max((ecdf[1:] - exact).max(), (exact - ecdf[:-1]).max())
+    dkw_99 = math.sqrt(math.log(2 / 0.01) / (2 * trials))
+    assert gap < dkw_99, f"sup-gap {gap:.4f} outside the 99% DKW band {dkw_99:.4f}"
+
+
 # ---------------------------------------------------------------------------
 # empirical exceedance curves
 # ---------------------------------------------------------------------------
@@ -258,6 +287,15 @@ def test_threshold_grid_spans_support():
     assert grid[0] == sample.values[0]
     assert grid[-1] == sample.values[-1]
     assert grid.size == 128
+
+
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_rank_grids_reject_resolution_below_one(resolution):
+    sample = sample_of(np.linspace(0, 1, 20))
+    with pytest.raises(ValueError, match="resolution must be at least 1"):
+        threshold_grid(sample, resolution)
+    with pytest.raises(ValueError, match="resolution must be at least 1"):
+        roc_curve(sample, sample, resolution)
 
 
 # ---------------------------------------------------------------------------
