@@ -80,10 +80,6 @@ def preset_path(name: str) -> Path | None:
     return Path(str(resources.files("robustsense") / "presets" / f"{_ALIASES.get(name, name)}.ini"))
 
 
-def _split_list(raw: str) -> tuple[str, ...]:
-    return tuple(item.strip() for item in raw.split(",") if item.strip())
-
-
 def load_config(path_or_preset: str) -> ExperimentConfig:
     """Parse a config file (bare preset names resolve to bundled files) and
     build its simulations, whose model objects check every value."""
@@ -124,6 +120,13 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"{where}: [{section}] {key} = {raw!r} is not a number") from None
 
+    def as_list(section: str, key: str, raw: str) -> tuple[str, ...]:
+        items = tuple(item.strip() for item in raw.split(",") if item.strip())
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise ConfigError(f"{where}: [{section}] {key} lists {item!r} more than once")
+        return items
+
     for section in ("experiment", "noise", "detectors"):
         if not parser.has_section(section):
             raise ConfigError(f"{where}: missing required section [{section}]")
@@ -144,10 +147,11 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
         raise ConfigError(f"{where}: [experiment] roc experiments require snr_db")
     snr_db = None if snr_raw is None else as_float("experiment", "snr_db", snr_raw)
 
-    fam_raw = grab("noise", "families") or grab("noise", "family")
+    fam_key = "families" if grab("noise", "families") else "family"
+    fam_raw = grab("noise", fam_key)
     if fam_raw is None:
         raise ConfigError(f"{where}: [noise] needs 'families' (or 'family')")
-    families = _split_list(fam_raw)
+    families = as_list("noise", fam_key, fam_raw)
     if not families:
         raise ConfigError(f"{where}: [noise] at least one family is required")
     if kind == "roc" and len(families) != 1:
@@ -159,8 +163,8 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
         raise ConfigError(f"{where}: [noise] gg family requires gg_shape")
     student_t_dof = as_float("noise", "student_t_dof", grab("noise", "student_t_dof", "3.0"))
 
-    estimators = _split_list(need("detectors", "estimators"))
-    statistics = _split_list(need("detectors", "statistics"))
+    estimators = as_list("detectors", "estimators", need("detectors", "estimators"))
+    statistics = as_list("detectors", "statistics", need("detectors", "statistics"))
     student_t_nu = as_float("detectors", "student_t_nu", grab("detectors", "student_t_nu", "3.0"))
 
     cfg = ExperimentConfig(

@@ -17,13 +17,12 @@ one-at-a-time results agree.
 
 Inside the iteration the data enter only through their outer products: the
 distances x_i^H Sigma^{-1} x_i = <Sigma^{-1}, x_i x_i^H> and the weighted step
-sum_i w_i x_i x_i^H are both linear in x_i x_i^H.  Each call therefore builds
-one real (B, p*p, n) tensor Q of those outer products (the diagonal, then the
-real and imaginary parts of the strict upper triangle), and every map
-evaluation is two batched real mat-vecs against it.  Q is built in small
-member blocks straight into its final array, and members that leave are
-moved out of it in place, so the call never holds more than Q itself of the
-data.
+sum_i w_i x_i x_i^H are both linear in x_i x_i^H.  The engine runs a stack in
+consecutive blocks of ``_BLOCK`` members.  Each block builds one real
+(B, p*p, n) tensor Q of its outer products (the diagonal, then the real and
+imaginary parts of the strict upper triangle), and every map evaluation is
+two batched real mat-vecs against it.  A call holds one block's Q at a time,
+about 5 MB at p=5, n=50, however large the stack is.
 """
 
 from __future__ import annotations
@@ -45,8 +44,9 @@ _COND_LIMIT = 1e14
 # Varadhan & Roland's reference implementation, which starts the bound at 1)
 _STEP_FACTOR = 4.0
 _HERMITIAN_RTOL = 1e-12
-# members per block when building or compacting the outer-product tensor
-_BLOCK = 64
+# members per block of the fixed-point engine; one block's outer-product
+# tensor stays small enough to live in cache
+_BLOCK = 512
 
 
 class EstimationError(RuntimeError):
@@ -114,21 +114,20 @@ def _outer_products(x: np.ndarray) -> np.ndarray:
 
     Row a < p holds |x_a|^2; the next p(p-1)/2 rows hold Re(x_a conj(x_b))
     and the last p(p-1)/2 rows Im(x_a conj(x_b)), for the pairs a < b of
-    the strict upper triangle in row-major order.  Built in blocks of
-    ``_BLOCK`` members straight into the result, so the only temporaries
-    are one block's pair products.
+    the strict upper triangle in row-major order.
     """
     n_batch, p, n = x.shape
     iu, ju, _ = _layout(p)
     m = iu.size
     q = np.empty((n_batch, p * p, n))
-    for lo in range(0, n_batch, _BLOCK):
-        xb, qb = x[lo:lo + _BLOCK], q[lo:lo + _BLOCK]
-        np.add(np.square(xb.real), np.square(xb.imag), out=qb[:, :p])
-        if m:
-            pairs = xb[:, iu] * xb[:, ju].conj()
-            qb[:, p:p + m] = pairs.real
-            qb[:, p + m:] = pairs.imag
+    np.add(np.square(x.real), np.square(x.imag), out=q[:, :p])
+    if m:
+        # a call, not ``a * b.conj()``: numpy reuses an operator's temporary
+        # operand above 256 KiB and computes conj(b) * a there, which rounds
+        # differently, so a member's bits would depend on its stack's size
+        pairs = np.multiply(x[:, iu], x[:, ju].conj())
+        q[:, p:p + m] = pairs.real
+        q[:, p + m:] = pairs.imag
     return q
 
 
@@ -155,23 +154,6 @@ def _hermitian(y: np.ndarray, p: int) -> np.ndarray:
     v.imag[:, iu, ju] = y[:, p + m:]
     v.imag[:, ju, iu] = -y[:, p + m:]
     return v
-
-
-def _compact_in_place(q: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Move the members ``keep`` selects to the front of ``q`` in place and
-    return that leading view.
-
-    Members before the first one dropped stay where they are; the rest move
-    forward one block at a time.  A block's sources lie at or after its
-    destination and after every earlier destination, so nothing is read
-    after it has been overwritten, and no full-size copy is ever made.
-    """
-    idx = np.flatnonzero(keep)
-    first = int(np.argmin(keep)) if idx.size < keep.size else idx.size
-    for lo in range(first, idx.size, _BLOCK):
-        block = idx[lo:lo + _BLOCK]
-        q[lo:lo + block.size] = q[block]
-    return q[:idx.size]
 
 
 def _tril_inv(l: np.ndarray) -> np.ndarray:
@@ -471,6 +453,70 @@ def _extrapolate(theta0, theta1, theta2, wh2, q, bound):
     return cand, wh, bound
 
 
+def _iterate_block(weight, opts, alpha, x, estimates, iterations, residuals,
+                   converged, ok) -> None:
+    """Run the fixed-point iteration on one block of ``m_estimate_batch``'s
+    stack, filling that block's views of the result arrays in place;
+    ``estimates`` enters holding the initial iterates."""
+    p = x.shape[1]
+    kind = _KINDS[weight.kind]
+
+    def compact(keep, *arrays):
+        return tuple(None if a is None else a[keep] for a in arrays)
+
+    # Q holds the active members' outer products, in the order of ``active``;
+    # its first p rows are the |x_a|^2, so a zero column has zero sum there
+    q = _outer_products(x)
+    bad_cols = np.any(q[:, :p].sum(axis=1) == 0.0, axis=1)
+    ok[bad_cols] = False
+    active = np.flatnonzero(~bad_cols)
+    q = q[~bad_cols]
+    cur = estimates[active]  # the iterate F is applied to next
+    wh = None  # its whitening, when already known
+    base = None  # theta0 of the current cycle, between its two evaluations
+    bound = np.ones(active.size)  # SQUAREM step-length bounds
+
+    for m in range(1, opts.max_iterations + 1):
+        if active.size == 0:
+            break
+        if wh is None:
+            wh = _whiten(cur, q)
+        if wh.singular.any():
+            ok[active[wh.singular]] = False
+            keep = ~wh.singular
+            active, q, cur, base, bound = compact(keep, active, q, cur, base, bound)
+            wh = wh.take(keep)
+            if active.size == 0:
+                break
+
+        nxt, nxt_wh, resid, bad = _apply_map(kind, weight, wh, q, alpha)
+        done = ~bad & (resid < opts.epsilon)
+        if m % 2:
+            # a cycle's first evaluation tests the last extrapolation: where
+            # the residual grew, shrink the step bound
+            worse = resid > residuals[active]
+            bound = np.where(worse, np.maximum(bound / _STEP_FACTOR, 1.0), bound)
+        estimates[active] = nxt
+        iterations[active] = m
+        residuals[active] = resid
+        ok[active[bad]] = False
+        converged[active[done]] = True
+
+        leave = done | bad
+        if leave.any():
+            if leave.all():
+                break
+            keep = ~leave
+            active, q, cur, base, nxt, bound = compact(keep, active, q, cur, base, nxt, bound)
+            if nxt_wh is not None:
+                nxt_wh = nxt_wh.take(keep)
+        if m % 2:  # theta1 = F(theta0)
+            base, cur, wh = cur, nxt, nxt_wh
+        else:  # theta2 = F(theta1)
+            cur, wh, bound = _extrapolate(base, cur, nxt, nxt_wh, q, bound)
+            base = None
+
+
 def m_estimate_batch(
     x: np.ndarray,
     weight: WeightFunction,
@@ -496,12 +542,13 @@ def m_estimate_batch(
 
     The robust kinds never touch x inside the iteration.  Both the distances
     d_i = x_i^H Sigma^{-1} x_i = <Sigma^{-1}, x_i x_i^H> and the weighted
-    step sum_i w_i x_i x_i^H are linear in the outer products x_i x_i^H, so
-    the call first builds their real (B, p*p, n) tensor Q
-    (``_outer_products``), and each map evaluation is two batched real
-    mat-vecs against it: d = g Q with g the packed Sigma^{-1} (``_dual``),
-    and the weighted step Q w.  Members that leave are moved out of Q in
-    place (``_compact_in_place``), so memory never grows past Q itself.
+    step sum_i w_i x_i x_i^H are linear in the outer products x_i x_i^H.
+    The stack runs in consecutive blocks of ``_BLOCK`` members; each block
+    first builds their real (B, p*p, n) tensor Q (``_outer_products``), and
+    each map evaluation is two batched real mat-vecs against it: d = g Q
+    with g the packed Sigma^{-1} (``_dual``), and the weighted step Q w.
+    Members that leave are dropped from Q, and the call's memory scales with
+    one block's Q (about 5 MB at p=5, n=50), not with the stack.
 
     The stopping rule is the plain iteration's: every evaluation is tested
     with ``||I - Sigma^{-1} F(Sigma)||_F < epsilon``, and a member is frozen,
@@ -547,64 +594,10 @@ def m_estimate_batch(
         raise ValueError(f"robust estimation requires n > p (got n={n}, p={p})")
     initial = _check_initial(opts.initial, p)
     estimates = np.broadcast_to(initial, (n_batch, p, p)).astype(np.complex128)
-    kind = _KINDS[weight.kind]
-
-    def compact(keep, *arrays):
-        return tuple(None if a is None else a[keep] for a in arrays)
-
-    # Q holds the active members' outer products, in the order of ``active``;
-    # its first p rows are the |x_a|^2, so a zero column has zero sum there
-    q = _outer_products(x)
-    bad_cols = np.any(q[:, :p].sum(axis=1) == 0.0, axis=1)
-    ok[bad_cols] = False
-    active = np.flatnonzero(~bad_cols)
-    q = _compact_in_place(q, ~bad_cols)
-    cur = estimates[active]  # the iterate F is applied to next
-    wh = None  # its whitening, when already known
-    base = None  # theta0 of the current cycle, between its two evaluations
-    bound = np.ones(active.size)  # SQUAREM step-length bounds
-
-    for m in range(1, opts.max_iterations + 1):
-        if active.size == 0:
-            break
-        if wh is None:
-            wh = _whiten(cur, q)
-        if wh.singular.any():
-            ok[active[wh.singular]] = False
-            keep = ~wh.singular
-            q = _compact_in_place(q, keep)
-            active, cur, base, bound = compact(keep, active, cur, base, bound)
-            wh = wh.take(keep)
-            if active.size == 0:
-                break
-
-        nxt, nxt_wh, resid, bad = _apply_map(kind, weight, wh, q, alpha)
-        done = ~bad & (resid < opts.epsilon)
-        if m % 2:
-            # a cycle's first evaluation tests the last extrapolation: where
-            # the residual grew, shrink the step bound
-            worse = resid > residuals[active]
-            bound = np.where(worse, np.maximum(bound / _STEP_FACTOR, 1.0), bound)
-        estimates[active] = nxt
-        iterations[active] = m
-        residuals[active] = resid
-        ok[active[bad]] = False
-        converged[active[done]] = True
-
-        leave = done | bad
-        if leave.any():
-            if leave.all():
-                break
-            keep = ~leave
-            q = _compact_in_place(q, keep)
-            active, cur, base, nxt, bound = compact(keep, active, cur, base, nxt, bound)
-            if nxt_wh is not None:
-                nxt_wh = nxt_wh.take(keep)
-        if m % 2:  # theta1 = F(theta0)
-            base, cur, wh = cur, nxt, nxt_wh
-        else:  # theta2 = F(theta1)
-            cur, wh, bound = _extrapolate(base, cur, nxt, nxt_wh, q, bound)
-            base = None
+    for lo in range(0, n_batch, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        _iterate_block(weight, opts, alpha, x[block], estimates[block], iterations[block],
+                       residuals[block], converged[block], ok[block])
 
     # exit vetting: NaN, non-positive or condition number above 1e14
     evals = np.linalg.eigvalsh(estimates)

@@ -150,7 +150,7 @@ def _run_chunks(config: SimConfig, hypothesis: Hypothesis, threads: int | None):
         results = (_chunk_stats(config, hypothesis, lo) for lo in starts)
         pool = None
     else:
-        pool = ProcessPoolExecutor(max_workers=threads)
+        pool = ProcessPoolExecutor(max_workers=min(threads, len(starts)))
         results = pool.map(_chunk_stats, repeat(config), repeat(hypothesis), starts)
     try:
         for lo, chunk in results:

@@ -119,7 +119,13 @@ ROC = ROC_TEMPLATE.format(trials=10, seed=1, snr_db=0.0)
     (POF, "statistics = rlrt, glrt", "statistics = rlrt, lmpit", "lmpit"),
     (POF, "estimators = scm, tyler", "estimators =", "detector"),
     (ROC, "family = gg", "family = gaussian", "gg_ml"),
-], ids=["family", "estimator", "statistic", "no-estimators", "gg_ml-gaussian"])
+    (POF, "families = gaussian, gg, student_t", "families = gaussian, gg, gaussian",
+     "families lists 'gaussian' more than once"),
+    (POF, "estimators = scm, tyler", "estimators = scm, tyler, scm",
+     "estimators lists 'scm' more than once"),
+    (POF, "statistics = rlrt, glrt", "statistics = glrt, glrt", "statistics lists 'glrt' more than once"),
+], ids=["family", "estimator", "statistic", "no-estimators", "gg_ml-gaussian",
+        "repeated-family", "repeated-estimator", "repeated-statistic"])
 def test_config_error_messages_are_anchored(tmp_path, text, old, new, bad_value):
     # the model object that owns the value rejects it; the message names the file
     bad = write_config(tmp_path, text.replace(old, new))

@@ -117,6 +117,29 @@ def test_worker_count_does_not_change_results():
         assert np.array_equal(a[spec].values, b[spec].values)
 
 
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # with the fork start method the pool forks all max_workers processes at
+    # its first submit, so a worker without a chunk is a wasted fork
+    started = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self):
+            pass
+
+    cfg = small_config(trials=8)
+    serial = montecarlo._run_chunks(cfg, Hypothesis.H0, None)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 4)
+    assert_chunks_equal(montecarlo._run_chunks(cfg, Hypothesis.H0, 5), serial)
+    assert started == [2]
+
+
 FAMILY_CONFIGS = {
     "gaussian": dict(noise=NoiseModel.gaussian(2.5), detectors=(SCM_G, TY_G)),
     "gg": dict(noise=NoiseModel.generalized_gaussian(0.2),
