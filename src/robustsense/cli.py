@@ -139,10 +139,9 @@ def cmd_calibrate(
     labels, thresholds, achieved = [], [], []
     for spec in sim_cal.detectors:
         t = calibrate_threshold(result_cal.h0[spec], target_pfa)
-        holdout = result_holdout.h0[spec].values
         labels.append(spec.label)
         thresholds.append(t)
-        achieved.append(float(np.count_nonzero(holdout > t) / holdout.size))
+        achieved.append(float(empirical_pfa_curve(result_holdout.h0[spec], [t]).pfa[0]))
     path = out_dir / "calibration.csv"
     _write_csv(path, ("detector", "threshold", "achieved_pfa"), (labels, thresholds, achieved))
     detectors = {

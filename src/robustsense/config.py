@@ -14,6 +14,12 @@ from .sampling import NoiseModel
 PRESETS = ("fig1", "fig2", "fig3", "fig4")
 _ALIASES = {"fig2": "fig1"}  # fig2 views fig1's simulation through the blind statistics
 EXPERIMENT_KINDS = ("pof-curve", "roc")
+# every section and key load_config reads; any other is an error
+_KEYS = {
+    "experiment": ("kind", "p", "n", "trials", "seed", "snr_db"),
+    "noise": ("family", "families", "sigma2", "gg_shape", "student_t_dof"),
+    "detectors": ("estimators", "statistics", "student_t_nu"),
+}
 
 
 class ConfigError(ValueError):
@@ -91,7 +97,7 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
         path = bundled
     where = str(path)
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=where)
@@ -127,7 +133,15 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
                 raise ConfigError(f"{where}: [{section}] {key} lists {item!r} more than once")
         return items
 
-    for section in ("experiment", "noise", "detectors"):
+    if parser.defaults():  # its keys would show up in every section
+        raise ConfigError(f"{where}: unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"{where}: unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"{where}: [{section}] unknown key '{key}'")
+    for section in _KEYS:
         if not parser.has_section(section):
             raise ConfigError(f"{where}: missing required section [{section}]")
 
@@ -147,11 +161,10 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
         raise ConfigError(f"{where}: [experiment] roc experiments require snr_db")
     snr_db = None if snr_raw is None else as_float("experiment", "snr_db", snr_raw)
 
-    fam_key = "families" if grab("noise", "families") else "family"
-    fam_raw = grab("noise", fam_key)
-    if fam_raw is None:
-        raise ConfigError(f"{where}: [noise] needs 'families' (or 'family')")
-    families = as_list("noise", fam_key, fam_raw)
+    fam_keys = [key for key in ("families", "family") if parser.has_option("noise", key)]
+    if len(fam_keys) != 1:
+        raise ConfigError(f"{where}: [noise] needs exactly one of 'families' and 'family'")
+    families = as_list("noise", fam_keys[0], parser.get("noise", fam_keys[0]))
     if not families:
         raise ConfigError(f"{where}: [noise] at least one family is required")
     if kind == "roc" and len(families) != 1:

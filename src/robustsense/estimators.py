@@ -440,11 +440,10 @@ def _extrapolate(theta0, theta1, theta2, wh2, q, bound):
     np.divide(nr, nv, out=a, where=nv > 0)
     a = np.clip(a, 1.0, bound)
     bound = np.where(a == bound, bound * _STEP_FACTOR, bound)
-    cand = theta0 + (2.0 * a)[:, None, None] * r + (a * a)[:, None, None] * v
-    nonfinite = ~np.isfinite(cand).all(axis=(1, 2))
-    cand[nonfinite] = theta2[nonfinite]
+    with np.errstate(over="ignore", invalid="ignore"):  # _whiten flags a non-finite candidate
+        cand = theta0 + (2.0 * a)[:, None, None] * r + (a * a)[:, None, None] * v
     wh = _whiten(cand, q)
-    fallback = wh.singular & ~nonfinite
+    fallback = wh.singular.copy()  # wh.put overwrites wh.singular in place
     if fallback.any():
         cand[fallback] = theta2[fallback]
         wh.put(fallback, wh2.take(fallback) if wh2 is not None

@@ -23,7 +23,7 @@ from .sampling import Hypothesis, NoiseModel, sample_chunk
 
 _CHUNK = 4096
 _MAX_EXCLUSION_RATE = 1e-3
-DEFAULT_ROC_RESOLUTION = 512
+_RESOLUTION = 512  # most thresholds a curve keeps
 
 # one trial's outcome for one estimator kind (fields: see run_experiment)
 _TRIAL = np.dtype([("lam", np.float64), ("trace", np.float64), ("iterations", np.int64),
@@ -233,17 +233,15 @@ def run_experiment(
                             iteration_stats=stats)
 
 
-def _rank_grid(values: np.ndarray, resolution: int) -> np.ndarray:
-    """At most ``resolution`` of the sorted ``values``, uniform in rank, ascending."""
-    if resolution < 1:
-        raise ValueError(f"resolution must be at least 1, got {resolution}")
-    k = min(int(resolution), values.size)
+def _rank_grid(values: np.ndarray) -> np.ndarray:
+    """At most ``_RESOLUTION`` of the sorted ``values``, uniform in rank, ascending."""
+    k = min(_RESOLUTION, values.size)
     return values[np.unique(np.round(np.linspace(0, values.size - 1, k)).astype(np.int64))]
 
 
-def threshold_grid(sample: StatSample, resolution: int = DEFAULT_ROC_RESOLUTION) -> np.ndarray:
+def threshold_grid(sample: StatSample) -> np.ndarray:
     """Rank-uniform downsampling of the sample support, ascending."""
-    return _rank_grid(sample.values, resolution)
+    return _rank_grid(sample.values)
 
 
 def empirical_pfa_curve(sample: StatSample, grid: np.ndarray) -> CdfCurve:
@@ -279,11 +277,7 @@ def calibrate_threshold(sample: StatSample, target_pfa: float) -> float:
     return float(values[k - 1])
 
 
-def roc_curve(
-    h0: StatSample,
-    h1: StatSample,
-    resolution: int = DEFAULT_ROC_RESOLUTION,
-) -> RocCurve:
+def roc_curve(h0: StatSample, h1: StatSample) -> RocCurve:
     """Sweep thresholds over the merged support of both samples.
 
     Thresholds are downsampled uniformly in rank; one extra threshold below
@@ -292,12 +286,10 @@ def roc_curve(
     """
     if h0.spec != h1.spec:
         raise ValueError("H0 and H1 samples come from different detectors")
-    support = _rank_grid(np.sort(np.concatenate([h0.values, h1.values])), resolution)
+    support = _rank_grid(np.sort(np.concatenate([h0.values, h1.values])))
     thresholds = np.concatenate([support[::-1], [np.nextafter(support[0], -np.inf)]])
-    n0, n1 = h0.values.size, h1.values.size
-    pfa = (n0 - np.searchsorted(h0.values, thresholds, side="right")) / n0
-    pod = (n1 - np.searchsorted(h1.values, thresholds, side="right")) / n1
-    return RocCurve(pfa=pfa, pod=pod)
+    return RocCurve(pfa=empirical_pfa_curve(h0, thresholds).pfa,
+                    pod=empirical_pfa_curve(h1, thresholds).pfa)
 
 
 def pod_at_pfa(curve: RocCurve, pfa_target: float) -> float:

@@ -104,15 +104,16 @@ def gg_scale(p: int, s: float) -> float:
     return float(np.exp(s * (np.log(p) + math.lgamma(p / s) - math.lgamma((p + 1) / s))))
 
 
-def _unit_columns(zr: np.ndarray, zi: np.ndarray):
-    """Normalize the columns of z = zr + i*zi along axis -2.
+def _unit_columns(raw: np.ndarray):
+    """Normalize the columns of z = raw[..., 0, :, :] + i*raw[..., 1, :, :]
+    along axis -2; ``raw`` stacks one complex step's real and imaginary draws.
 
     Returns ``(u, norms)``; a zero-norm column comes out as NaN and is the
     caller's to redraw.  The one definition of the sphere normalization:
     the per-trial sampler and the chunk sampler both call it.
     """
-    z = np.multiply(zi, 1j)
-    z += zr
+    z = np.multiply(raw[..., 1, :, :], 1j)
+    z += raw[..., 0, :, :]
     norms = np.linalg.norm(z, axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
         z /= norms[..., None, :]
@@ -164,13 +165,11 @@ def _texture_law(model: NoiseModel, p: int, g: np.ndarray, w: np.ndarray | None)
 
 def _sphere(gen, p: int, m: int) -> np.ndarray:
     """(p, m) columns uniform on the complex p-sphere; zero-norm columns are redrawn."""
-    zr, zi = gen.standard_normal((p, m)), gen.standard_normal((p, m))
-    u, norms = _unit_columns(zr, zi)
-    while np.any(norms == 0.0):
-        dead = norms == 0.0
-        k = int(dead.sum())
-        zr[:, dead], zi[:, dead] = gen.standard_normal((p, k)), gen.standard_normal((p, k))
-        u, norms = _unit_columns(zr, zi)
+    raw = gen.standard_normal((2, p, m))
+    u, norms = _unit_columns(raw)
+    while np.any(dead := norms == 0.0):
+        raw[:, :, dead] = gen.standard_normal((2, p, int(dead.sum())))
+        u, norms = _unit_columns(raw)
     return u
 
 
@@ -190,9 +189,9 @@ def _channel(direction: np.ndarray, rho: float, p: int, sigma2: float) -> np.nda
     return np.sqrt(rho * p * sigma2) * direction
 
 
-def _symbols(sr: np.ndarray, si: np.ndarray) -> np.ndarray:
-    """Unit-variance complex Gaussian symbols from real and imaginary draws."""
-    return (sr + 1j * si) / np.sqrt(2.0)
+def _symbols(raw: np.ndarray) -> np.ndarray:
+    """Unit-variance complex Gaussian symbols from (..., 2, n) real and imaginary draws."""
+    return (raw[..., 0, :] + 1j * raw[..., 1, :]) / np.sqrt(2.0)
 
 
 def _check_geometry(p: int, n: int, rho: float) -> None:
@@ -232,7 +231,7 @@ def sample_trial(
         return x
     # symbols as a (1, n) row: numpy rounds a (1, 1) * (1,) complex product
     # differently from (1, 1) * (1, 1), which sample_chunk's shapes match
-    return h * _symbols(gen.standard_normal(n), gen.standard_normal(n))[None, :] + x
+    return h * _symbols(gen.standard_normal((2, n)))[None, :] + x
 
 
 def sample_chunk(
@@ -250,9 +249,10 @@ def sample_chunk(
 
     Phase 1 builds each trial's stream and makes only its raw draws, in the
     order of the stream contract (README, ``robustsense.sampling``), into
-    chunk-wide buffers.  Phase 2 applies the texture law, the sphere
-    normalization and the signal model once to the whole chunk, with the
-    same elementwise operations as the per-trial path.  A trial that hit a
+    chunk-wide buffers: one ``standard_normal`` call per complex step, real
+    half first.  Phase 2 applies the texture law, the sphere normalization
+    and the signal model once to the whole chunk, with the same elementwise
+    operations as the per-trial path.  A trial that hit a
     probability-zero event (zero channel or sphere norm, all-zero noise
     column) is redrawn by ``sample_trial``, which owns the redraw loops.
     """
@@ -263,35 +263,31 @@ def sample_chunk(
     h1 = hypothesis is Hypothesis.H1
     g = np.empty((m, n))
     w = np.empty((m, n)) if model.family == "student_t" else None
-    zr, zi = np.empty((m, p, n)), np.empty((m, p, n))
+    z = np.empty((m, 2, p, n))
     if h1:
-        cr, ci = np.empty((m, p, 1)), np.empty((m, p, 1))
-        sr, si = np.empty((m, n)), np.empty((m, n))
+        c, s = np.empty((m, 2, p, 1)), np.empty((m, 2, n))
     for j, t in enumerate(range(lo, hi)):
         gen = RngStream(master_seed, t).generator()
         if h1:
-            gen.standard_normal(out=cr[j])
-            gen.standard_normal(out=ci[j])
+            gen.standard_normal(out=c[j])
         _texture_draws(model, p, gen, g[j], None if w is None else w[j])
-        gen.standard_normal(out=zr[j])
-        gen.standard_normal(out=zi[j])
+        gen.standard_normal(out=z[j])
         if h1:
-            gen.standard_normal(out=sr[j])
-            gen.standard_normal(out=si[j])
+            gen.standard_normal(out=s[j])
 
     # the raw-draw buffers are dropped as soon as they are consumed
     q = _texture_law(model, p, g, w)
     del g, w
-    x, norms = _unit_columns(zr, zi)
-    del zr, zi
+    x, norms = _unit_columns(z)
+    del z
     guard = np.any(norms == 0.0, axis=1)
     x *= np.sqrt(q)[:, None, :]
     guard |= np.any(~np.any(x, axis=1), axis=1)  # texture underflow
     if h1:
-        direction, cnorm = _unit_columns(cr, ci)
+        direction, cnorm = _unit_columns(c)
         guard |= cnorm[:, 0] == 0.0
         h = _channel(direction, rho, p, model.sigma2)
-        np.add(h * _symbols(sr, si)[:, None, :], x, out=x)  # operand order of sample_trial
+        np.add(h * _symbols(s)[:, None, :], x, out=x)  # operand order of sample_trial
     for j in np.flatnonzero(guard):
         x[j] = sample_trial(model, p, n, rho, hypothesis, RngStream(master_seed, lo + j))
     return x

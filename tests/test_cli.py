@@ -124,8 +124,14 @@ ROC = ROC_TEMPLATE.format(trials=10, seed=1, snr_db=0.0)
     (POF, "estimators = scm, tyler", "estimators = scm, tyler, scm",
      "estimators lists 'scm' more than once"),
     (POF, "statistics = rlrt, glrt", "statistics = glrt, glrt", "statistics lists 'glrt' more than once"),
+    (POF, "sigma2 = 1.0", "sigma = 4.0", "[noise] unknown key 'sigma'"),
+    (POF, "student_t_dof = 3.0", "student_t_df = 1.5", "[noise] unknown key 'student_t_df'"),
+    (ROC, "family = gg", "family = gg\nfamilies = gaussian", "[noise] needs exactly one of"),
+    (POF, "[detectors]", "[detector]", "unknown section [detector]"),
+    (POF, "[experiment]", "[DEFAULT]\nsigma2 = 2.0\n[experiment]", "unknown section [DEFAULT]"),
 ], ids=["family", "estimator", "statistic", "no-estimators", "gg_ml-gaussian",
-        "repeated-family", "repeated-estimator", "repeated-statistic"])
+        "repeated-family", "repeated-estimator", "repeated-statistic",
+        "unknown-key", "misspelt-key", "family-and-families", "unknown-section", "default-section"])
 def test_config_error_messages_are_anchored(tmp_path, text, old, new, bad_value):
     # the model object that owns the value rejects it; the message names the file
     bad = write_config(tmp_path, text.replace(old, new))
@@ -133,6 +139,13 @@ def test_config_error_messages_are_anchored(tmp_path, text, old, new, bad_value)
         load_config(bad)
     assert str(err.value).startswith(f"{bad}: ")
     assert bad_value in str(err.value)
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = load_config(write_config(tmp_path, example))
+    assert (cfg.kind, cfg.families, cfg.gg_shape) == ("roc", ("gg",), 0.1)
 
 
 @pytest.mark.parametrize("key, value", [

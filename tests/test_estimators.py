@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,25 @@ def test_extrapolation_outside_the_cone_takes_theta2():
     assert not wh.singular.any()
     assert np.array_equal(wh.inv[0], alone.inv[0])
     assert np.array_equal(wh.d[0], alone.d[0])
+
+
+def test_non_finite_extrapolation_takes_theta2_and_shrinks_the_bound():
+    # a = ||r|| / ||v|| is about 1e157, so a^2 v overflows: inf off the
+    # diagonal and inf * 0 = nan on it
+    off = np.array([[0.0, 1e-154], [1e-154, 0.0]])
+    theta0 = np.eye(2, dtype=complex)[None]
+    theta1 = 1000.0 * theta0
+    theta2 = (1999.0 * np.eye(2) + off).astype(complex)[None]
+    q = estimators._outer_products(gaussian_data(2, 6, seed=27)[None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nxt, wh, bound = estimators._extrapolate(theta0, theta1, theta2, None, q,
+                                                 np.array([1e200]))
+    assert np.array_equal(nxt, theta2)
+    assert bound.tolist() == [2.5e199]
+    alone = estimators._whiten(theta2, q)
+    assert not wh.singular.any()
+    assert np.array_equal(wh.inv, alone.inv) and np.array_equal(wh.d, alone.d)
 
 
 def test_members_whose_extrapolation_leaves_the_cone_still_converge(monkeypatch):

@@ -306,19 +306,10 @@ def test_pfa_curve_matches_naive_counting():
 
 def test_threshold_grid_spans_support():
     sample = sample_of(np.linspace(0, 1, 2000))
-    grid = threshold_grid(sample, resolution=128)
+    grid = threshold_grid(sample)
     assert grid[0] == sample.values[0]
     assert grid[-1] == sample.values[-1]
-    assert grid.size == 128
-
-
-@pytest.mark.parametrize("resolution", [0, -3])
-def test_rank_grids_reject_resolution_below_one(resolution):
-    sample = sample_of(np.linspace(0, 1, 20))
-    with pytest.raises(ValueError, match="resolution must be at least 1"):
-        threshold_grid(sample, resolution)
-    with pytest.raises(ValueError, match="resolution must be at least 1"):
-        roc_curve(sample, sample, resolution)
+    assert grid.size == 512
 
 
 # ---------------------------------------------------------------------------

@@ -361,18 +361,17 @@ def test_chunk_sampler_redraws_a_zero_norm_trial_like_the_per_trial_path(
     unit = sampling._unit_columns
     seen = []
 
-    def spy(zr, zi):
-        seen.append(zr.copy())
-        return unit(zr, zi)
+    def spy(raw):
+        seen.append(raw.copy())
+        return unit(raw)
 
     monkeypatch.setattr(sampling, "_unit_columns", spy)
     unforced = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
-    mark = seen[call][forced - lo, 0, 0]  # the forced trial's first raw draw
+    mark = seen[call][forced - lo, 0, 0, 0]  # the forced trial's first raw draw
 
-    def zero_marked(zr, zi):
+    def zero_marked(raw):
         # zero-norm columns where the marked draw appears; redraws are unmarked
-        dead = zr[..., :1, :] == mark
-        return unit(np.where(dead, 0.0, zr), np.where(dead, 0.0, zi))
+        return unit(np.where(raw[..., :1, :1, :] == mark, 0.0, raw))
 
     monkeypatch.setattr(sampling, "_unit_columns", zero_marked)
     batched = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
