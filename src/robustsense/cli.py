@@ -49,7 +49,9 @@ def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seed: in
         "master_seed": seed,
         "threads": threads,
         # versions the output bytes rest on: numpy's Generator algorithms define
-        # every draw, and Python's math.lgamma the gg texture scale
+        # every draw, its SeedSequence mixing and PCG64 seeding every trial's
+        # stream (sample_chunk reproduces both as array arithmetic), and
+        # Python's math.lgamma the gg texture scale
         "python": "{}.{}.{}".format(*sys.version_info[:3]),
         "numpy": np.__version__,
         "detectors": detectors,

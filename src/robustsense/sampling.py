@@ -12,6 +12,7 @@ unit-variance complex Gaussian symbols ``s``.  ``sample_trial`` and
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -28,6 +29,15 @@ class Hypothesis(Enum):
     H1 = 1
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int (numpy integers pass); anything else is a
+    ``ValueError`` naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Deterministic random stream keyed by (master_seed, stream_id).
@@ -40,13 +50,103 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        if self.master_seed < 0 or self.stream_id < 0:
-            raise ValueError("master_seed and stream_id must be non-negative")
+        for name in ("master_seed", "stream_id"):
+            value = _integer(name, getattr(self, name))
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+            object.__setattr__(self, name, value)
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence((self.master_seed, self.stream_id))
         )
+
+
+# numpy's SeedSequence mixing (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier: _stream_states reproduces both as array arithmetic
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's coercion of a non-negative int: little-endian uint32 words, [0] for 0."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_sequence_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of an
+    (m, L) uint32 entropy array, as an (m, 4) uint64 array.
+
+    numpy's mixing and state generation run on whole columns in wrapping
+    uint32 arithmetic; the hash constant is a Python int, the same for every row.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> _XSHIFT)
+
+    width = entropy.shape[1]
+    zero = np.zeros(len(entropy), dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < width else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, width):  # entropy beyond the pool
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    hash_const = _INIT_B
+    state = np.empty((len(entropy), 2 * _POOL_SIZE), dtype="<u4")
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        state[:, i] = value ^ (value >> _XSHIFT)
+    return state.view("<u8").astype(np.uint64)
+
+
+def _stream_states(master_seed: int, lo: int, hi: int):
+    """Yield the PCG64 (state, inc) of ``RngStream(master_seed, t).generator()``
+    for t in [lo, hi), seeded for the whole range in one array pass.
+
+    The entropy of trial t is the words of (master_seed, t); trials are hashed
+    in runs of equal word count (t crosses 2**32, 2**64, ...).  Each trial's
+    words (v0, v1, v2, v3) then seed PCG64 as ``pcg64_srandom_r`` does from
+    state 0: seed = v0:v1, inc = (v2:v3 << 1) | 1, two LCG steps.
+    """
+    seed_words = _words(master_seed)
+    a = lo
+    while a < hi:
+        t_width = max(1, -(-a.bit_length() // 32))
+        b = min(hi, 1 << 32 * t_width)
+        t = np.arange(a, b, dtype=np.uint64 if b <= 1 << 64 else object)
+        entropy = np.empty((b - a, len(seed_words) + t_width), dtype=np.uint32)
+        entropy[:, :len(seed_words)] = seed_words
+        for i in range(t_width):
+            entropy[:, len(seed_words) + i] = t >> 32 * i & _MASK32
+        for row in _seed_sequence_state(entropy):
+            v0, v1, v2, v3 = row.tolist()
+            inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
+            yield ((inc + (v0 << 64 | v1)) * _PCG64_MULT + inc) & _MASK128, inc
+        a = b
 
 
 @dataclass(frozen=True)
@@ -247,14 +347,16 @@ def sample_chunk(
     """Sample trials [lo, hi) as an (hi - lo, p, n) stack, byte-equal to
     ``sample_trial(..., RngStream(master_seed, t))`` for every trial t.
 
-    Phase 1 builds each trial's stream and makes only its raw draws, in the
-    order of the stream contract (README, ``robustsense.sampling``), into
-    chunk-wide buffers: one ``standard_normal`` call per complex step, real
-    half first.  Phase 2 applies the texture law, the sphere normalization
-    and the signal model once to the whole chunk, with the same elementwise
-    operations as the per-trial path.  A trial that hit a
-    probability-zero event (zero channel or sphere norm, all-zero noise
-    column) is redrawn by ``sample_trial``, which owns the redraw loops.
+    Phase 1 seeds every trial's stream in one array pass
+    (``_stream_states``), points one generator at each trial's state in
+    turn and makes only its raw draws, in the order of the stream contract
+    (README, ``robustsense.sampling``), into chunk-wide buffers: one
+    ``standard_normal`` call per complex step, real half first.  Phase 2
+    applies the texture law, the sphere normalization and the signal model
+    once to the whole chunk, with the same elementwise operations as the
+    per-trial path.  A trial that hit a probability-zero event (zero channel
+    or sphere norm, all-zero noise column) is redrawn by ``sample_trial``,
+    which owns the redraw loops.
     """
     _check_geometry(p, n, rho)
     if hi < lo:
@@ -266,8 +368,11 @@ def sample_chunk(
     z = np.empty((m, 2, p, n))
     if h1:
         c, s = np.empty((m, 2, p, 1)), np.empty((m, 2, n))
-    for j, t in enumerate(range(lo, hi)):
-        gen = RngStream(master_seed, t).generator()
+    first = RngStream(master_seed, lo)  # its generator is re-pointed at every trial
+    gen = first.generator()
+    for j, (state, inc) in enumerate(_stream_states(first.master_seed, first.stream_id, hi)):
+        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
         if h1:
             gen.standard_normal(out=c[j])
         _texture_draws(model, p, gen, g[j], None if w is None else w[j])

@@ -92,6 +92,20 @@ def test_each_owner_rejects_non_finite_values(build, value):
         build(value)
 
 
+@pytest.mark.parametrize("field", ["p", "n", "trials", "master_seed"])
+def test_config_rejects_non_integer_sizes_and_seed(field):
+    fields = dict(p=3, n=8, trials=16, master_seed=42)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimConfig(**{**fields, field: fields[field] + 0.5}, noise=NoiseModel.gaussian(),
+                  detectors=(SCM_G,))
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimConfig(**{**fields, field: float(fields[field])}, noise=NoiseModel.gaussian(),
+                  detectors=(SCM_G,))
+    # numpy integers still pass
+    assert SimConfig(**{**fields, field: np.int64(fields[field])}, noise=NoiseModel.gaussian(),
+                     detectors=(SCM_G,)).trials == 16
+
+
 def test_derive_seed_is_deterministic_and_salted():
     assert derive_seed(7, 0) == derive_seed(7, 0)
     assert derive_seed(7, 0) != derive_seed(7, 1)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from robustsense import NoiseModel, RngStream, gg_scale, sample_chunk, sample_trial
+from robustsense import NoiseModel, RngStream, derive_seed, gg_scale, sample_chunk, sample_trial
 from robustsense import sampling
 from robustsense.sampling import Hypothesis
 
@@ -254,8 +254,62 @@ def test_distinct_streams_differ():
 
 
 def test_stream_rejects_negative_ids():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="master_seed"):
         RngStream(-1, 0)
+    with pytest.raises(ValueError, match="stream_id"):
+        RngStream(0, -1)
+    # a non-integer fails where it is owned, not in numpy's SeedSequence later
+    for seed, stream, field in [(1.5, 0, "master_seed"), (0, 2.0, "stream_id"),
+                                ("7", 0, "master_seed")]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RngStream(seed, stream)
+    # numpy integers still pass, and the stream is the same as for the Python int
+    stream = RngStream(np.uint64(7), np.int32(3))
+    assert stream == RngStream(7, 3)
+    assert stream.generator().random() == gen(7, 3).random()
+
+
+# ---------------------------------------------------------------------------
+# vectorized seeding: sample_chunk's stream states are numpy's own
+# ---------------------------------------------------------------------------
+
+def numpy_state(seed, t):
+    state = np.random.default_rng(np.random.SeedSequence((seed, t))).bit_generator.state
+    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+    return state["state"]["state"], state["state"]["inc"]
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
+              2**96 + 12345]  # 4 seed words: with t, entropy beyond the pool
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("lo, hi", [(0, 3), (2**32 - 2, 2**32 + 2), (2**64 - 1, 2**64 + 1)],
+                         ids=["t-from-0", "t-across-2**32", "t-across-2**64"])
+def test_stream_states_match_numpy_seeding_at_edge_ids(seed, lo, hi):
+    states = list(sampling._stream_states(seed, lo, hi))
+    assert states == [numpy_state(seed, t) for t in range(lo, hi)]
+
+
+def test_stream_states_match_numpy_seeding_on_random_pairs():
+    draw = np.random.default_rng(20240517)
+    for _ in range(200):
+        # random word counts: seeds of 1-4 words (4 overflow the pool), ids of 1-2
+        seed = int(draw.integers(0, 2**63)) >> int(draw.integers(0, 64)) << int(draw.integers(0, 40))
+        lo = int(draw.integers(0, 2**63)) >> int(draw.integers(0, 64))
+        hi = lo + int(draw.integers(0, 4))
+        assert list(sampling._stream_states(seed, lo, hi)) == [
+            numpy_state(seed, t) for t in range(lo, hi)]
+
+
+def test_chunk_sampler_is_bitwise_equal_across_a_two_word_stream_id():
+    # a 64-bit derive_seed seed (2 words) and ids crossing 2**32 (1 then 2 words)
+    model, seed, lo, hi = NoiseModel.student_t(3.0), derive_seed(2718, 3), 2**32 - 3, 2**32 + 3
+    assert seed >= 2**32
+    for hypothesis in Hypothesis:
+        batched = sample_chunk(model, 4, 9, 1.0, hypothesis, seed, lo, hi)
+        expected = reference_chunk(model, 4, 9, 1.0, hypothesis, seed, lo, hi)
+        assert batched.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
