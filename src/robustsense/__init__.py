@@ -8,17 +8,13 @@ harness with a CSV-emitting command line.
 
 __version__ = "0.1.0"
 
-from .detectors import DetectorSpec, decide, glrt, largest_eigenvalue, rlrt
+from .detectors import DetectorSpec
 from .estimators import (
-    EstimationError,
     FixedPointOptions,
-    FixedPointResult,
     WeightFunction,
     fixed_point_residual,
-    m_estimate,
     m_estimate_batch,
     scm,
-    tyler_estimate,
 )
 from .montecarlo import (
     CdfCurve,
@@ -50,11 +46,9 @@ __all__ = [
     "__version__",
     "CdfCurve",
     "DetectorSpec",
-    "EstimationError",
     "ExclusionRateError",
     "ExperimentResult",
     "FixedPointOptions",
-    "FixedPointResult",
     "Hypothesis",
     "NoiseModel",
     "RngStream",
@@ -63,18 +57,13 @@ __all__ = [
     "StatSample",
     "WeightFunction",
     "calibrate_threshold",
-    "decide",
     "derive_seed",
     "empirical_pfa_curve",
     "fixed_point_residual",
     "gg_scale",
-    "glrt",
     "ks_distance",
-    "largest_eigenvalue",
-    "m_estimate",
     "m_estimate_batch",
     "pod_at_pfa",
-    "rlrt",
     "roc_curve",
     "run_experiment",
     "run_trials",
@@ -82,5 +71,4 @@ __all__ = [
     "sample_trial",
     "scm",
     "threshold_grid",
-    "tyler_estimate",
 ]

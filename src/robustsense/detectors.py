@@ -1,4 +1,4 @@
-"""Eigenvalue test statistics and the threshold decision rule."""
+"""Eigenvalue test statistics: the largest-root (rlrt) and blind (glrt) forms."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import KINDS, is_hermitian
-from .sampling import Hypothesis
+from .estimators import KINDS
 
 STATISTICS = ("rlrt", "glrt")
 
@@ -49,38 +48,3 @@ class DetectorSpec:
             return lam_max / self.sigma2
         return lam_max * p / trace
 
-
-def largest_eigenvalue(sigma: np.ndarray) -> float:
-    """Top eigenvalue of a Hermitian matrix."""
-    sigma = np.asarray(sigma)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not is_hermitian(sigma):
-        raise ValueError("matrix is not Hermitian")
-    return float(np.linalg.eigvalsh(sigma)[-1])
-
-
-def rlrt(sigma_hat: np.ndarray, sigma2: float) -> float:
-    """Largest-root statistic: top eigenvalue over the known noise power."""
-    # the spec checks sigma2 > 0; the formula does not depend on its estimator
-    spec = DetectorSpec("rlrt", "scm", sigma2)
-    return spec.evaluate(largest_eigenvalue(sigma_hat), None, None)
-
-
-def glrt(sigma_hat: np.ndarray) -> float:
-    """Blind statistic: top eigenvalue over the average eigenvalue.
-
-    Lies in [1, p] for positive definite input and is invariant to rescaling
-    of the estimate, so no noise-power knowledge is needed.
-    """
-    sigma_hat = np.asarray(sigma_hat)
-    lam = largest_eigenvalue(sigma_hat)
-    trace = float(np.trace(sigma_hat).real)
-    if trace <= 0:
-        raise ValueError("trace must be positive")
-    return DetectorSpec("glrt", "scm").evaluate(lam, trace, sigma_hat.shape[0])
-
-
-def decide(value: float, threshold: float) -> Hypothesis:
-    """Declare a signal present iff the statistic strictly exceeds the threshold."""
-    return Hypothesis.H1 if value > threshold else Hypothesis.H0

@@ -28,7 +28,6 @@ about 5 MB at p=5, n=50, however large the stack is.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -37,29 +36,22 @@ from numpy.linalg import _umath_linalg
 
 from .sampling import gg_scale
 
-logger = logging.getLogger(__name__)
-
 _COND_LIMIT = 1e14
 # growth and shrink factor of the SQUAREM step-length bound (mstep in
 # Varadhan & Roland's reference implementation, which starts the bound at 1)
 _STEP_FACTOR = 4.0
-_HERMITIAN_RTOL = 1e-12
 # members per block of the fixed-point engine; one block's outer-product
 # tensor stays small enough to live in cache
 _BLOCK = 512
 
 
-class EstimationError(RuntimeError):
-    """Raised when the fixed-point iteration hits a singular iterate."""
-
-
-def is_hermitian(a: np.ndarray, rtol: float = _HERMITIAN_RTOL) -> bool:
-    """Relative Frobenius test ||A - A^H|| / ||A|| <= rtol (zero matrix passes)."""
+def is_hermitian(a: np.ndarray) -> bool:
+    """Relative Frobenius test ||A - A^H|| / ||A|| <= 1e-12 (zero matrix passes)."""
     a = np.asarray(a)
     scale = np.linalg.norm(a)
     if scale == 0.0:
         return True
-    return np.linalg.norm(a - a.conj().T) <= rtol * scale
+    return np.linalg.norm(a - a.conj().T) <= 1e-12 * scale
 
 
 class _Whitened(NamedTuple):
@@ -345,14 +337,6 @@ class FixedPointOptions:
 
 
 @dataclass(frozen=True, eq=False)
-class FixedPointResult:
-    estimate: np.ndarray
-    iterations: int
-    final_residual: float
-    converged: bool
-
-
-@dataclass(frozen=True, eq=False)
 class BatchFixedPointResult:
     """Per-member results over a stack of sample matrices.
 
@@ -559,9 +543,11 @@ def m_estimate_batch(
     run alone.  Each evaluation factors each member's iterate once; the
     gg_ml scale step and the extrapolation's positive-definiteness test
     factor the next iterate, and the next evaluation reuses that factor.
-    Members whose Cholesky factorization fails inside the loop, or whose
-    estimate fails the exit vetting (condition number above 1e14,
-    non-positive or non-finite eigenvalues), are flagged ``ok = False``.
+    Members with an all-zero snapshot column (flagged before the first
+    evaluation, with 0 iterations), members whose Cholesky factorization
+    fails inside the loop, and members whose estimate fails the exit
+    vetting (condition number above 1e14, non-positive or non-finite
+    eigenvalues) are flagged ``ok = False``.
     """
     if opts is None:
         opts = FixedPointOptions()
@@ -602,71 +588,6 @@ def m_estimate_batch(
     evals = np.linalg.eigvalsh(estimates)
     ok &= (evals[:, 0] > 0) & (evals[:, -1] <= _COND_LIMIT * evals[:, 0])
     return BatchFixedPointResult(estimates, iterations, residuals, converged, ok, evals)
-
-
-def m_estimate(
-    x: np.ndarray,
-    weight: WeightFunction,
-    opts: FixedPointOptions | None = None,
-) -> FixedPointResult:
-    """Compute one M-estimate of scatter from a p x n sample matrix.
-
-    Parameters
-    ----------
-    x : ndarray of shape (p, n)
-        Snapshot columns; every column must be nonzero.
-    weight : WeightFunction
-        Weight defining the estimator.  The scm kind returns the sample
-        covariance directly (the iteration map is constant); the robust
-        kinds additionally require n > p.
-    opts : FixedPointOptions, optional
-        Iteration controls; defaults to epsilon=1e-6, at most 200 map
-        evaluations, identity start.
-
-    Returns
-    -------
-    FixedPointResult
-        Estimate (Hermitian positive definite), number of iterations, last
-        stopping-rule residual and a convergence flag.
-
-    Raises
-    ------
-    EstimationError
-        If an iterate becomes numerically singular.
-    ValueError
-        On dimension or precondition violations.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2:
-        raise ValueError("X must be a p x n matrix")
-    if np.any(np.linalg.norm(x, axis=0) == 0.0):
-        raise ValueError("every snapshot column must be nonzero")
-    res = m_estimate_batch(x[None], weight, opts)
-    if not res.ok[0]:
-        raise EstimationError(
-            f"{weight.kind} iteration hit a singular iterate "
-            f"(condition number above {_COND_LIMIT:g})"
-        )
-    logger.debug(
-        "%s estimate: %d iterations, residual %.3e, converged=%s",
-        weight.kind, res.iterations[0], res.residuals[0], res.converged[0],
-    )
-    return FixedPointResult(
-        estimate=res.estimates[0],
-        iterations=int(res.iterations[0]),
-        final_residual=float(res.residuals[0]),
-        converged=bool(res.converged[0]),
-    )
-
-
-def tyler_estimate(x: np.ndarray, opts: FixedPointOptions | None = None) -> FixedPointResult:
-    """Tyler's M-estimate with the trace pinned to alpha (default p).
-
-    Scale-free: rescaling X, globally or per column, leaves the estimate
-    unchanged.  Requires n > p and nonzero columns.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    return m_estimate(x, WeightFunction.tyler(x.shape[0]), opts)
 
 
 def fixed_point_residual(

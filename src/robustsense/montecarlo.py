@@ -19,7 +19,7 @@ import numpy as np
 
 from .detectors import DetectorSpec
 from .estimators import FixedPointOptions, WeightFunction, m_estimate_batch
-from .sampling import Hypothesis, NoiseModel, _integer, sample_chunk
+from .sampling import Hypothesis, NoiseModel, _check_geometry, _integer, sample_chunk
 
 _CHUNK = 4096
 _MAX_EXCLUSION_RATE = 1e-3
@@ -55,14 +55,11 @@ class SimConfig:
     options: FixedPointOptions = FixedPointOptions()
 
     def __post_init__(self):
-        for name in ("p", "n", "trials", "master_seed"):
+        _check_geometry(self.p, self.n, self.rho)
+        for name in ("trials", "master_seed"):
             _integer(name, getattr(self, name))
-        if self.p < 1 or self.n < 1:
-            raise ValueError("p and n must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not 0 <= self.rho < np.inf:
-            raise ValueError(f"rho must be non-negative and finite, got {self.rho}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
         if not self.detectors:

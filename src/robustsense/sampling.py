@@ -295,7 +295,8 @@ def _symbols(raw: np.ndarray) -> np.ndarray:
 
 
 def _check_geometry(p: int, n: int, rho: float) -> None:
-    """The one argument check both samplers share."""
+    """The one check of p, n and rho, shared by both samplers and ``SimConfig``."""
+    p, n = _integer("p", p), _integer("n", n)
     if p < 1 or n < 1 or not 0 <= rho < np.inf:
         raise ValueError(f"require p >= 1, n >= 1 and a finite rho >= 0, got p={p}, n={n}, rho={rho}")
 

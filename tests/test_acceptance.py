@@ -27,17 +27,13 @@ from robustsense import (
     derive_seed,
     fixed_point_residual,
     gg_scale,
-    glrt,
     ks_distance,
-    m_estimate,
     m_estimate_batch,
     pod_at_pfa,
-    rlrt,
     run_trials,
     sample_chunk,
     sample_trial,
     scm,
-    tyler_estimate,
 )
 from robustsense.cli import main
 from robustsense.sampling import Hypothesis
@@ -143,15 +139,17 @@ def test_criterion_1_constant_false_alarm(null_cdf_runs):
 
 
 def test_criterion_2_tyler_statistic_equivalence(null_cdf_runs, impulsive_roc_dirs):
-    # per-trial proportionality at non-trivial sigma2 and alpha
-    sigma2, alpha, worst = 2.0, 1.0, 0.0
-    opts = FixedPointOptions(alpha=alpha)
-    for k in range(2000):
-        x = sample_trial(NoiseModel.student_t(3.0, sigma2=sigma2), P, 10, 0.0,
-                         Hypothesis.H0, RngStream(6021, k))
-        est = tyler_estimate(x, opts).estimate
-        expected = (P * sigma2 / alpha) * rlrt(est, sigma2)
-        worst = max(worst, abs(glrt(est) - expected) / expected)
+    # per-trial proportionality at non-trivial sigma2 and alpha, on the
+    # statistics a chunk computes
+    sigma2, alpha, trials = 2.0, 1.0, 2000
+    stack = sample_chunk(NoiseModel.student_t(3.0, sigma2=sigma2), P, 10, 0.0,
+                         Hypothesis.H0, 6021, 0, trials)
+    res = m_estimate_batch(stack, WeightFunction.tyler(P), FixedPointOptions(alpha=alpha))
+    lam, trace = res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real
+    expected = (P * sigma2 / alpha) * DetectorSpec("rlrt", "tyler", sigma2).evaluate(lam, trace, P)
+    glrt = DetectorSpec("glrt", "tyler").evaluate(lam, trace, P)
+    worst = float(np.max(np.abs(glrt - expected) / expected))
+    usable = int(res.ok.sum())
 
     # the sorted 100k-trial samples obey the same constant (p sigma2 / alpha = 1 here)
     runs, _ = null_cdf_runs
@@ -166,10 +164,11 @@ def test_criterion_2_tyler_statistic_equivalence(null_cdf_runs, impulsive_roc_di
     same_points = (np.array_equal(roc_r.pfa, roc_g.pfa)
                    and np.array_equal(roc_r.pod, roc_g.pod))
 
-    ok = worst < 1e-12 and worst_sorted < 1e-12 and same_points
+    ok = usable == trials and worst < 1e-12 and worst_sorted < 1e-12 and same_points
     report("criterion 2 tyler rlrt/glrt equivalence",
            ok,
-           f"per-trial rel dev {worst:.2e} < 1e-12; sorted-sample dev {worst_sorted:.2e}; "
+           f"{usable}/{trials} usable; per-trial rel dev {worst:.2e} < 1e-12; "
+           f"sorted-sample dev {worst_sorted:.2e}; "
            f"roc point sets identical: {same_points}")
 
 
@@ -238,20 +237,23 @@ def test_criterion_5_fixed_point_correctness():
 def test_criterion_6_student_t_weight_limits():
     x = sample_trial(NoiseModel.gaussian(), P, 100, 0.0, Hypothesis.H0, RngStream(6200, 0))
     s = scm(x)
-    near_scm = m_estimate(x, WeightFunction.student_t(P, 1e6)).estimate
-    dev_scm = np.linalg.norm(near_scm - s) / np.linalg.norm(s)
+    near = m_estimate_batch(x[None], WeightFunction.student_t(P, 1e6))
+    dev_scm = np.linalg.norm(near.estimates[0] - s) / np.linalg.norm(s)
 
     x2 = sample_trial(NoiseModel.student_t(3.0), P, 50, 0.0, Hypothesis.H0, RngStream(6200, 1))
     tight = FixedPointOptions(epsilon=1e-12, max_iterations=500)
-    raw = m_estimate(x2, WeightFunction.student_t(P, 0.0), tight).estimate
-    ty = tyler_estimate(x2, tight).estimate
+    zero_dof = m_estimate_batch(x2[None], WeightFunction.student_t(P, 0.0), tight)
+    tyler = m_estimate_batch(x2[None], WeightFunction.tyler(P), tight)
+    raw, ty = zero_dof.estimates[0], tyler.estimates[0]
     raw = raw * (np.trace(ty).real / np.trace(raw).real)
     dev_tyler = np.linalg.norm(raw - ty) / np.linalg.norm(ty)
 
-    ok = dev_scm < 1e-3 and dev_tyler < 1e-8
+    usable = near.ok[0] and zero_dof.ok[0] and tyler.ok[0]
+    ok = usable and dev_scm < 1e-3 and dev_tyler < 1e-8
     report("criterion 6 student-t weight limits",
            ok,
-           f"nu=1e6 vs scm {dev_scm:.2e} < 1e-3; nu=0 vs tyler {dev_tyler:.2e} < 1e-8")
+           f"estimates usable: {usable}; nu=1e6 vs scm {dev_scm:.2e} < 1e-3; "
+           f"nu=0 vs tyler {dev_tyler:.2e} < 1e-8")
 
 
 def test_criterion_7_sampler_normalization():

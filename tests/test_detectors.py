@@ -1,4 +1,5 @@
-"""Test statistics: eigenvalue extraction, rlrt/glrt values, decision rule."""
+"""Test statistics on the production path: sample stack -> ``m_estimate_batch``
+-> ``DetectorSpec.evaluate``, as the Monte Carlo harness computes them."""
 
 import math
 
@@ -9,25 +10,38 @@ from robustsense import (
     DetectorSpec,
     NoiseModel,
     RngStream,
-    decide,
-    glrt,
-    largest_eigenvalue,
-    rlrt,
-    sample_trial,
+    WeightFunction,
+    m_estimate_batch,
+    sample_chunk,
     scm,
-    tyler_estimate,
 )
 from robustsense.sampling import Hypothesis
 
 
-def noise(model, p, n, seed, trial):
-    return sample_trial(model, p, n, 0.0, Hypothesis.H0, RngStream(seed, trial))
+def noise_stack(model, p, n, seed, trials):
+    """H0 trials 0 .. trials-1 of ``seed``, one stream each."""
+    return sample_chunk(model, p, n, 0.0, Hypothesis.H0, seed, 0, trials)
 
 
-def random_hpd(p, seed):
+def random_data(p, seed):
+    """A p x 2p complex Gaussian sample; its SCM is a generic HPD matrix."""
     g = RngStream(seed, 0).generator()
-    a = g.standard_normal((p, 2 * p)) + 1j * g.standard_normal((p, 2 * p))
-    return (a @ a.conj().T) / (2 * p)
+    return g.standard_normal((p, 2 * p)) + 1j * g.standard_normal((p, 2 * p))
+
+
+def data_with_scm(a):
+    """A p x p sample whose SCM is ``a`` up to rounding."""
+    return math.sqrt(len(a)) * np.linalg.cholesky(np.asarray(a, dtype=complex))
+
+
+def statistic(spec, stack):
+    """``spec``'s statistic per stack member: the estimate of ``spec``'s kind,
+    its top eigenvalue and trace, then ``spec.evaluate``, as in
+    ``montecarlo._chunk_stats`` and ``_collect_samples``."""
+    p = stack.shape[1]
+    res = m_estimate_batch(stack, WeightFunction.for_kind(spec.estimator, p))
+    assert res.ok.all()
+    return spec.evaluate(res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real, p)
 
 
 def charpoly_top_eigenvalue(a):
@@ -43,37 +57,35 @@ def charpoly_top_eigenvalue(a):
 
 
 def test_largest_eigenvalue_diagonal():
-    assert largest_eigenvalue(np.diag([3.0, 1.0, 1.0])) == pytest.approx(3.0, abs=1e-14)
+    res = m_estimate_batch(data_with_scm(np.diag([3.0, 1.0, 1.0]))[None], WeightFunction.scm(3))
+    assert res.eigenvalues[0, -1] == pytest.approx(3.0, abs=1e-14)
 
 
 def test_largest_eigenvalue_identity():
-    assert largest_eigenvalue(np.eye(7)) == pytest.approx(1.0, abs=1e-14)
+    res = m_estimate_batch(data_with_scm(np.eye(7))[None], WeightFunction.scm(7))
+    assert res.eigenvalues[0, -1] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_largest_eigenvalue_against_charpoly_oracle():
-    a = random_hpd(5, seed=31)
-    lam = largest_eigenvalue(a)
-    assert abs(lam - charpoly_top_eigenvalue(a)) < 1e-10 * lam
-
-
-def test_largest_eigenvalue_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        largest_eigenvalue(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # the lam_max a chunk's trial record stores, against an eigensolver-free oracle
+    stack = np.stack([random_data(5, seed) for seed in range(31, 37)])
+    lam = m_estimate_batch(stack, WeightFunction.scm(5)).eigenvalues[:, -1]
+    for k, x in enumerate(stack):
+        assert abs(lam[k] - charpoly_top_eigenvalue(scm(x))) < 1e-10 * lam[k]
 
 
 def test_rlrt_values():
-    assert rlrt(np.diag([2.0, 1.0]), 1.0) == pytest.approx(2.0, abs=1e-14)
-    assert rlrt(0.25 * np.eye(3), 0.25) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        rlrt(np.eye(2), 0.0)
+    assert statistic(DetectorSpec("rlrt", "scm", 1.0),
+                     data_with_scm(np.diag([2.0, 1.0]))[None])[0] == pytest.approx(2.0, abs=1e-14)
+    assert statistic(DetectorSpec("rlrt", "scm", 0.25),
+                     data_with_scm(0.25 * np.eye(3))[None])[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_rlrt_mean_matches_raw_normal_bruteforce():
     # same Wishart largest-eigenvalue mean from two independent pipelines
     p, n, trials = 5, 10, 4000
-    ours = np.empty(trials)
-    for i in range(trials):
-        ours[i] = rlrt(scm(noise(NoiseModel.gaussian(), p, n, 32, i)), 1.0)
+    ours = statistic(DetectorSpec("rlrt", "scm", 1.0),
+                     noise_stack(NoiseModel.gaussian(), p, n, 32, trials))
     g2 = RngStream(33, 0).generator()
     brute = np.empty(trials)
     for i in range(trials):
@@ -84,42 +96,41 @@ def test_rlrt_mean_matches_raw_normal_bruteforce():
 
 
 def test_glrt_values():
-    assert glrt(np.eye(4)) == pytest.approx(1.0, abs=1e-14)
-    assert glrt(np.diag([3.0, 1.0])) == pytest.approx(1.5, abs=1e-14)
-    with pytest.raises(ValueError):
-        glrt(-np.eye(2))
+    glrt = DetectorSpec("glrt", "scm")
+    assert statistic(glrt, data_with_scm(np.eye(4))[None])[0] == pytest.approx(1.0, abs=1e-14)
+    assert statistic(glrt, data_with_scm(np.diag([3.0, 1.0]))[None])[0] == pytest.approx(
+        1.5, abs=1e-14)
 
 
 def test_glrt_scale_invariance():
-    a = random_hpd(4, seed=34)
-    assert glrt(2.0 * a) == pytest.approx(glrt(a), rel=1e-12)
-    assert glrt(0.001 * a) == pytest.approx(glrt(a), rel=1e-12)
+    # scaling the data by sqrt(c) scales the SCM by c
+    x = random_data(4, seed=34)
+    t = statistic(DetectorSpec("glrt", "scm"), np.stack([x, math.sqrt(2.0) * x,
+                                                         math.sqrt(0.001) * x]))
+    assert t[1] == pytest.approx(t[0], rel=1e-12)
+    assert t[2] == pytest.approx(t[0], rel=1e-12)
 
 
 def test_glrt_bounds():
-    for seed in range(35, 45):
-        t = glrt(random_hpd(5, seed))
-        assert 1.0 <= t <= 5.0
+    t = statistic(DetectorSpec("glrt", "scm"),
+                  np.stack([random_data(5, seed) for seed in range(35, 45)]))
+    assert np.all((1.0 <= t) & (t <= 5.0))
 
 
-def test_spec_evaluates_stacks_like_the_per_matrix_statistics():
-    stack = [random_hpd(4, seed) for seed in range(50, 56)]
-    lam = np.array([largest_eigenvalue(a) for a in stack])
-    trace = np.array([np.trace(a).real for a in stack])
-    rlrt_spec, glrt_spec = DetectorSpec("rlrt", "tyler", 2.0), DetectorSpec("glrt", "gg_ml")
-    assert rlrt_spec.evaluate(lam, trace, 4).tolist() == [rlrt(a, 2.0) for a in stack]
-    assert glrt_spec.evaluate(lam, trace, 4).tolist() == [glrt(a) for a in stack]
-
-
-def test_decide_strict_threshold():
-    assert decide(2.0, 1.5) is Hypothesis.H1
-    assert decide(1.5, 1.5) is Hypothesis.H0
-    assert decide(0.9, 1.0) is Hypothesis.H0
+def test_spec_evaluates_stacks_like_scalars():
+    res = m_estimate_batch(np.stack([random_data(4, seed) for seed in range(50, 56)]),
+                           WeightFunction.scm(4))
+    lam, trace = res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real
+    for spec in (DetectorSpec("rlrt", "tyler", 2.0), DetectorSpec("glrt", "gg_ml")):
+        assert spec.evaluate(lam, trace, 4).tolist() == [
+            spec.evaluate(float(a), float(b), 4) for a, b in zip(lam, trace)]
 
 
 def test_detector_spec_validation():
     with pytest.raises(ValueError):
         DetectorSpec("rlrt", "scm")  # missing sigma2
+    with pytest.raises(ValueError):
+        DetectorSpec("rlrt", "scm", sigma2=0.0)
     with pytest.raises(ValueError):
         DetectorSpec("glrt", "scm", sigma2=1.0)  # glrt is blind
     with pytest.raises(ValueError):
@@ -132,17 +143,15 @@ def test_detector_spec_validation():
 def test_tyler_statistics_proportional_every_trial():
     # trace pinning makes glrt = (p sigma2 / alpha) * rlrt per realization
     p, sigma2 = 4, 2.0
-    for i in range(25):
-        x = noise(NoiseModel.student_t(3.0, sigma2=sigma2), p, 20, 36, i)
-        est = tyler_estimate(x).estimate
-        assert glrt(est) == pytest.approx(p * sigma2 / p * rlrt(est, sigma2), rel=1e-12)
+    stack = noise_stack(NoiseModel.student_t(3.0, sigma2=sigma2), p, 20, 36, 25)
+    rlrt = statistic(DetectorSpec("rlrt", "tyler", sigma2), stack)
+    glrt = statistic(DetectorSpec("glrt", "tyler"), stack)
+    assert glrt == pytest.approx(p * sigma2 / p * rlrt, rel=1e-12)
 
 
 def test_scm_statistic_ratio_varies_across_trials():
-    ratios = []
-    for i in range(25):
-        x = noise(NoiseModel.gaussian(), 4, 20, 37, i)
-        s = scm(x)
-        ratios.append(glrt(s) / rlrt(s, 1.0))
+    stack = noise_stack(NoiseModel.gaussian(), 4, 20, 37, 25)
+    ratios = (statistic(DetectorSpec("glrt", "scm"), stack)
+              / statistic(DetectorSpec("rlrt", "scm", 1.0), stack))
     assert np.std(ratios) > 0
     assert len(np.unique(np.round(ratios, 12))) > 1

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustsense import (
-    EstimationError,
     FixedPointOptions,
     Hypothesis,
     NoiseModel,
@@ -18,12 +17,10 @@ from robustsense import (
     WeightFunction,
     estimators,
     fixed_point_residual,
-    m_estimate,
     m_estimate_batch,
     sample_chunk,
     sample_trial,
     scm,
-    tyler_estimate,
 )
 from robustsense.sampling import gg_scale
 
@@ -35,6 +32,14 @@ def gaussian_data(p, n, seed, stream=0):
 def null_stack(model, trials, p, n, seed):
     """H0 trials 0 .. trials-1 of ``seed``, one stream each."""
     return sample_chunk(model, p, n, 0.0, Hypothesis.H0, seed, 0, trials)
+
+
+def estimate(x, weight=None, opts=None):
+    """The estimate of the one-member stack x[None] (Tyler by default); the
+    member must be usable."""
+    res = m_estimate_batch(x[None], weight or WeightFunction.tyler(x.shape[0]), opts)
+    assert res.ok[0]
+    return res.estimates[0]
 
 
 # ---------------------------------------------------------------------------
@@ -122,63 +127,58 @@ def test_for_kind_reads_only_the_kinds_own_parameter():
 
 def test_scm_kind_converges_in_one_iteration():
     x = gaussian_data(4, 9, seed=4)
-    res = m_estimate(x, WeightFunction.scm(4))
-    assert res.iterations == 1
-    assert res.converged
-    assert res.final_residual == 0.0
-    assert np.array_equal(res.estimate, scm(x))
+    res = m_estimate_batch(x[None], WeightFunction.scm(4))
+    assert res.iterations[0] == 1
+    assert res.converged[0]
+    assert res.residuals[0] == 0.0
+    assert np.array_equal(res.estimates[0], scm(x))
 
 
 def test_tyler_scalar_case_returns_alpha():
     x = np.array([[0.3, -2.0 + 1.0j, 0.7j]])
-    res = tyler_estimate(x)
-    assert res.estimate[0, 0].real == pytest.approx(1.0, abs=1e-12)
-    res2 = tyler_estimate(x, FixedPointOptions(alpha=2.5))
-    assert res2.estimate[0, 0].real == pytest.approx(2.5, abs=1e-12)
+    assert estimate(x)[0, 0].real == pytest.approx(1.0, abs=1e-12)
+    opts = FixedPointOptions(alpha=2.5)
+    assert estimate(x, opts=opts)[0, 0].real == pytest.approx(2.5, abs=1e-12)
 
 
 def test_tyler_trace_pinned():
-    res = tyler_estimate(gaussian_data(5, 50, seed=5))
-    assert abs(np.trace(res.estimate).real - 5.0) < 1e-12
-    res1 = tyler_estimate(gaussian_data(5, 50, seed=5), FixedPointOptions(alpha=1.0))
-    assert abs(np.trace(res1.estimate).real - 1.0) < 1e-12
+    x = gaussian_data(5, 50, seed=5)
+    assert abs(np.trace(estimate(x)).real - 5.0) < 1e-12
+    assert abs(np.trace(estimate(x, opts=FixedPointOptions(alpha=1.0))).real - 1.0) < 1e-12
 
 
 def test_tyler_global_scale_invariance_power_of_two():
     x = gaussian_data(3, 30, seed=6)
-    a = tyler_estimate(x)
-    b = tyler_estimate(4.0 * x)
-    assert np.array_equal(a.estimate, b.estimate)
-    assert a.iterations == b.iterations
+    res = m_estimate_batch(np.stack([x, 4.0 * x]), WeightFunction.tyler(3))
+    assert res.ok.all()
+    assert np.array_equal(res.estimates[0], res.estimates[1])
+    assert res.iterations[0] == res.iterations[1]
 
 
 def test_tyler_global_scale_invariance_generic():
     x = gaussian_data(3, 30, seed=7)
-    a = tyler_estimate(x)
-    b = tyler_estimate(np.pi * x)
-    assert np.linalg.norm(a.estimate - b.estimate) / np.linalg.norm(a.estimate) < 1e-12
+    a, b = estimate(x), estimate(np.pi * x)
+    assert np.linalg.norm(a - b) / np.linalg.norm(a) < 1e-12
 
 
 def test_tyler_per_column_scale_invariance():
     x = gaussian_data(3, 30, seed=8)
     d = RngStream(8, 1).generator().uniform(0.1, 10.0, size=30)
-    a = tyler_estimate(x)
-    b = tyler_estimate(x * d[None, :])
-    assert np.linalg.norm(a.estimate - b.estimate) / np.linalg.norm(a.estimate) < 1e-10
+    a, b = estimate(x), estimate(x * d[None, :])
+    assert np.linalg.norm(a - b) / np.linalg.norm(a) < 1e-10
 
 
 def test_student_t_large_dof_approaches_scm():
     x = gaussian_data(5, 100, seed=9)
-    res = m_estimate(x, WeightFunction.student_t(5, 1e6))
-    s = scm(x)
-    assert np.linalg.norm(res.estimate - s) / np.linalg.norm(s) < 1e-3
+    est, s = estimate(x, WeightFunction.student_t(5, 1e6)), scm(x)
+    assert np.linalg.norm(est - s) / np.linalg.norm(s) < 1e-3
 
 
 def test_student_t_zero_dof_approaches_tyler():
     x = sample_trial(NoiseModel.student_t(3.0), 5, 50, 0.0, Hypothesis.H0, RngStream(10, 0))
     opts = FixedPointOptions(epsilon=1e-12, max_iterations=500)
-    raw = m_estimate(x, WeightFunction.student_t(5, 0.0), opts).estimate
-    ty = tyler_estimate(x, opts).estimate
+    raw = estimate(x, WeightFunction.student_t(5, 0.0), opts)
+    ty = estimate(x, opts=opts)
     raw = raw * (np.trace(ty).real / np.trace(raw).real)
     assert np.linalg.norm(raw - ty) / np.linalg.norm(ty) < 1e-8
 
@@ -198,7 +198,7 @@ tyler_cases = dict(
 
 def tyler_case(p, extra, family, seed):
     x = sample_trial(family, p, p + extra, 0.0, Hypothesis.H0, RngStream(seed, 0))
-    return x, tyler_estimate(x, TIGHT).estimate, RngStream(seed, 1).generator()
+    return x, estimate(x, opts=TIGHT), RngStream(seed, 1).generator()
 
 
 def metric_gap(s, t):
@@ -209,7 +209,7 @@ def metric_gap(s, t):
 @given(**tyler_cases, log_scale=st.floats(-3.0, 3.0))
 def test_tyler_is_invariant_to_global_rescaling(p, extra, family, seed, log_scale):
     x, sigma, _ = tyler_case(p, extra, family, seed)
-    assert metric_gap(tyler_estimate(10.0**log_scale * x, TIGHT).estimate, sigma) < 1e-6
+    assert metric_gap(estimate(10.0**log_scale * x, opts=TIGHT), sigma) < 1e-6
 
 
 @settings(max_examples=30, deadline=None)
@@ -217,7 +217,7 @@ def test_tyler_is_invariant_to_global_rescaling(p, extra, family, seed, log_scal
 def test_tyler_is_invariant_to_per_column_rescaling(p, extra, family, seed):
     x, sigma, g = tyler_case(p, extra, family, seed)
     scales = 10.0 ** g.uniform(-1.0, 1.0, size=x.shape[1])
-    assert metric_gap(tyler_estimate(x * scales, TIGHT).estimate, sigma) < 1e-6
+    assert metric_gap(estimate(x * scales, opts=TIGHT), sigma) < 1e-6
 
 
 @settings(max_examples=30, deadline=None)
@@ -231,7 +231,7 @@ def test_tyler_is_affine_equivariant(p, extra, family, seed):
     a = u @ np.diag(2.0 ** g.uniform(-2.0, 2.0, size=p)) @ w
     target = a @ sigma @ a.conj().T
     target *= p / np.trace(target).real
-    assert metric_gap(tyler_estimate(a @ x, TIGHT).estimate, target) < 1e-6
+    assert metric_gap(estimate(a @ x, opts=TIGHT), target) < 1e-6
 
 
 @pytest.mark.parametrize("weight", [
@@ -244,11 +244,9 @@ def test_one_step_affine_equivariance(weight):
     g = RngStream(11, 1).generator()
     a = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
     one_step = FixedPointOptions(epsilon=1e-300, max_iterations=1)
-    plain = m_estimate(x, weight, one_step).estimate
-    moved = m_estimate(
-        a @ x, weight,
-        FixedPointOptions(epsilon=1e-300, max_iterations=1, initial=a @ a.conj().T),
-    ).estimate
+    plain = estimate(x, weight, one_step)
+    moved = estimate(a @ x, weight,
+                     FixedPointOptions(epsilon=1e-300, max_iterations=1, initial=a @ a.conj().T))
     target = a @ plain @ a.conj().T
     assert np.linalg.norm(moved - target) / np.linalg.norm(target) < 1e-10
 
@@ -258,17 +256,18 @@ def test_estimates_are_hermitian_positive_definite():
                      RngStream(12, 0))
     for w in (WeightFunction.tyler(4), WeightFunction.student_t(4, 3.0),
               WeightFunction.gg_ml(4, 0.2)):
-        e = m_estimate(x, w).estimate
+        e = estimate(x, w)
         assert np.array_equal(e, e.conj().T)
         assert np.linalg.eigvalsh(e)[0] > 0
 
 
 def test_max_iterations_reported_as_not_converged():
     x = gaussian_data(3, 20, seed=13)
-    res = m_estimate(x, WeightFunction.tyler(3), FixedPointOptions(max_iterations=2))
-    assert not res.converged
-    assert res.iterations == 2
-    assert res.final_residual >= 1e-6
+    res = m_estimate_batch(x[None], WeightFunction.tyler(3), FixedPointOptions(max_iterations=2))
+    assert res.ok[0]
+    assert not res.converged[0]
+    assert res.iterations[0] == 2
+    assert res.residuals[0] >= 1e-6
 
 
 def gg_stack(trials, p, n, shape, seed):
@@ -287,19 +286,19 @@ def test_gg_ml_estimate_solves_the_scale_equation():
     # the trace of the ML equation: s / (b n p) * sum_i d_i^s = 1
     p, n, s = 5, 50, 0.1
     weight = WeightFunction.gg_ml(p, s)
-    x = gg_stack(1, p, n, s, seed=25)[0]
+    stack = gg_stack(1, p, n, s, seed=25)
+    x = stack[0]
 
     def scale_gap(sigma):
         d = np.einsum("ji,ji->i", x.conj(), np.linalg.solve(sigma, x)).real
         return abs(s / (weight.scale_b * n * p) * np.sum(d**s) - 1.0)
 
-    res = m_estimate(x, weight, FixedPointOptions(epsilon=1e-10))
-    assert res.converged
-    assert scale_gap(res.estimate) < 1e-9
-    assert fixed_point_residual(res.estimate, x, weight) < 1e-8
+    res = m_estimate_batch(stack, weight, FixedPointOptions(epsilon=1e-10))
+    assert res.ok[0] and res.converged[0]
+    assert scale_gap(res.estimates[0]) < 1e-9
+    assert fixed_point_residual(res.estimates[0], x, weight) < 1e-8
     # the scale step puts every iterate on the equation, not just the limit
-    one_step = m_estimate(x, weight, FixedPointOptions(max_iterations=1))
-    assert scale_gap(one_step.estimate) < 1e-12
+    assert scale_gap(estimate(x, weight, FixedPointOptions(max_iterations=1))) < 1e-12
 
 
 def test_tyler_squarem_needs_few_map_evaluations():
@@ -401,34 +400,42 @@ def test_bounded_step_converges_where_an_unbounded_one_cycles():
 def test_robust_kinds_need_more_snapshots_than_antennas():
     x = gaussian_data(4, 4, seed=15)
     with pytest.raises(ValueError, match="n > p"):
-        tyler_estimate(x)
+        m_estimate_batch(x[None], WeightFunction.tyler(4))
     # the sample covariance is still defined there
     assert scm(x).shape == (4, 4)
 
 
 def test_zero_column_rejected():
-    x = gaussian_data(3, 10, seed=16)
-    x[:, 4] = 0.0
-    with pytest.raises(ValueError, match="nonzero"):
-        tyler_estimate(x)
+    # the member with a zero column is flagged before its first evaluation;
+    # its stack-mates keep their solo results bit for bit
+    stack = null_stack(NoiseModel.gaussian(), 3, 3, 10, seed=16)
+    stack[1, :, 4] = 0.0
+    for w in (WeightFunction.tyler(3), WeightFunction.gg_ml(3, 0.5)):
+        res = m_estimate_batch(stack, w)
+        assert res.ok.tolist() == [True, False, True]
+        assert res.iterations[1] == 0
+        for i in (0, 2):
+            solo = m_estimate_batch(stack[i:i + 1], w)
+            assert np.array_equal(solo.estimates[0], res.estimates[i])
+            assert solo.iterations[0] == res.iterations[i]
+            assert solo.residuals[0] == res.residuals[i]
 
 
 def test_invalid_initial_iterate():
     x = gaussian_data(3, 10, seed=17)
     with pytest.raises(ValueError):
-        m_estimate(x, WeightFunction.tyler(3),
-                   FixedPointOptions(initial=np.diag([1.0, 1.0, -1.0])))
+        m_estimate_batch(x[None], WeightFunction.tyler(3),
+                         FixedPointOptions(initial=np.diag([1.0, 1.0, -1.0])))
     with pytest.raises(ValueError):
-        m_estimate(x, WeightFunction.tyler(3),
-                   FixedPointOptions(initial=np.array([[1, 1], [0, 1]], dtype=complex)))
+        m_estimate_batch(x[None], WeightFunction.tyler(3),
+                         FixedPointOptions(initial=np.array([[1, 1], [0, 1]], dtype=complex)))
 
 
-def test_rank_deficient_data_raises_estimation_error():
+def test_rank_deficient_data_is_flagged_unusable():
     g = RngStream(18, 0).generator()
     basis = g.standard_normal((3, 2)) + 1j * g.standard_normal((3, 2))
     x = basis @ (g.standard_normal((2, 8)) + 1j * g.standard_normal((2, 8)))
-    with pytest.raises(EstimationError):
-        tyler_estimate(x)
+    assert not m_estimate_batch(x[None], WeightFunction.tyler(3)).ok[0]
 
 
 def test_options_validation():
@@ -465,10 +472,11 @@ def test_batch_matches_solo_bitwise(stack, weights):
     for w in weights:
         batch = m_estimate_batch(stack, w)
         for i in range(len(stack)):
-            solo = m_estimate(stack[i], w)
-            assert np.array_equal(solo.estimate, batch.estimates[i])
-            assert solo.iterations == batch.iterations[i]
-            assert solo.final_residual == batch.residuals[i]
+            solo = m_estimate_batch(stack[i:i + 1], w)
+            assert solo.ok[0] and batch.ok[i]
+            assert np.array_equal(solo.estimates[0], batch.estimates[i])
+            assert solo.iterations[0] == batch.iterations[i]
+            assert solo.residuals[0] == batch.residuals[i]
 
 
 def test_whiten_verdict_does_not_depend_on_batch_mates():
@@ -542,8 +550,7 @@ def test_batch_flags_bad_members_without_poisoning_others():
         res = m_estimate_batch(stack, w)
         assert res.ok.tolist() == [True, False, True]
         for i in (0, 2):
-            solo = m_estimate(stack[i], w)
-            assert np.array_equal(solo.estimate, res.estimates[i])
+            assert np.array_equal(estimate(stack[i], w), res.estimates[i])
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +564,7 @@ def test_residual_of_scm_is_zero():
 
 def test_residual_of_converged_tyler_is_small():
     x = gaussian_data(5, 50, seed=22)
-    res = tyler_estimate(x)
-    assert fixed_point_residual(res.estimate, x, WeightFunction.tyler(5)) < 10 * 1e-6
+    assert fixed_point_residual(estimate(x), x, WeightFunction.tyler(5)) < 10 * 1e-6
 
 
 def test_residual_of_identity_on_anisotropic_data_is_large():

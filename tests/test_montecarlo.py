@@ -298,6 +298,10 @@ def test_pfa_curve_simple_counts():
     curve = empirical_pfa_curve(sample, np.array([2.5]))
     assert curve.pfa[0] == 0.5
     assert curve.cdf[0] == 0.5
+    # a threshold equal to a sample value is not exceeded by it: P(T > t) is strict
+    tie = empirical_pfa_curve(sample_of([1.0, 2.0, 2.0, 3.0]), np.array([2.0]))
+    assert tie.pfa[0] == 0.25
+    assert tie.cdf[0] == 0.75
 
 
 def test_pfa_curve_endpoints():

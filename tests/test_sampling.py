@@ -52,12 +52,15 @@ def test_sphere_columns_unit_norm():
     assert np.max(np.abs(np.linalg.norm(u, axis=0) - 1.0)) < 1e-12
 
 
-@pytest.mark.parametrize("p, n, rho", [(0, 4, 1.0), (3, 0, 1.0), (3, 4, -1.0),
-                                       (3, 4, math.nan), (3, 4, math.inf)])
-def test_trial_rejects_bad_geometry(p, n, rho):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("p, n, rho, message", [
+    (0, 4, 1.0, "require p >= 1"), (3, 0, 1.0, "require p >= 1"), (3, 4, -1.0, "require p >= 1"),
+    (3, 4, math.nan, "require p >= 1"), (3, 4, math.inf, "require p >= 1"),
+    (3.0, 4, 1.0, "p must be an integer"), (3, 4.0, 1.0, "n must be an integer"),
+])
+def test_trial_rejects_bad_geometry(p, n, rho, message):
+    with pytest.raises(ValueError, match=message):
         sample_trial(NoiseModel.gaussian(), p, n, rho, H1, RngStream(3))
-    with pytest.raises(ValueError, match="require p >= 1"):
+    with pytest.raises(ValueError, match=message):
         sample_chunk(NoiseModel.gaussian(), p, n, rho, H1, 3, 0, 2)
 
 
