@@ -18,11 +18,22 @@ one-at-a-time results agree.
 Inside the iteration the data enter only through their outer products: the
 distances x_i^H Sigma^{-1} x_i = <Sigma^{-1}, x_i x_i^H> and the weighted step
 sum_i w_i x_i x_i^H are both linear in x_i x_i^H.  The engine runs a stack in
-consecutive blocks of ``_BLOCK`` members.  Each block builds one real
-(B, p*p, n) tensor Q of its outer products (the diagonal, then the real and
-imaginary parts of the strict upper triangle), and every map evaluation is
-two batched real mat-vecs against it.  A call holds one block's Q at a time,
-about 5 MB at p=5, n=50, however large the stack is.
+consecutive blocks.  Each block builds one real (B, p*p, n) tensor Q of its
+outer products (the diagonal, then the real and imaginary parts of the
+strict upper triangle), and every map evaluation is two batched real
+mat-vecs against it.  Memory is bounded by bytes, not by members:
+
+* a block takes as many members as fit their Q (8 p^2 n bytes each) in
+  ``_BLOCK_BYTES`` = 5.12 MB, at least 1 and at most ``_MAX_BLOCK`` = 512;
+* Q is filled in pieces of whole members whose complex pair products
+  (16 n p(p-1)/2 bytes each) take about ``_PAIR_BYTES`` = 1 MiB, at least
+  one member.
+
+At (p, n) = (5, 10) a block is 512 members (the cap; the budget would give
+2560) and its pairs are one piece; at (5, 50) a block is 512 members, a
+5.12 MB Q, built in pieces of 131; at (40, 400) a block is 1 member, a
+5.12 MB Q whose pair products (5.0 MB) are one piece.  A call holds one
+block's Q at a time, however large the stack is.
 """
 
 from __future__ import annotations
@@ -40,9 +51,13 @@ _COND_LIMIT = 1e14
 # growth and shrink factor of the SQUAREM step-length bound (mstep in
 # Varadhan & Roland's reference implementation, which starts the bound at 1)
 _STEP_FACTOR = 4.0
-# members per block of the fixed-point engine; one block's outer-product
-# tensor stays small enough to live in cache
-_BLOCK = 512
+# bytes of the outer-product tensor Q of one block of the fixed-point
+# engine (512 members at p=5, n=50, small enough to live in cache), and the
+# most members a block takes
+_BLOCK_BYTES = 5_120_000
+_MAX_BLOCK = 512
+# bytes of the complex pair products ``_outer_products`` builds at a time
+_PAIR_BYTES = 1 << 20
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -106,21 +121,33 @@ def _outer_products(x: np.ndarray) -> np.ndarray:
 
     Row a < p holds |x_a|^2; the next p(p-1)/2 rows hold Re(x_a conj(x_b))
     and the last p(p-1)/2 rows Im(x_a conj(x_b)), for the pairs a < b of
-    the strict upper triangle in row-major order.
+    the strict upper triangle in row-major order.  Q is filled in pieces of
+    whole members whose complex pair products take about ``_PAIR_BYTES``
+    (at least one member).
     """
     n_batch, p, n = x.shape
     iu, ju, _ = _layout(p)
     m = iu.size
     q = np.empty((n_batch, p * p, n))
-    np.add(np.square(x.real), np.square(x.imag), out=q[:, :p])
-    if m:
-        # a call, not ``a * b.conj()``: numpy reuses an operator's temporary
-        # operand above 256 KiB and computes conj(b) * a there, which rounds
-        # differently, so a member's bits would depend on its stack's size
-        pairs = np.multiply(x[:, iu], x[:, ju].conj())
-        q[:, p:p + m] = pairs.real
-        q[:, p + m:] = pairs.imag
+    step = max(1, _PAIR_BYTES // (16 * max(m, 1) * n))
+    for lo in range(0, n_batch, step):
+        xs, qs = x[lo:lo + step], q[lo:lo + step]
+        np.add(np.square(xs.real), np.square(xs.imag), out=qs[:, :p])
+        if m:
+            # a call, not ``a * b.conj()``: numpy reuses an operator's
+            # temporary operand above 256 KiB and computes conj(b) * a
+            # there, which rounds differently, so a member's bits would
+            # depend on its piece's size
+            pairs = np.multiply(xs[:, iu], xs[:, ju].conj())
+            qs[:, p:p + m] = pairs.real
+            qs[:, p + m:] = pairs.imag
     return q
+
+
+def _block_members(p: int, n: int) -> int:
+    """Members per engine block: as many as fit their Q in ``_BLOCK_BYTES``,
+    at least 1 and at most ``_MAX_BLOCK``."""
+    return max(1, min(_MAX_BLOCK, _BLOCK_BYTES // (8 * p * p * n)))
 
 
 def _dual(s: np.ndarray) -> np.ndarray:
@@ -526,12 +553,15 @@ def m_estimate_batch(
     The robust kinds never touch x inside the iteration.  Both the distances
     d_i = x_i^H Sigma^{-1} x_i = <Sigma^{-1}, x_i x_i^H> and the weighted
     step sum_i w_i x_i x_i^H are linear in the outer products x_i x_i^H.
-    The stack runs in consecutive blocks of ``_BLOCK`` members; each block
-    first builds their real (B, p*p, n) tensor Q (``_outer_products``), and
-    each map evaluation is two batched real mat-vecs against it: d = g Q
-    with g the packed Sigma^{-1} (``_dual``), and the weighted step Q w.
-    Members that leave are dropped from Q, and the call's memory scales with
-    one block's Q (about 5 MB at p=5, n=50), not with the stack.
+    The stack runs in consecutive blocks of as many members as fit their Q
+    in ``_BLOCK_BYTES`` (5.12 MB; at most 512 members, at least 1: 512 at
+    p=5 and n=10 or 50, 1 at p=40, n=400).  Each block first builds its
+    real (B, p*p, n) tensor Q (``_outer_products``, in pieces of about
+    ``_PAIR_BYTES`` = 1 MiB of complex pair products), and each map
+    evaluation is two batched real mat-vecs against it: d = g Q with g the
+    packed Sigma^{-1} (``_dual``), and the weighted step Q w.  Members that
+    leave are dropped from Q, and the call's memory scales with one block's
+    Q, not with the stack.
 
     The stopping rule is the plain iteration's: every evaluation is tested
     with ``||I - Sigma^{-1} F(Sigma)||_F < epsilon``, and a member is frozen,
@@ -547,7 +577,9 @@ def m_estimate_batch(
     evaluation, with 0 iterations), members whose Cholesky factorization
     fails inside the loop, and members whose estimate fails the exit
     vetting (condition number above 1e14, non-positive or non-finite
-    eigenvalues) are flagged ``ok = False``.
+    eigenvalues) are flagged ``ok = False``.  An scm member is flagged when
+    its estimate is zero (an all-zero sample matrix); with n <= p its
+    singular estimate stays usable.
     """
     if opts is None:
         opts = FixedPointOptions()
@@ -573,14 +605,18 @@ def m_estimate_batch(
         residuals[:] = 0.0
         converged[:] = True
         evals = np.linalg.eigvalsh(estimates)
+        # a zero estimate (an all-zero sample matrix) has no usable statistic;
+        # n <= p leaves a singular but usable one
+        ok &= evals[:, -1] > 0
         return BatchFixedPointResult(estimates, iterations, residuals, converged, ok, evals)
 
     if n <= p:
         raise ValueError(f"robust estimation requires n > p (got n={n}, p={p})")
     initial = _check_initial(opts.initial, p)
     estimates = np.broadcast_to(initial, (n_batch, p, p)).astype(np.complex128)
-    for lo in range(0, n_batch, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
+    members = _block_members(p, n)
+    for lo in range(0, n_batch, members):
+        block = slice(lo, lo + members)
         _iterate_block(weight, opts, alpha, x[block], estimates[block], iterations[block],
                        residuals[block], converged[block], ok[block])
 

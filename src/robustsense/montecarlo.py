@@ -3,8 +3,16 @@ false-alarm curves, threshold calibration and ROC curves.
 
 Trials are independent. Trial ``t`` always draws from the stream
 ``(master_seed, t)`` (the stream contract in the README), and trials are
-sampled and estimated in fixed-size chunks, so the aggregate result is
-bit-identical for any worker count and any chunk size.
+sampled and estimated in chunks, so the aggregate result is bit-identical
+for any worker count and any chunk size.
+
+A chunk's size is set by bytes: it takes as many trials as fit its complex
+(trials, p, n) sample stack, 16 p n bytes per trial, in ``_CHUNK_BYTES`` =
+8.192 MB, at least 1 and at most ``_MAX_CHUNK`` = 4096.  That is 4096
+trials at (p, n) = (5, 10) (the cap; the budget would give 10240), 2048 at
+(5, 50) and 32 at (40, 400).  Inside a chunk the sampler and the estimator
+engine bound their own pieces and blocks by bytes as well (see
+``sample_chunk`` and ``robustsense.estimators``).
 """
 
 from __future__ import annotations
@@ -21,7 +29,12 @@ from .detectors import DetectorSpec
 from .estimators import FixedPointOptions, WeightFunction, m_estimate_batch
 from .sampling import Hypothesis, NoiseModel, _check_geometry, _integer, sample_chunk
 
-_CHUNK = 4096
+# bytes of a chunk's complex (trials, p, n) sample stack (2048 trials at
+# p=5, n=50), and the most trials a chunk takes.  Smaller chunks cost page
+# faults: glibc trims and re-grows the heap every chunk, and 1024-trial
+# chunks took a fig4 run from about 19k to 78k minor faults.
+_CHUNK_BYTES = 8_192_000
+_MAX_CHUNK = 4096
 _MAX_EXCLUSION_RATE = 1e-3
 _RESOLUTION = 512  # most thresholds a curve keeps
 
@@ -121,9 +134,15 @@ def _usable(trials: np.ndarray) -> np.ndarray:
     return trials["ok"] & trials["converged"]
 
 
+def _chunk_trials(config: SimConfig) -> int:
+    """Trials per chunk: as many as fit the sample stack in ``_CHUNK_BYTES``,
+    at least 1 and at most ``_MAX_CHUNK``."""
+    return max(1, min(_MAX_CHUNK, _CHUNK_BYTES // (16 * config.p * config.n)))
+
+
 def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
     """Sample and evaluate trials [lo, lo + chunk); self-contained per chunk."""
-    hi = min(lo + _CHUNK, config.trials)
+    hi = min(lo + _chunk_trials(config), config.trials)
     x = sample_chunk(config.noise, config.p, config.n, config.rho, hypothesis,
                      config.master_seed, lo, hi)
     out = {}
@@ -136,15 +155,15 @@ def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
 
 
 def _run_chunks(config: SimConfig, hypothesis: Hypothesis, threads: int | None):
-    """Chunk-batched sampling and estimation over fixed-size chunks.
+    """Chunk-batched sampling and estimation over chunks of ``_chunk_trials``.
 
     Returns one ``_TRIAL`` record array per estimator kind, indexed by
-    trial.  Chunk boundaries are fixed, every trial draws from its own
-    stream, and chunks are merged by index, so the worker count cannot
-    change the result.
+    trial.  Every trial draws from its own stream and chunks are merged by
+    index, so neither the worker count nor the chunk size can change the
+    result.
     """
     records = {kind: np.empty(config.trials, _TRIAL) for kind in config.estimator_kinds()}
-    starts = range(0, config.trials, _CHUNK)
+    starts = range(0, config.trials, _chunk_trials(config))
     if threads is None or threads <= 1 or len(starts) <= 1:
         results = (_chunk_stats(config, hypothesis, lo) for lo in starts)
         pool = None

@@ -11,6 +11,7 @@ unit-variance complex Gaussian symbols ``s``.  ``sample_trial`` and
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import warnings
@@ -20,6 +21,8 @@ from enum import Enum
 import numpy as np
 
 FAMILIES = ("gaussian", "gg", "student_t")
+# bytes of the complex stack that ``sample_chunk`` makes in one piece
+_PIECE_BYTES = 1 << 20
 
 
 class Hypothesis(Enum):
@@ -204,20 +207,26 @@ def gg_scale(p: int, s: float) -> float:
     return float(np.exp(s * (np.log(p) + math.lgamma(p / s) - math.lgamma((p + 1) / s))))
 
 
-def _unit_columns(raw: np.ndarray):
-    """Normalize the columns of z = raw[..., 0, :, :] + i*raw[..., 1, :, :]
-    along axis -2; ``raw`` stacks one complex step's real and imaginary draws.
-
-    Returns ``(u, norms)``; a zero-norm column comes out as NaN and is the
-    caller's to redraw.  The one definition of the sphere normalization:
-    the per-trial sampler and the chunk sampler both call it.
-    """
-    z = np.multiply(raw[..., 1, :, :], 1j)
+def _complex_draws(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """z = raw[..., 0, :, :] + i*raw[..., 1, :, :] from one complex step's
+    real and imaginary draws, written into ``out`` when it is given."""
+    z = np.multiply(raw[..., 1, :, :], 1j, out=out)
     z += raw[..., 0, :, :]
+    return z
+
+
+def _unit_columns(z: np.ndarray) -> np.ndarray:
+    """Normalize the columns of the complex array z along axis -2 in place
+    and return their norms.
+
+    A zero-norm column comes out as NaN and is the caller's to redraw.  The
+    one definition of the sphere normalization: the per-trial sampler and
+    the chunk sampler both call it.
+    """
     norms = np.linalg.norm(z, axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
         z /= norms[..., None, :]
-    return z, norms
+    return norms
 
 
 def _texture_draws(model: NoiseModel, p: int, gen, g: np.ndarray, w: np.ndarray | None) -> None:
@@ -266,10 +275,10 @@ def _texture_law(model: NoiseModel, p: int, g: np.ndarray, w: np.ndarray | None)
 def _sphere(gen, p: int, m: int) -> np.ndarray:
     """(p, m) columns uniform on the complex p-sphere; zero-norm columns are redrawn."""
     raw = gen.standard_normal((2, p, m))
-    u, norms = _unit_columns(raw)
-    while np.any(dead := norms == 0.0):
+    u = _complex_draws(raw)
+    while np.any(dead := _unit_columns(u) == 0.0):
         raw[:, :, dead] = gen.standard_normal((2, p, int(dead.sum())))
-        u, norms = _unit_columns(raw)
+        u = _complex_draws(raw)
     return u
 
 
@@ -348,52 +357,58 @@ def sample_chunk(
     """Sample trials [lo, hi) as an (hi - lo, p, n) stack, byte-equal to
     ``sample_trial(..., RngStream(master_seed, t))`` for every trial t.
 
-    Phase 1 seeds every trial's stream in one array pass
-    (``_stream_states``), points one generator at each trial's state in
-    turn and makes only its raw draws, in the order of the stream contract
-    (README, ``robustsense.sampling``), into chunk-wide buffers: one
-    ``standard_normal`` call per complex step, real half first.  Phase 2
-    applies the texture law, the sphere normalization and the signal model
-    once to the whole chunk, with the same elementwise operations as the
-    per-trial path.  A trial that hit a probability-zero event (zero channel
-    or sphere norm, all-zero noise column) is redrawn by ``sample_trial``,
-    which owns the redraw loops.
+    Every trial's stream is seeded in one array pass (``_stream_states``),
+    and the stack is made in pieces of about ``_PIECE_BYTES``.  For each
+    piece, one generator is pointed at each of its trials' states in turn
+    and makes only that trial's raw draws, in the order of the stream
+    contract (README, ``robustsense.sampling``), into piece-sized buffers:
+    one ``standard_normal`` call per complex step, real half first.  Then
+    the texture law, the sphere normalization and the signal model run
+    once on the whole piece, with the same elementwise operations as the
+    per-trial path.  The stack is the only array of chunk size.  A trial
+    that hit a probability-zero event (zero channel or sphere norm,
+    all-zero noise column) is redrawn by ``sample_trial``, which owns the
+    redraw loops.
     """
     _check_geometry(p, n, rho)
     if hi < lo:
         raise ValueError(f"require lo <= hi, got lo={lo}, hi={hi}")
     m = hi - lo
     h1 = hypothesis is Hypothesis.H1
-    g = np.empty((m, n))
-    w = np.empty((m, n)) if model.family == "student_t" else None
-    z = np.empty((m, 2, p, n))
+    step = max(1, _PIECE_BYTES // (16 * p * n))  # trials per piece
+    k = min(step, m)
+    raw, g = np.empty((k, 2, p, n)), np.empty((k, n))
+    w = np.empty((k, n)) if model.family == "student_t" else None
     if h1:
-        c, s = np.empty((m, 2, p, 1)), np.empty((m, 2, n))
+        c, s = np.empty((k, 2, p, 1)), np.empty((k, 2, n))
+    x = np.empty((m, p, n), dtype=np.complex128)
+    guard = np.empty(m, dtype=bool)
     first = RngStream(master_seed, lo)  # its generator is re-pointed at every trial
     gen = first.generator()
-    for j, (state, inc) in enumerate(_stream_states(first.master_seed, first.stream_id, hi)):
-        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        if h1:
-            gen.standard_normal(out=c[j])
-        _texture_draws(model, p, gen, g[j], None if w is None else w[j])
-        gen.standard_normal(out=z[j])
-        if h1:
-            gen.standard_normal(out=s[j])
+    states = _stream_states(first.master_seed, first.stream_id, hi)
+    for a in range(0, m, step):
+        piece = slice(a, min(a + step, m))
+        size = piece.stop - a
+        for i, (state, inc) in enumerate(itertools.islice(states, size)):
+            gen.bit_generator.state = {"bit_generator": "PCG64",
+                                       "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            if h1:
+                gen.standard_normal(out=c[i])
+            _texture_draws(model, p, gen, g[i], None if w is None else w[i])
+            gen.standard_normal(out=raw[i])
+            if h1:
+                gen.standard_normal(out=s[i])
 
-    # the raw-draw buffers are dropped as soon as they are consumed
-    q = _texture_law(model, p, g, w)
-    del g, w
-    x, norms = _unit_columns(z)
-    del z
-    guard = np.any(norms == 0.0, axis=1)
-    x *= np.sqrt(q)[:, None, :]
-    guard |= np.any(~np.any(x, axis=1), axis=1)  # texture underflow
-    if h1:
-        direction, cnorm = _unit_columns(c)
-        guard |= cnorm[:, 0] == 0.0
-        h = _channel(direction, rho, p, model.sigma2)
-        np.add(h * _symbols(s)[:, None, :], x, out=x)  # operand order of sample_trial
+        xs = _complex_draws(raw[:size], out=x[piece])
+        guard[piece] = np.any(_unit_columns(xs) == 0.0, axis=1)
+        xs *= np.sqrt(_texture_law(model, p, g[:size], None if w is None else w[:size]))[:, None, :]
+        guard[piece] |= np.any(~np.any(xs, axis=1), axis=1)  # texture underflow
+        if h1:
+            direction = _complex_draws(c[:size])
+            guard[piece] |= _unit_columns(direction)[:, 0] == 0.0
+            h = _channel(direction, rho, p, model.sigma2)
+            np.add(h * _symbols(s[:size])[:, None, :], xs, out=xs)  # operand order of sample_trial
     for j in np.flatnonzero(guard):
         x[j] = sample_trial(model, p, n, rho, hypothesis, RngStream(master_seed, lo + j))
     return x

@@ -1,7 +1,6 @@
 """Fixed-point engine contracts: weights, convergence, invariances, residuals."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -132,6 +131,24 @@ def test_scm_kind_converges_in_one_iteration():
     assert res.converged[0]
     assert res.residuals[0] == 0.0
     assert np.array_equal(res.estimates[0], scm(x))
+
+
+def test_scm_flags_an_all_zero_member_and_leaves_its_batch_mate_alone():
+    zero = np.zeros((3, 4), dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert m_estimate_batch(zero[None], WeightFunction.scm(3)).ok.tolist() == [False]
+    x = gaussian_data(3, 4, seed=5)
+    alone = m_estimate_batch(x[None], WeightFunction.scm(3))
+    both = m_estimate_batch(np.stack([x, zero]), WeightFunction.scm(3))
+    assert both.ok.tolist() == [True, False]
+    for field in ("estimates", "iterations", "residuals", "converged", "ok", "eigenvalues"):
+        assert getattr(both, field)[0].tobytes() == getattr(alone, field)[0].tobytes()
+
+
+def test_scm_with_fewer_snapshots_than_antennas_stays_usable():
+    res = m_estimate_batch(gaussian_data(4, 2, seed=6)[None], WeightFunction.scm(4))
+    assert res.ok.tolist() == [True]
 
 
 def test_tyler_scalar_case_returns_alpha():
@@ -522,21 +539,19 @@ def test_tensor_distances_and_weighted_step_match_direct_formulas(p):
 
 
 # Traced peak of the engine on this 4096-member stack, which it runs in
-# 512-member blocks: 19.1 MB for Tyler and for gg_ml, plus 15% headroom.
-# A whole-stack outer-product tensor alone would take 41 MB.
+# blocks of 512 members (their Q fits the 5.12 MB block budget at p=5,
+# n=50) and builds each block's Q from pair products of about 1 MiB per
+# piece: 13.4 MB for Tyler and 13.6 MB for gg_ml.  The bound keeps the
+# 19.1 MB of whole-block pair products plus 15% headroom; a whole-stack
+# outer-product tensor alone would take 41 MB.
 ENGINE_PEAK_MB = 22.0
 
 
 @pytest.mark.parametrize("weight", [WeightFunction.tyler(5), WeightFunction.gg_ml(5, 0.1)],
                          ids=lambda w: w.kind)
-def test_engine_peak_memory_on_a_full_chunk(weight):
+def test_engine_peak_memory_on_a_full_chunk(traced_peak, weight):
     x = sample_chunk(NoiseModel.generalized_gaussian(0.1), 5, 50, 0.0, Hypothesis.H0, 7, 0, 4096)
-    tracemalloc.start()
-    try:
-        res = m_estimate_batch(x, weight)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(m_estimate_batch, x, weight)
     assert res.ok.all() and res.converged.all()
     assert peak / 1e6 <= ENGINE_PEAK_MB
 

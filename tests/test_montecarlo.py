@@ -29,6 +29,7 @@ from robustsense import (
     run_trials,
     threshold_grid,
 )
+from robustsense import estimators, sampling
 from robustsense.config import ConfigError, load_config
 from robustsense.sampling import Hypothesis
 
@@ -131,6 +132,11 @@ def test_worker_count_does_not_change_results():
         assert np.array_equal(a[spec].values, b[spec].values)
 
 
+def chunk_bytes(cfg, trials):
+    """A chunk byte budget that gives ``cfg`` chunks of ``trials`` trials."""
+    return trials * 16 * cfg.p * cfg.n
+
+
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     # with the fork start method the pool forks all max_workers processes at
     # its first submit, so a worker without a chunk is a wasted fork
@@ -149,7 +155,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     cfg = small_config(trials=8)
     serial = montecarlo._run_chunks(cfg, Hypothesis.H0, None)
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialExecutor)
-    monkeypatch.setattr(montecarlo, "_CHUNK", 4)
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_bytes(cfg, 4))
     assert_chunks_equal(montecarlo._run_chunks(cfg, Hypothesis.H0, 5), serial)
     assert started == [2]
 
@@ -174,21 +180,71 @@ def test_results_do_not_depend_on_chunk_boundaries(monkeypatch, family, hypothes
     cfg = small_config(trials=23, rho=1.0, **FAMILY_CONFIGS[family])
     default = montecarlo._run_chunks(cfg, hypothesis, None)
     for chunk in (1, 7):
-        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_bytes(cfg, chunk))
         assert_chunks_equal(montecarlo._run_chunks(cfg, hypothesis, None), default)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
+@pytest.mark.parametrize("hypothesis", list(Hypothesis), ids=lambda h: h.name)
+def test_results_do_not_depend_on_byte_budgets(monkeypatch, family, hypothesis):
+    # a budget of one byte gives 1-trial chunks, 1-trial sampler pieces,
+    # 1-member engine blocks or 1-member pair pieces; each is forced alone
+    # (a 1-member block would hide its pair pieces' boundaries), then all
+    cfg = small_config(trials=23, rho=1.0, **FAMILY_CONFIGS[family])
+    default = montecarlo._run_chunks(cfg, hypothesis, None)
+    budgets = ((montecarlo, "_CHUNK_BYTES"), (sampling, "_PIECE_BYTES"),
+               (estimators, "_BLOCK_BYTES"), (estimators, "_PAIR_BYTES"))
+    for module, budget in budgets:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, budget, 1)
+            assert_chunks_equal(montecarlo._run_chunks(cfg, hypothesis, None), default)
+    for module, budget in budgets:
+        monkeypatch.setattr(module, budget, 1)
+    assert montecarlo._chunk_trials(cfg) == 1
+    assert_chunks_equal(montecarlo._run_chunks(cfg, hypothesis, None), default)
+
+
+def test_chunk_and_block_sizes_follow_their_byte_budgets():
+    # (p, n) -> trials per chunk, members per engine block
+    sizes = {(5, 10): (4096, 512), (5, 50): (2048, 512), (40, 400): (32, 1)}
+    for (p, n), (chunk, block) in sizes.items():
+        cfg = small_config(p=p, n=n)
+        assert montecarlo._chunk_trials(cfg) == chunk
+        assert estimators._block_members(p, n) == block
+
+
+# Traced peak of the run below, from the byte budgets at p=40, n=400:
+#   a chunk takes min(8, 8_192_000 // (16*40*400) = 32) = 8 trials, a 2.05 MB
+#   stack, and an engine block takes 5_120_000 // (8*40*40*400) = 1 member,
+#   whose Q is 5.12 MB.  While Q is built, the member's complex pair
+#   products (one piece, since one member already exceeds 1 MiB) make three
+#   16*780*400 = 4.99 MB temporaries.  2.05 + 5.12 + 3*4.99 = 22.2 MB; the
+#   traced peak is 23.4 MB (per-trial results and the sampler's pieces), and
+#   the bound adds 1.6 MB.  A block of all 8 members would take 8 times the
+#   engine's 20 MB.
+LARGE_RUN_PEAK_MB = 25.0
+
+
+def test_large_dimension_run_stays_within_its_byte_budgets(traced_peak):
+    # runs in about 2 s
+    cfg = SimConfig(p=40, n=400, trials=8, noise=NoiseModel.generalized_gaussian(0.1), rho=1.0,
+                    detectors=(TY_G, DetectorSpec("glrt", "gg_ml")), master_seed=11)
+    result, peak = traced_peak(run_experiment, cfg, with_h1=True)
+    assert result.h1[TY_G].values.size == cfg.trials
+    assert peak / 1e6 <= LARGE_RUN_PEAK_MB
 
 
 @settings(max_examples=20, deadline=None)
 @given(trials=st.integers(1, 12), chunk=st.integers(1, 13))
 def test_chunk_size_property(trials, chunk):
     cfg = small_config(trials=trials, rho=1.0, seed=trials)
-    old = montecarlo._CHUNK
+    old = montecarlo._CHUNK_BYTES
     try:
         whole = montecarlo._run_chunks(cfg, Hypothesis.H1, None)
-        montecarlo._CHUNK = chunk
+        montecarlo._CHUNK_BYTES = chunk_bytes(cfg, chunk)
         assert_chunks_equal(montecarlo._run_chunks(cfg, Hypothesis.H1, None), whole)
     finally:
-        montecarlo._CHUNK = old
+        montecarlo._CHUNK_BYTES = old
 
 
 def test_shared_estimator_equals_isolated_computation():

@@ -357,6 +357,24 @@ def test_chunk_sampler_is_bitwise_equal_to_per_trial_path(model, hypothesis, rho
     assert batched.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("trials_per_piece", [1, 7])
+@pytest.mark.parametrize("hypothesis", [H0, H1], ids=lambda h: h.name)
+def test_chunk_sampler_does_not_depend_on_its_piece_size(monkeypatch, hypothesis, trials_per_piece):
+    model, p, n, lo, hi = NoiseModel.student_t(3.0), 5, 10, 4090, 4130
+    expected = reference_chunk(model, p, n, 1.0, hypothesis, 31, lo, hi)
+    monkeypatch.setattr(sampling, "_PIECE_BYTES", trials_per_piece * 16 * p * n)
+    assert sample_chunk(model, p, n, 1.0, hypothesis, 31, lo, hi).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("model", [NoiseModel.gaussian(), NoiseModel.generalized_gaussian(0.1),
+                                   NoiseModel.student_t(3.0)], ids=lambda m: m.family)
+@pytest.mark.parametrize("hypothesis", [H0, H1], ids=lambda h: h.name)
+def test_chunk_sampler_peak_memory_is_within_twice_its_stack(traced_peak, model, hypothesis):
+    # the stack plus one piece's draw buffers and temporaries: 1.3-1.4x
+    x, peak = traced_peak(sample_chunk, model, 5, 50, 1.0, hypothesis, 3, 0, 2048)
+    assert peak <= 2 * x.nbytes
+
+
 # sha256 of reference_chunk(model, 5, 10, 1.0, hypothesis, 2024, 0, 16),
 # recorded before the chunk sampler existed (the gg pins again when gg_scale
 # moved to math.lgamma): the per-trial path itself must not drift either
@@ -413,22 +431,25 @@ def test_chunk_sampler_redraws_a_guard_trial_like_the_per_trial_path(monkeypatch
                          ids=["sphere-H0", "sphere-H1", "channel-H1"])
 def test_chunk_sampler_redraws_a_zero_norm_trial_like_the_per_trial_path(
         monkeypatch, hypothesis, call):
-    # call 0 of the chunk's sphere normalization is the noise, call 1 the channel
+    # the chunk is one piece at this size: call 0 of its sphere normalization
+    # is the noise, call 1 the channel
     model, p, n, seed, lo, hi, forced = NoiseModel.student_t(3.0), 3, 8, 12, 100, 124, 109
     unit = sampling._unit_columns
     seen = []
 
-    def spy(raw):
-        seen.append(raw.copy())
-        return unit(raw)
+    def spy(z):
+        seen.append(z.copy())
+        return unit(z)
 
     monkeypatch.setattr(sampling, "_unit_columns", spy)
     unforced = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
-    mark = seen[call][forced - lo, 0, 0, 0]  # the forced trial's first raw draw
+    assert len(seen) == 1 + (hypothesis is H1)
+    mark = seen[call][forced - lo, 0, 0].real  # the forced trial's first raw draw
 
-    def zero_marked(raw):
+    def zero_marked(z):
         # zero-norm columns where the marked draw appears; redraws are unmarked
-        return unit(np.where(raw[..., :1, :1, :] == mark, 0.0, raw))
+        z[...] = np.where(z[..., :1, :].real == mark, 0.0, z)
+        return unit(z)
 
     monkeypatch.setattr(sampling, "_unit_columns", zero_marked)
     batched = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
