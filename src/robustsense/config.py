@@ -17,7 +17,7 @@ EXPERIMENT_KINDS = ("pof-curve", "roc")
 # every section and key load_config reads; any other is an error
 _KEYS = {
     "experiment": ("kind", "p", "n", "trials", "seed", "snr_db"),
-    "noise": ("family", "families", "sigma2", "gg_shape", "student_t_dof"),
+    "noise": ("families", "sigma2", "gg_shape", "student_t_dof"),
     "detectors": ("estimators", "statistics", "student_t_nu"),
 }
 
@@ -161,10 +161,7 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
         raise ConfigError(f"{where}: [experiment] roc experiments require snr_db")
     snr_db = None if snr_raw is None else as_float("experiment", "snr_db", snr_raw)
 
-    fam_keys = [key for key in ("families", "family") if parser.has_option("noise", key)]
-    if len(fam_keys) != 1:
-        raise ConfigError(f"{where}: [noise] needs exactly one of 'families' and 'family'")
-    families = as_list("noise", fam_keys[0], parser.get("noise", fam_keys[0]))
+    families = as_list("noise", "families", need("noise", "families"))
     if not families:
         raise ConfigError(f"{where}: [noise] at least one family is required")
     if kind == "roc" and len(families) != 1:

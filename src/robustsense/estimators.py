@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .sampling import gg_scale
+from .sampling import _integer, gg_scale
 
 _COND_LIMIT = 1e14
 # growth and shrink factor of the SQUAREM step-length bound (mstep in
@@ -213,22 +213,22 @@ def _whiten(sigma: np.ndarray, q: np.ndarray) -> _Whitened:
     return _Whitened(inv, d, singular)
 
 
-# Post-step normalizations: (weight, V, Q, alpha) -> (c V, whitening of c V
-# or None).  The engine factors an iterate before the next map evaluation
+# Post-step normalizations: (weight, V, Q) -> (c V, whitening of c V or
+# None).  The engine factors an iterate before the next map evaluation
 # unless the normalization already did.
 
-def _no_scaling(weight, v, q, alpha):
+def _no_scaling(weight, v, q):
     return v, None
 
 
-def _pin_trace(weight, v, q, alpha):
+def _pin_trace(weight, v, q):
     # Tyler's weight is scale-free, so the equation fixes Sigma only up to
-    # scale; pin the trace to alpha
+    # scale; pin the trace to p
     trace = np.einsum("kii->k", v).real
-    return v * (alpha / trace)[:, None, None], None
+    return v * (weight.p / trace)[:, None, None], None
 
 
-def _ml_scale(weight, v, q, alpha):
+def _ml_scale(weight, v, q):
     # gg_ml: the trace of the ML equation, s/(b n p) sum_i d_i(Sigma)^s = 1,
     # has the closed-form solution Sigma = c V with
     # c^s = s/(b n p) sum_i d_i(V)^s (Pascal et al., IEEE TSP 2013).  The one
@@ -271,7 +271,7 @@ class WeightFunction:
     Kinds
     -----
     scm        u(d) = 1                      none (one step is exact)
-    tyler      u(d) = p / d                  trace pinned to alpha
+    tyler      u(d) = p / d                  trace pinned to p
     student_t  u(d) = (2p + nu) / (nu + 2d)  none
     gg_ml      u(d) = (s/b) d^(s-1)          closed-form ML scale
 
@@ -299,6 +299,7 @@ class WeightFunction:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}; expected one of {KINDS}")
+        object.__setattr__(self, "p", _integer("p", self.p))
         if self.p < 1:
             raise ValueError("dimension p must be at least 1")
         if self.kind == "student_t" and (self.nu is None or not 0 <= self.nu < np.inf):
@@ -315,22 +316,6 @@ class WeightFunction:
         parameters = _KINDS[kind].parameters if kind in _KINDS else lambda *_: {}
         return cls(kind, p, **parameters(p, nu, shape_s))  # an unknown kind fails validation
 
-    @classmethod
-    def scm(cls, p: int) -> "WeightFunction":
-        return cls.for_kind("scm", p)
-
-    @classmethod
-    def tyler(cls, p: int) -> "WeightFunction":
-        return cls.for_kind("tyler", p)
-
-    @classmethod
-    def student_t(cls, p: int, nu: float) -> "WeightFunction":
-        return cls.for_kind("student_t", p, nu=nu)
-
-    @classmethod
-    def gg_ml(cls, p: int, shape_s: float) -> "WeightFunction":
-        return cls.for_kind("gg_ml", p, shape_s=shape_s)
-
     @property
     def scale_b(self) -> float:
         """The gg_ml density scale b = gg_scale(p, shape_s)."""
@@ -344,23 +329,21 @@ class WeightFunction:
 class FixedPointOptions:
     """Knobs of the fixed-point iteration.
 
-    ``alpha`` is the trace target used to remove the Tyler scale ambiguity
-    (``None`` means trace = p).  ``initial`` must be Hermitian positive
-    definite; ``None`` means the identity.
+    ``initial`` must be Hermitian positive definite; ``None`` means the
+    identity.  Tyler's estimate always has trace p.
     """
 
     epsilon: float = 1e-6
     max_iterations: int = 200
-    alpha: float | None = None
     initial: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
-        if self.alpha is not None and not 0 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        max_iterations = _integer("max_iterations", self.max_iterations)
+        if max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+        object.__setattr__(self, "max_iterations", max_iterations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,7 +390,7 @@ def _check_initial(initial: np.ndarray | None, p: int) -> np.ndarray:
     return initial
 
 
-def _apply_map(kind: _Kind, weight, wh: _Whitened, q, alpha):
+def _apply_map(kind: _Kind, weight, wh: _Whitened, q):
     """One evaluation of the iteration map F on factored iterates.
 
     The weighted step sum_i w_i x_i x_i^H is the mat-vec Q w, unpacked into
@@ -424,7 +407,7 @@ def _apply_map(kind: _Kind, weight, wh: _Whitened, q, alpha):
     nxt = _hermitian(y, p)
     eye = np.eye(p, dtype=np.complex128)
     nxt[bad] = eye
-    nxt, nxt_wh = kind.post_step(weight, nxt, q, alpha)
+    nxt, nxt_wh = kind.post_step(weight, nxt, q)
     if nxt_wh is not None:
         bad |= nxt_wh.singular
     resid = np.linalg.norm(eye - wh.inv @ nxt, axis=(1, 2))
@@ -463,8 +446,7 @@ def _extrapolate(theta0, theta1, theta2, wh2, q, bound):
     return cand, wh, bound
 
 
-def _iterate_block(weight, opts, alpha, x, estimates, iterations, residuals,
-                   converged, ok) -> None:
+def _iterate_block(weight, opts, x, estimates, iterations, residuals, converged, ok) -> None:
     """Run the fixed-point iteration on one block of ``m_estimate_batch``'s
     stack, filling that block's views of the result arrays in place;
     ``estimates`` enters holding the initial iterates."""
@@ -499,7 +481,7 @@ def _iterate_block(weight, opts, alpha, x, estimates, iterations, residuals,
             if active.size == 0:
                 break
 
-        nxt, nxt_wh, resid, bad = _apply_map(kind, weight, wh, q, alpha)
+        nxt, nxt_wh, resid, bad = _apply_map(kind, weight, wh, q)
         done = ~bad & (resid < opts.epsilon)
         if m % 2:
             # a cycle's first evaluation tests the last extrapolation: where
@@ -537,7 +519,7 @@ def m_estimate_batch(
 
     The iteration map F is one weighted step followed by the kind's
     post-step normalization (see ``WeightFunction``): Tyler iterates are
-    renormalized to trace alpha, and gg_ml iterates are multiplied by their
+    renormalized to trace p, and gg_ml iterates are multiplied by their
     closed-form ML scale (Pascal et al., IEEE TSP 2013).  F runs in SQUAREM
     cycles (Varadhan & Roland, "Simple and globally convergent methods for
     accelerating the convergence of any EM algorithm", Scand. J. Stat. 2008):
@@ -589,7 +571,6 @@ def m_estimate_batch(
     n_batch, p, n = x.shape
     if weight.p != p:
         raise ValueError(f"weight function is for p={weight.p}, data has p={p}")
-    alpha = float(p) if opts.alpha is None else float(opts.alpha)
 
     iterations = np.zeros(n_batch, dtype=np.int64)
     residuals = np.full(n_batch, np.inf)
@@ -617,7 +598,7 @@ def m_estimate_batch(
     members = _block_members(p, n)
     for lo in range(0, n_batch, members):
         block = slice(lo, lo + members)
-        _iterate_block(weight, opts, alpha, x[block], estimates[block], iterations[block],
+        _iterate_block(weight, opts, x[block], estimates[block], iterations[block],
                        residuals[block], converged[block], ok[block])
 
     # exit vetting: NaN, non-positive or condition number above 1e14

@@ -68,9 +68,9 @@ class SimConfig:
     options: FixedPointOptions = FixedPointOptions()
 
     def __post_init__(self):
+        for name in ("p", "n", "trials", "master_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         _check_geometry(self.p, self.n, self.rho)
-        for name in ("trials", "master_seed"):
-            _integer(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.master_seed < 0:

@@ -33,12 +33,14 @@ class Hypothesis(Enum):
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as a Python int (numpy integers pass); anything else is a
-    ``ValueError`` naming the field."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as a Python int (numpy integers pass); anything else, a
+    bool included, is a ``ValueError`` naming the field."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -181,18 +183,6 @@ class NoiseModel:
                 raise ValueError(f"student_t noise requires a finite dof_nu > 0, got {self.dof_nu}")
         elif self.dof_nu is not None:
             raise ValueError("dof_nu only applies to the student_t family")
-
-    @classmethod
-    def gaussian(cls, sigma2: float = 1.0) -> "NoiseModel":
-        return cls("gaussian", sigma2=sigma2)
-
-    @classmethod
-    def generalized_gaussian(cls, shape_s: float, sigma2: float = 1.0) -> "NoiseModel":
-        return cls("gg", sigma2=sigma2, shape_s=shape_s)
-
-    @classmethod
-    def student_t(cls, dof_nu: float, sigma2: float = 1.0) -> "NoiseModel":
-        return cls("student_t", sigma2=sigma2, dof_nu=dof_nu)
 
 
 def gg_scale(p: int, s: float) -> float:

@@ -45,9 +45,9 @@ P, SIGMA2 = 5, 1.0
 THREADS = 2
 
 FAMILIES = {
-    "gaussian": NoiseModel.gaussian(SIGMA2),
-    "gg": NoiseModel.generalized_gaussian(0.1, SIGMA2),
-    "student_t": NoiseModel.student_t(3.0, SIGMA2),
+    "gaussian": NoiseModel("gaussian", sigma2=SIGMA2),
+    "gg": NoiseModel("gg", sigma2=SIGMA2, shape_s=0.1),
+    "student_t": NoiseModel("student_t", sigma2=SIGMA2, dof_nu=3.0),
 }
 FOUR_DETECTORS = (
     DetectorSpec("rlrt", "scm", SIGMA2),
@@ -139,19 +139,19 @@ def test_criterion_1_constant_false_alarm(null_cdf_runs):
 
 
 def test_criterion_2_tyler_statistic_equivalence(null_cdf_runs, impulsive_roc_dirs):
-    # per-trial proportionality at non-trivial sigma2 and alpha, on the
-    # statistics a chunk computes
-    sigma2, alpha, trials = 2.0, 1.0, 2000
-    stack = sample_chunk(NoiseModel.student_t(3.0, sigma2=sigma2), P, 10, 0.0,
+    # per-trial proportionality at non-trivial sigma2, on the statistics a
+    # chunk computes
+    sigma2, trials = 2.0, 2000
+    stack = sample_chunk(NoiseModel("student_t", sigma2=sigma2, dof_nu=3.0), P, 10, 0.0,
                          Hypothesis.H0, 6021, 0, trials)
-    res = m_estimate_batch(stack, WeightFunction.tyler(P), FixedPointOptions(alpha=alpha))
+    res = m_estimate_batch(stack, WeightFunction.for_kind("tyler", P))
     lam, trace = res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real
-    expected = (P * sigma2 / alpha) * DetectorSpec("rlrt", "tyler", sigma2).evaluate(lam, trace, P)
+    expected = sigma2 * DetectorSpec("rlrt", "tyler", sigma2).evaluate(lam, trace, P)
     glrt = DetectorSpec("glrt", "tyler").evaluate(lam, trace, P)
     worst = float(np.max(np.abs(glrt - expected) / expected))
     usable = int(res.ok.sum())
 
-    # the sorted 100k-trial samples obey the same constant (p sigma2 / alpha = 1 here)
+    # the sorted 100k-trial samples obey the same constant (sigma2 = 1 here)
     runs, _ = null_cdf_runs
     ty_r = runs["gg"][DetectorSpec("rlrt", "tyler", SIGMA2)].values
     ty_g = runs["gg"][DetectorSpec("glrt", "tyler")].values
@@ -202,9 +202,9 @@ def test_criterion_4_gaussian_ordering(gaussian_roc_pods):
 def test_criterion_5_fixed_point_correctness():
     eps, n, per_family = 1e-6, 50, 100
     weights = {
-        "tyler": WeightFunction.tyler(P),
-        "student_t": WeightFunction.student_t(P, 3.0),
-        "gg_ml": WeightFunction.gg_ml(P, 0.1),
+        "tyler": WeightFunction.for_kind("tyler", P),
+        "student_t": WeightFunction.for_kind("student_t", P, nu=3.0),
+        "gg_ml": WeightFunction.for_kind("gg_ml", P, shape_s=0.1),
     }
     worst_resid, worst_scm, worst_trace = 0.0, 0.0, 0.0
     converged_count, total = 0, 0
@@ -225,7 +225,7 @@ def test_criterion_5_fixed_point_correctness():
         for k in range(per_family):
             worst_scm = max(worst_scm,
                             fixed_point_residual(scm(stack[k]), stack[k],
-                                                 WeightFunction.scm(P)))
+                                                 WeightFunction.for_kind("scm", P)))
     ok = (worst_resid < 10 * eps and worst_scm < 1e-14 and worst_trace < 1e-12
           and converged_count == total)
     report("criterion 5 fixed-point correctness",
@@ -235,15 +235,16 @@ def test_criterion_5_fixed_point_correctness():
 
 
 def test_criterion_6_student_t_weight_limits():
-    x = sample_trial(NoiseModel.gaussian(), P, 100, 0.0, Hypothesis.H0, RngStream(6200, 0))
+    x = sample_trial(NoiseModel("gaussian"), P, 100, 0.0, Hypothesis.H0, RngStream(6200, 0))
     s = scm(x)
-    near = m_estimate_batch(x[None], WeightFunction.student_t(P, 1e6))
+    near = m_estimate_batch(x[None], WeightFunction.for_kind("student_t", P, nu=1e6))
     dev_scm = np.linalg.norm(near.estimates[0] - s) / np.linalg.norm(s)
 
-    x2 = sample_trial(NoiseModel.student_t(3.0), P, 50, 0.0, Hypothesis.H0, RngStream(6200, 1))
+    x2 = sample_trial(NoiseModel("student_t", dof_nu=3.0), P, 50, 0.0, Hypothesis.H0,
+                      RngStream(6200, 1))
     tight = FixedPointOptions(epsilon=1e-12, max_iterations=500)
-    zero_dof = m_estimate_batch(x2[None], WeightFunction.student_t(P, 0.0), tight)
-    tyler = m_estimate_batch(x2[None], WeightFunction.tyler(P), tight)
+    zero_dof = m_estimate_batch(x2[None], WeightFunction.for_kind("student_t", P, nu=0.0), tight)
+    tyler = m_estimate_batch(x2[None], WeightFunction.for_kind("tyler", P), tight)
     raw, ty = zero_dof.estimates[0], tyler.estimates[0]
     raw = raw * (np.trace(ty).real / np.trace(raw).real)
     dev_tyler = np.linalg.norm(raw - ty) / np.linalg.norm(ty)

@@ -43,7 +43,7 @@ seed = {seed}
 snr_db = {snr_db}
 
 [noise]
-family = gg
+families = gg
 sigma2 = 1.0
 gg_shape = 0.5
 
@@ -118,7 +118,7 @@ ROC = ROC_TEMPLATE.format(trials=10, seed=1, snr_db=0.0)
     (POF, "estimators = scm, tyler", "estimators = scm, huber", "huber"),
     (POF, "statistics = rlrt, glrt", "statistics = rlrt, lmpit", "lmpit"),
     (POF, "estimators = scm, tyler", "estimators =", "detector"),
-    (ROC, "family = gg", "family = gaussian", "gg_ml"),
+    (ROC, "families = gg", "families = gaussian", "gg_ml"),
     (POF, "families = gaussian, gg, student_t", "families = gaussian, gg, gaussian",
      "families lists 'gaussian' more than once"),
     (POF, "estimators = scm, tyler", "estimators = scm, tyler, scm",
@@ -126,12 +126,15 @@ ROC = ROC_TEMPLATE.format(trials=10, seed=1, snr_db=0.0)
     (POF, "statistics = rlrt, glrt", "statistics = glrt, glrt", "statistics lists 'glrt' more than once"),
     (POF, "sigma2 = 1.0", "sigma = 4.0", "[noise] unknown key 'sigma'"),
     (POF, "student_t_dof = 3.0", "student_t_df = 1.5", "[noise] unknown key 'student_t_df'"),
-    (ROC, "family = gg", "family = gg\nfamilies = gaussian", "[noise] needs exactly one of"),
+    (ROC, "families = gg", "family = gg", "[noise] unknown key 'family'"),
+    (ROC, "families = gg", "families = gg, gaussian", "roc experiments take exactly one family"),
+    (ROC, "families = gg\n", "", "[noise] missing required key 'families'"),
     (POF, "[detectors]", "[detector]", "unknown section [detector]"),
     (POF, "[experiment]", "[DEFAULT]\nsigma2 = 2.0\n[experiment]", "unknown section [DEFAULT]"),
 ], ids=["family", "estimator", "statistic", "no-estimators", "gg_ml-gaussian",
         "repeated-family", "repeated-estimator", "repeated-statistic",
-        "unknown-key", "misspelt-key", "family-and-families", "unknown-section", "default-section"])
+        "unknown-key", "misspelt-key", "family-alias", "roc-two-families", "no-families",
+        "unknown-section", "default-section"])
 def test_config_error_messages_are_anchored(tmp_path, text, old, new, bad_value):
     # the model object that owns the value rejects it; the message names the file
     bad = write_config(tmp_path, text.replace(old, new))
@@ -196,7 +199,7 @@ def test_config_requires_gg_shape(tmp_path):
 
 def test_config_gg_ml_needs_gg_noise(tmp_path):
     text = ROC_TEMPLATE.format(trials=10, seed=1, snr_db=0.0).replace(
-        "family = gg", "family = gaussian")
+        "families = gg", "families = gaussian")
     with pytest.raises(ConfigError, match="gg_ml"):
         load_config(write_config(tmp_path, text))
 

@@ -57,19 +57,20 @@ def charpoly_top_eigenvalue(a):
 
 
 def test_largest_eigenvalue_diagonal():
-    res = m_estimate_batch(data_with_scm(np.diag([3.0, 1.0, 1.0]))[None], WeightFunction.scm(3))
+    res = m_estimate_batch(data_with_scm(np.diag([3.0, 1.0, 1.0]))[None],
+                           WeightFunction.for_kind("scm", 3))
     assert res.eigenvalues[0, -1] == pytest.approx(3.0, abs=1e-14)
 
 
 def test_largest_eigenvalue_identity():
-    res = m_estimate_batch(data_with_scm(np.eye(7))[None], WeightFunction.scm(7))
+    res = m_estimate_batch(data_with_scm(np.eye(7))[None], WeightFunction.for_kind("scm", 7))
     assert res.eigenvalues[0, -1] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_largest_eigenvalue_against_charpoly_oracle():
     # the lam_max a chunk's trial record stores, against an eigensolver-free oracle
     stack = np.stack([random_data(5, seed) for seed in range(31, 37)])
-    lam = m_estimate_batch(stack, WeightFunction.scm(5)).eigenvalues[:, -1]
+    lam = m_estimate_batch(stack, WeightFunction.for_kind("scm", 5)).eigenvalues[:, -1]
     for k, x in enumerate(stack):
         assert abs(lam[k] - charpoly_top_eigenvalue(scm(x))) < 1e-10 * lam[k]
 
@@ -85,7 +86,7 @@ def test_rlrt_mean_matches_raw_normal_bruteforce():
     # same Wishart largest-eigenvalue mean from two independent pipelines
     p, n, trials = 5, 10, 4000
     ours = statistic(DetectorSpec("rlrt", "scm", 1.0),
-                     noise_stack(NoiseModel.gaussian(), p, n, 32, trials))
+                     noise_stack(NoiseModel("gaussian"), p, n, 32, trials))
     g2 = RngStream(33, 0).generator()
     brute = np.empty(trials)
     for i in range(trials):
@@ -119,7 +120,7 @@ def test_glrt_bounds():
 
 def test_spec_evaluates_stacks_like_scalars():
     res = m_estimate_batch(np.stack([random_data(4, seed) for seed in range(50, 56)]),
-                           WeightFunction.scm(4))
+                           WeightFunction.for_kind("scm", 4))
     lam, trace = res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real
     for spec in (DetectorSpec("rlrt", "tyler", 2.0), DetectorSpec("glrt", "gg_ml")):
         assert spec.evaluate(lam, trace, 4).tolist() == [
@@ -141,16 +142,16 @@ def test_detector_spec_validation():
 
 
 def test_tyler_statistics_proportional_every_trial():
-    # trace pinning makes glrt = (p sigma2 / alpha) * rlrt per realization
+    # pinning the trace to p makes glrt = sigma2 * rlrt per realization
     p, sigma2 = 4, 2.0
-    stack = noise_stack(NoiseModel.student_t(3.0, sigma2=sigma2), p, 20, 36, 25)
+    stack = noise_stack(NoiseModel("student_t", sigma2=sigma2, dof_nu=3.0), p, 20, 36, 25)
     rlrt = statistic(DetectorSpec("rlrt", "tyler", sigma2), stack)
     glrt = statistic(DetectorSpec("glrt", "tyler"), stack)
     assert glrt == pytest.approx(p * sigma2 / p * rlrt, rel=1e-12)
 
 
 def test_scm_statistic_ratio_varies_across_trials():
-    stack = noise_stack(NoiseModel.gaussian(), 4, 20, 37, 25)
+    stack = noise_stack(NoiseModel("gaussian"), 4, 20, 37, 25)
     ratios = (statistic(DetectorSpec("glrt", "scm"), stack)
               / statistic(DetectorSpec("rlrt", "scm", 1.0), stack))
     assert np.std(ratios) > 0

@@ -41,7 +41,7 @@ TY_G = DetectorSpec("glrt", "tyler")
 
 
 def small_config(trials=500, noise=None, detectors=(SCM_G, TY_G), seed=42, rho=0.0, n=8, p=3):
-    return SimConfig(p=p, n=n, trials=trials, noise=noise or NoiseModel.gaussian(),
+    return SimConfig(p=p, n=n, trials=trials, noise=noise or NoiseModel("gaussian"),
                      detectors=tuple(detectors), master_seed=seed, rho=rho)
 
 
@@ -80,12 +80,12 @@ def test_config_validation(tmp_path):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("build", [
-    lambda v: NoiseModel.gaussian(v),
-    lambda v: NoiseModel.generalized_gaussian(v),
-    lambda v: NoiseModel.student_t(v),
+    lambda v: NoiseModel("gaussian", sigma2=v),
+    lambda v: NoiseModel("gg", shape_s=v),
+    lambda v: NoiseModel("student_t", dof_nu=v),
     lambda v: small_config(rho=v),
     lambda v: DetectorSpec("rlrt", "scm", v),
-    lambda v: WeightFunction.student_t(3, v),
+    lambda v: WeightFunction.for_kind("student_t", 3, nu=v),
     lambda v: WeightFunction("gg_ml", 3, shape_s=v),
 ], ids=["sigma2", "shape_s", "dof_nu", "rho", "rlrt-sigma2", "nu", "gg_ml-shape_s"])
 def test_each_owner_rejects_non_finite_values(build, value):
@@ -97,14 +97,19 @@ def test_each_owner_rejects_non_finite_values(build, value):
 def test_config_rejects_non_integer_sizes_and_seed(field):
     fields = dict(p=3, n=8, trials=16, master_seed=42)
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
-        SimConfig(**{**fields, field: fields[field] + 0.5}, noise=NoiseModel.gaussian(),
+        SimConfig(**{**fields, field: fields[field] + 0.5}, noise=NoiseModel("gaussian"),
                   detectors=(SCM_G,))
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
-        SimConfig(**{**fields, field: float(fields[field])}, noise=NoiseModel.gaussian(),
+        SimConfig(**{**fields, field: float(fields[field])}, noise=NoiseModel("gaussian"),
                   detectors=(SCM_G,))
-    # numpy integers still pass
-    assert SimConfig(**{**fields, field: np.int64(fields[field])}, noise=NoiseModel.gaussian(),
-                     detectors=(SCM_G,)).trials == 16
+    # a bool is not an integer here, although Python's int() would take it
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**{**fields, field: flag}, noise=NoiseModel("gaussian"), detectors=(SCM_G,))
+    # numpy integers still pass and are stored as Python ints
+    cfg = SimConfig(**{**fields, field: np.int64(fields[field])}, noise=NoiseModel("gaussian"),
+                    detectors=(SCM_G,))
+    assert getattr(cfg, field) == fields[field] and type(getattr(cfg, field)) is int
 
 
 def test_derive_seed_is_deterministic_and_salted():
@@ -161,10 +166,10 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
 
 
 FAMILY_CONFIGS = {
-    "gaussian": dict(noise=NoiseModel.gaussian(2.5), detectors=(SCM_G, TY_G)),
-    "gg": dict(noise=NoiseModel.generalized_gaussian(0.2),
+    "gaussian": dict(noise=NoiseModel("gaussian", sigma2=2.5), detectors=(SCM_G, TY_G)),
+    "gg": dict(noise=NoiseModel("gg", shape_s=0.2),
                detectors=(SCM_G, TY_G, DetectorSpec("glrt", "gg_ml"))),
-    "student_t": dict(noise=NoiseModel.student_t(3.0), detectors=(SCM_G, TY_G)),
+    "student_t": dict(noise=NoiseModel("student_t", dof_nu=3.0), detectors=(SCM_G, TY_G)),
 }
 
 
@@ -227,7 +232,7 @@ LARGE_RUN_PEAK_MB = 25.0
 
 def test_large_dimension_run_stays_within_its_byte_budgets(traced_peak):
     # runs in about 2 s
-    cfg = SimConfig(p=40, n=400, trials=8, noise=NoiseModel.generalized_gaussian(0.1), rho=1.0,
+    cfg = SimConfig(p=40, n=400, trials=8, noise=NoiseModel("gg", shape_s=0.1), rho=1.0,
                     detectors=(TY_G, DetectorSpec("glrt", "gg_ml")), master_seed=11)
     result, peak = traced_peak(run_experiment, cfg, with_h1=True)
     assert result.h1[TY_G].values.size == cfg.trials
@@ -269,7 +274,7 @@ def test_h1_shifts_statistics_up():
 
 
 def test_exclusion_rate_guard_trips():
-    cfg = SimConfig(p=3, n=8, trials=64, noise=NoiseModel.gaussian(),
+    cfg = SimConfig(p=3, n=8, trials=64, noise=NoiseModel("gaussian"),
                     detectors=(TY_G,), master_seed=1,
                     options=FixedPointOptions(max_iterations=1))
     with pytest.raises(ExclusionRateError):
@@ -278,7 +283,7 @@ def test_exclusion_rate_guard_trips():
 
 def test_run_experiment_counts_exclusions_by_cause(monkeypatch):
     monkeypatch.setattr(montecarlo, "_MAX_EXCLUSION_RATE", 1.0)
-    cfg = SimConfig(p=3, n=8, trials=64, noise=NoiseModel.gaussian(), rho=1.0,
+    cfg = SimConfig(p=3, n=8, trials=64, noise=NoiseModel("gaussian"), rho=1.0,
                     detectors=(SCM_G, TY_G), master_seed=1,
                     options=FixedPointOptions(max_iterations=12))
     capped = 0
@@ -299,7 +304,7 @@ def test_scm_depends_on_family_tyler_does_not():
     trials = 2000
     gauss = run_trials(small_config(trials=trials, seed=50), Hypothesis.H0)
     heavy = run_trials(small_config(trials=trials, seed=51,
-                                    noise=NoiseModel.generalized_gaussian(0.1)),
+                                    noise=NoiseModel("gg", shape_s=0.1)),
                        Hypothesis.H0)
     assert ks_distance(gauss[SCM_G].values, heavy[SCM_G].values) > 0.2
     assert ks_distance(gauss[TY_G].values, heavy[TY_G].values) < 0.06
@@ -334,7 +339,7 @@ def test_gaussian_scm_rlrt_null_follows_the_khatri_law():
     p, n, trials = 5, 10, 50_000
     x = np.linspace(0.5, 40, 9)
     assert np.allclose(khatri_cdf(x, 1, n), gammainc(n, x))  # p = 1: |x|^2 ~ Gamma(n, 1)
-    config = SimConfig(p=p, n=n, trials=trials, noise=NoiseModel.gaussian(),
+    config = SimConfig(p=p, n=n, trials=trials, noise=NoiseModel("gaussian"),
                        detectors=(SCM_R,), master_seed=99)
     values = run_trials(config, Hypothesis.H0)[SCM_R].values
     assert values.size == trials

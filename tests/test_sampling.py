@@ -56,17 +56,18 @@ def test_sphere_columns_unit_norm():
     (0, 4, 1.0, "require p >= 1"), (3, 0, 1.0, "require p >= 1"), (3, 4, -1.0, "require p >= 1"),
     (3, 4, math.nan, "require p >= 1"), (3, 4, math.inf, "require p >= 1"),
     (3.0, 4, 1.0, "p must be an integer"), (3, 4.0, 1.0, "n must be an integer"),
+    (True, 4, 1.0, "p must be an integer"), (3, True, 1.0, "n must be an integer"),
 ])
 def test_trial_rejects_bad_geometry(p, n, rho, message):
     with pytest.raises(ValueError, match=message):
-        sample_trial(NoiseModel.gaussian(), p, n, rho, H1, RngStream(3))
+        sample_trial(NoiseModel("gaussian"), p, n, rho, H1, RngStream(3))
     with pytest.raises(ValueError, match=message):
-        sample_chunk(NoiseModel.gaussian(), p, n, rho, H1, 3, 0, 2)
+        sample_chunk(NoiseModel("gaussian"), p, n, rho, H1, 3, 0, 2)
 
 
 def test_chunk_rejects_a_reversed_trial_range():
     with pytest.raises(ValueError, match="lo <= hi"):
-        sample_chunk(NoiseModel.gaussian(), 3, 4, 1.0, H1, 3, 5, 2)
+        sample_chunk(NoiseModel("gaussian"), 3, 4, 1.0, H1, 3, 5, 2)
 
 
 def test_sphere_second_moment_is_identity_over_p():
@@ -96,7 +97,7 @@ def test_sphere_rotation_invariance():
 # ---------------------------------------------------------------------------
 
 def test_gaussian_texture_mean():
-    q = textures(NoiseModel.gaussian(), 5, gen(8), size=1_000_000)
+    q = textures(NoiseModel("gaussian"), 5, gen(8), size=1_000_000)
     assert abs(q.mean() - 5.0) < 0.02
 
 
@@ -106,13 +107,13 @@ def test_gg_shape_one_is_gaussian():
         b_exact = p * math.factorial(p - 1) / math.factorial(p)
         assert b_exact == 1.0
         assert abs(gg_scale(p, 1.0) - 1.0) < 1e-12
-    q_gg = textures(NoiseModel.generalized_gaussian(1.0), 5, gen(9), size=1000)
-    q_ga = textures(NoiseModel.gaussian(), 5, gen(9), size=1000)
+    q_gg = textures(NoiseModel("gg", shape_s=1.0), 5, gen(9), size=1000)
+    q_ga = textures(NoiseModel("gaussian"), 5, gen(9), size=1000)
     assert np.allclose(q_gg, q_ga, rtol=1e-12)
 
 
 def test_gg_texture_mean_three_sigma():
-    q = textures(NoiseModel.generalized_gaussian(0.1), 5, gen(10), size=1_000_000)
+    q = textures(NoiseModel("gg", shape_s=0.1), 5, gen(10), size=1_000_000)
     se = q.std() / math.sqrt(q.size)
     assert abs(q.mean() - 5.0) < 3.0 * se
 
@@ -140,14 +141,14 @@ def test_gg_radial_density_quadrature_oracle():
 
 
 def test_student_t_texture_mean():
-    q = textures(NoiseModel.student_t(5.0), 5, gen(11), size=1_000_000)
+    q = textures(NoiseModel("student_t", dof_nu=5.0), 5, gen(11), size=1_000_000)
     se = q.std() / math.sqrt(q.size)
     assert abs(q.mean() - 5.0) < 3.0 * se
 
 
 def test_student_t_low_dof_warns_and_proceeds():
     with pytest.warns(RuntimeWarning, match="covariance"):
-        q = textures(NoiseModel.student_t(2.0), 5, gen(12), size=100)
+        q = textures(NoiseModel("student_t", dof_nu=2.0), 5, gen(12), size=100)
     assert np.all(q > 0)
 
 
@@ -155,9 +156,9 @@ def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel("cauchy")
     with pytest.raises(ValueError):
-        NoiseModel.gaussian(sigma2=0.0)
+        NoiseModel("gaussian", sigma2=0.0)
     with pytest.raises(ValueError):
-        NoiseModel.generalized_gaussian(-0.1)
+        NoiseModel("gg", shape_s=-0.1)
     with pytest.raises(ValueError):
         NoiseModel("gaussian", shape_s=0.5)
     for p, s in ((0, 1.0), (3, 0.0), (3, math.nan), (3, math.inf)):
@@ -170,13 +171,13 @@ def test_noise_model_validation():
 # ---------------------------------------------------------------------------
 
 def test_ces_identity_gaussian_covariance():
-    x = noise(NoiseModel.gaussian(), 2, 100_000, 13)
+    x = noise(NoiseModel("gaussian"), 2, 100_000, 13)
     emp = (x @ x.conj().T) / x.shape[1]
     assert np.max(np.abs(emp - np.eye(2))) < 0.02
 
 
 def test_ces_single_column():
-    x = noise(NoiseModel.gaussian(), 3, 1, 15)
+    x = noise(NoiseModel("gaussian"), 3, 1, 15)
     assert x.shape == (3, 1)
     assert np.linalg.norm(x) > 0
 
@@ -184,9 +185,9 @@ def test_ces_single_column():
 def test_squared_norm_mean_per_family():
     # E|x|^2 = p sigma2 at scatter = I for every family (scaled-down gate version)
     p, draws = 5, 200_000
-    for model in (NoiseModel.gaussian(sigma2=2.0),
-                  NoiseModel.generalized_gaussian(0.1),
-                  NoiseModel.student_t(3.0)):
+    for model in (NoiseModel("gaussian", sigma2=2.0),
+                  NoiseModel("gg", shape_s=0.1),
+                  NoiseModel("student_t", dof_nu=3.0)):
         x = noise(model, p, draws, 18)
         sq = np.sum(np.abs(x) ** 2, axis=0)
         se = sq.std() / math.sqrt(draws)
@@ -216,14 +217,14 @@ def test_channel_norm_formula():
 
 
 def test_h0_matches_plain_ces_draw():
-    model = NoiseModel.generalized_gaussian(0.3)
+    model = NoiseModel("gg", shape_s=0.3)
     assert np.array_equal(noise(model, 4, 20, 22), sampling._noise(model, 4, gen(22), 20))
 
 
 def test_h1_trial_at_zero_snr_is_its_noise_after_the_channel_draw():
     # the channel direction is drawn first and the symbols last, so a silent
     # channel leaves exactly the noise that follows the direction's draws
-    model, p, n = NoiseModel.gaussian(), 3, 15
+    model, p, n = NoiseModel("gaussian"), 3, 15
     g = gen(23)
     sampling._sphere(g, p, 1)
     expected = sampling._noise(model, p, g, n)
@@ -233,7 +234,7 @@ def test_h1_trial_at_zero_snr_is_its_noise_after_the_channel_draw():
 def test_h1_covariance_is_spiked():
     p, n = 2, 100_000
     h = channel(p, 1.0, 1.0, gen(25))  # the trial's own first draws
-    x = sample_trial(NoiseModel.gaussian(), p, n, 1.0, H1, RngStream(25))
+    x = sample_trial(NoiseModel("gaussian"), p, n, 1.0, H1, RngStream(25))
     emp = (x @ x.conj().T) / n
     target = h @ h.conj().T + np.eye(p)
     assert np.max(np.abs(emp - target)) < 0.02 * np.max(np.abs(target))
@@ -244,15 +245,15 @@ def test_h1_covariance_is_spiked():
 # ---------------------------------------------------------------------------
 
 def test_same_stream_reproduces_bitwise():
-    model = NoiseModel.student_t(3.0)
+    model = NoiseModel("student_t", dof_nu=3.0)
     a = sample_trial(model, 3, 50, 1.0, H1, RngStream(99, 7))
     b = sample_trial(model, 3, 50, 1.0, H1, RngStream(99, 7))
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = sample_trial(NoiseModel.gaussian(), 3, 50, 0.0, H0, RngStream(99, 7))
-    b = sample_trial(NoiseModel.gaussian(), 3, 50, 0.0, H0, RngStream(99, 8))
+    a = sample_trial(NoiseModel("gaussian"), 3, 50, 0.0, H0, RngStream(99, 7))
+    b = sample_trial(NoiseModel("gaussian"), 3, 50, 0.0, H0, RngStream(99, 8))
     assert not np.array_equal(a, b)
 
 
@@ -263,12 +264,14 @@ def test_stream_rejects_negative_ids():
         RngStream(0, -1)
     # a non-integer fails where it is owned, not in numpy's SeedSequence later
     for seed, stream, field in [(1.5, 0, "master_seed"), (0, 2.0, "stream_id"),
-                                ("7", 0, "master_seed")]:
+                                ("7", 0, "master_seed"), (True, 0, "master_seed"),
+                                (0, False, "stream_id"), (0, np.True_, "stream_id")]:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             RngStream(seed, stream)
     # numpy integers still pass, and the stream is the same as for the Python int
     stream = RngStream(np.uint64(7), np.int32(3))
     assert stream == RngStream(7, 3)
+    assert type(stream.master_seed) is int and type(stream.stream_id) is int
     assert stream.generator().random() == gen(7, 3).random()
 
 
@@ -307,7 +310,8 @@ def test_stream_states_match_numpy_seeding_on_random_pairs():
 
 def test_chunk_sampler_is_bitwise_equal_across_a_two_word_stream_id():
     # a 64-bit derive_seed seed (2 words) and ids crossing 2**32 (1 then 2 words)
-    model, seed, lo, hi = NoiseModel.student_t(3.0), derive_seed(2718, 3), 2**32 - 3, 2**32 + 3
+    model, seed = NoiseModel("student_t", dof_nu=3.0), derive_seed(2718, 3)
+    lo, hi = 2**32 - 3, 2**32 + 3
     assert seed >= 2**32
     for hypothesis in Hypothesis:
         batched = sample_chunk(model, 4, 9, 1.0, hypothesis, seed, lo, hi)
@@ -332,11 +336,11 @@ def warns_if_no_covariance(model):
 
 
 CHUNK_MODELS = [
-    NoiseModel.gaussian(sigma2=2.5),
-    NoiseModel.generalized_gaussian(0.1),
-    NoiseModel.generalized_gaussian(0.5, sigma2=2.5),
-    NoiseModel.student_t(3.0),
-    NoiseModel.student_t(1.5, sigma2=2.5),
+    NoiseModel("gaussian", sigma2=2.5),
+    NoiseModel("gg", shape_s=0.1),
+    NoiseModel("gg", sigma2=2.5, shape_s=0.5),
+    NoiseModel("student_t", dof_nu=3.0),
+    NoiseModel("student_t", sigma2=2.5, dof_nu=1.5),
 ]
 
 
@@ -360,14 +364,14 @@ def test_chunk_sampler_is_bitwise_equal_to_per_trial_path(model, hypothesis, rho
 @pytest.mark.parametrize("trials_per_piece", [1, 7])
 @pytest.mark.parametrize("hypothesis", [H0, H1], ids=lambda h: h.name)
 def test_chunk_sampler_does_not_depend_on_its_piece_size(monkeypatch, hypothesis, trials_per_piece):
-    model, p, n, lo, hi = NoiseModel.student_t(3.0), 5, 10, 4090, 4130
+    model, p, n, lo, hi = NoiseModel("student_t", dof_nu=3.0), 5, 10, 4090, 4130
     expected = reference_chunk(model, p, n, 1.0, hypothesis, 31, lo, hi)
     monkeypatch.setattr(sampling, "_PIECE_BYTES", trials_per_piece * 16 * p * n)
     assert sample_chunk(model, p, n, 1.0, hypothesis, 31, lo, hi).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("model", [NoiseModel.gaussian(), NoiseModel.generalized_gaussian(0.1),
-                                   NoiseModel.student_t(3.0)], ids=lambda m: m.family)
+@pytest.mark.parametrize("model", [NoiseModel("gaussian"), NoiseModel("gg", shape_s=0.1),
+                                   NoiseModel("student_t", dof_nu=3.0)], ids=lambda m: m.family)
 @pytest.mark.parametrize("hypothesis", [H0, H1], ids=lambda h: h.name)
 def test_chunk_sampler_peak_memory_is_within_twice_its_stack(traced_peak, model, hypothesis):
     # the stack plus one piece's draw buffers and temporaries: 1.3-1.4x
@@ -399,7 +403,7 @@ def test_per_trial_stream_bytes_are_pinned(model, hypothesis):
 
 @pytest.mark.parametrize("hypothesis", list(Hypothesis), ids=lambda h: h.name)
 def test_chunk_sampler_redraws_a_guard_trial_like_the_per_trial_path(monkeypatch, hypothesis):
-    model, p, n, seed, lo, hi, forced = NoiseModel.generalized_gaussian(0.5), 3, 8, 11, 100, 124, 117
+    model, p, n, seed, lo, hi, forced = NoiseModel("gg", shape_s=0.5), 3, 8, 11, 100, 124, 117
     law = sampling._texture_law
     seen = []
 
@@ -433,7 +437,7 @@ def test_chunk_sampler_redraws_a_zero_norm_trial_like_the_per_trial_path(
         monkeypatch, hypothesis, call):
     # the chunk is one piece at this size: call 0 of its sphere normalization
     # is the noise, call 1 the channel
-    model, p, n, seed, lo, hi, forced = NoiseModel.student_t(3.0), 3, 8, 12, 100, 124, 109
+    model, p, n, seed, lo, hi, forced = NoiseModel("student_t", dof_nu=3.0), 3, 8, 12, 100, 124, 109
     unit = sampling._unit_columns
     seen = []
 

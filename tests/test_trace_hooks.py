@@ -29,7 +29,7 @@ def load_spans():
 
 def test_tracer_finds_every_live_hook():
     tracer = load_spans().Tracer()
-    cfg = SimConfig(p=3, n=8, trials=16, noise=NoiseModel.generalized_gaussian(0.5), rho=1.0,
+    cfg = SimConfig(p=3, n=8, trials=16, noise=NoiseModel("gg", shape_s=0.5), rho=1.0,
                     detectors=(DetectorSpec("glrt", "tyler"), DetectorSpec("glrt", "gg_ml")),
                     master_seed=3)
     try:
