@@ -30,7 +30,6 @@ from .montecarlo import (
     pod_at_pfa,
     roc_curve,
     run_experiment,
-    run_trials,
     threshold_grid,
 )
 from .sampling import (
@@ -66,7 +65,6 @@ __all__ = [
     "pod_at_pfa",
     "roc_curve",
     "run_experiment",
-    "run_trials",
     "sample_chunk",
     "sample_trial",
     "scm",

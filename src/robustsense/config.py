@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -14,11 +15,42 @@ from .sampling import NoiseModel
 PRESETS = ("fig1", "fig2", "fig3", "fig4")
 _ALIASES = {"fig2": "fig1"}  # fig2 views fig1's simulation through the blind statistics
 EXPERIMENT_KINDS = ("pof-curve", "roc")
-# every section and key load_config reads; any other is an error
+
+
+def _int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"= {raw!r} is not an integer") from None
+
+
+def _float(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"= {raw!r} is not a number") from None
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    items = tuple(item.strip() for item in raw.split(",") if item.strip())
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ValueError(f"lists {item!r} more than once")
+    return items
+
+
+_REQUIRED = object()  # the default of a key every file must set
+# every section and key load_config reads, as section -> key -> (parser,
+# default); any other is an error.  A parser's ValueError is the rest of
+# the message after "[section] key ".
 _KEYS = {
-    "experiment": ("kind", "p", "n", "trials", "seed", "snr_db"),
-    "noise": ("families", "sigma2", "gg_shape", "student_t_dof"),
-    "detectors": ("estimators", "statistics", "student_t_nu"),
+    "experiment": {"kind": (str, _REQUIRED), "p": (_int, _REQUIRED), "n": (_int, _REQUIRED),
+                   "trials": (_int, _REQUIRED), "seed": (_int, _REQUIRED),
+                   "snr_db": (_float, None)},
+    "noise": {"families": (_names, _REQUIRED), "sigma2": (_float, 1.0),
+              "gg_shape": (_float, None), "student_t_dof": (_float, 3.0)},
+    "detectors": {"estimators": (_names, _REQUIRED), "statistics": (_names, _REQUIRED),
+                  "student_t_nu": (_float, 3.0)},
 }
 
 
@@ -59,12 +91,8 @@ class ExperimentConfig:
                           dof_nu=self.student_t_dof if family == "student_t" else None)
 
     def detector_specs(self) -> tuple[DetectorSpec, ...]:
-        specs = []
-        for estimator in self.estimators:
-            for statistic in self.statistics:
-                sigma2 = self.sigma2 if statistic == "rlrt" else None
-                specs.append(DetectorSpec(statistic=statistic, estimator=estimator, sigma2=sigma2))
-        return tuple(specs)
+        return tuple(DetectorSpec(statistic, estimator)
+                     for estimator in self.estimators for statistic in self.statistics)
 
     def sim_config(self, family: str, master_seed: int) -> SimConfig:
         return SimConfig(
@@ -88,7 +116,8 @@ def preset_path(name: str) -> Path | None:
 
 def load_config(path_or_preset: str) -> ExperimentConfig:
     """Parse a config file (bare preset names resolve to bundled files) and
-    build its simulations, whose model objects check every value."""
+    build its simulations, whose model objects check every value they read;
+    a number nothing reads must still be finite."""
     path = Path(path_or_preset)
     if not path.exists():
         bundled = preset_path(path_or_preset)
@@ -106,33 +135,6 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
-    def need(section: str, key: str) -> str:
-        if not parser.has_option(section, key):
-            raise ConfigError(f"{where}: [{section}] missing required key '{key}'")
-        return parser.get(section, key)
-
-    def grab(section: str, key: str, fallback: str | None = None) -> str | None:
-        return parser.get(section, key, fallback=fallback)
-
-    def as_int(section: str, key: str, raw: str) -> int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: [{section}] {key} = {raw!r} is not an integer") from None
-
-    def as_float(section: str, key: str, raw: str) -> float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: [{section}] {key} = {raw!r} is not a number") from None
-
-    def as_list(section: str, key: str, raw: str) -> tuple[str, ...]:
-        items = tuple(item.strip() for item in raw.split(",") if item.strip())
-        for i, item in enumerate(items):
-            if item in items[:i]:
-                raise ConfigError(f"{where}: [{section}] {key} lists {item!r} more than once")
-        return items
-
     if parser.defaults():  # its keys would show up in every section
         raise ConfigError(f"{where}: unknown section [{parser.default_section}]")
     for section in parser.sections():
@@ -145,57 +147,46 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
         if not parser.has_section(section):
             raise ConfigError(f"{where}: missing required section [{section}]")
 
-    kind = need("experiment", "kind")
+    values = {}
+    for section, keys in _KEYS.items():
+        for key, (parse, default) in keys.items():
+            if parser.has_option(section, key):
+                try:
+                    values[key] = parse(parser.get(section, key))
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: [{section}] {key} {exc}") from None
+            elif default is _REQUIRED:
+                raise ConfigError(f"{where}: [{section}] missing required key '{key}'")
+            else:
+                values[key] = default
+
+    kind, seed, families = values["kind"], values["seed"], values["families"]
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(
             f"{where}: [experiment] kind = {kind!r} is not one of {', '.join(EXPERIMENT_KINDS)}"
         )
-    p = as_int("experiment", "p", need("experiment", "p"))
-    n = as_int("experiment", "n", need("experiment", "n"))
-    trials = as_int("experiment", "trials", need("experiment", "trials"))
-    seed = as_int("experiment", "seed", need("experiment", "seed"))
     if seed < 0:
         raise ConfigError(f"{where}: [experiment] seed = {seed} must be a non-negative integer")
-    snr_raw = grab("experiment", "snr_db")
-    if kind == "roc" and snr_raw is None:
+    if kind == "roc" and values["snr_db"] is None:
         raise ConfigError(f"{where}: [experiment] roc experiments require snr_db")
-    snr_db = None if snr_raw is None else as_float("experiment", "snr_db", snr_raw)
-
-    families = as_list("noise", "families", need("noise", "families"))
     if not families:
         raise ConfigError(f"{where}: [noise] at least one family is required")
     if kind == "roc" and len(families) != 1:
         raise ConfigError(f"{where}: [noise] roc experiments take exactly one family")
-    sigma2 = as_float("noise", "sigma2", grab("noise", "sigma2", "1.0"))
-    gg_shape_raw = grab("noise", "gg_shape")
-    gg_shape = None if gg_shape_raw is None else as_float("noise", "gg_shape", gg_shape_raw)
-    if "gg" in families and gg_shape is None:
+    if "gg" in families and values["gg_shape"] is None:
         raise ConfigError(f"{where}: [noise] gg family requires gg_shape")
-    student_t_dof = as_float("noise", "student_t_dof", grab("noise", "student_t_dof", "3.0"))
 
-    estimators = as_list("detectors", "estimators", need("detectors", "estimators"))
-    statistics = as_list("detectors", "statistics", need("detectors", "statistics"))
-    student_t_nu = as_float("detectors", "student_t_nu", grab("detectors", "student_t_nu", "3.0"))
-
-    cfg = ExperimentConfig(
-        path=where,
-        kind=kind,
-        p=p,
-        n=n,
-        trials=trials,
-        seed=seed,
-        snr_db=snr_db,
-        sigma2=sigma2,
-        families=families,
-        gg_shape=gg_shape,
-        student_t_dof=student_t_dof,
-        estimators=estimators,
-        statistics=statistics,
-        student_t_nu=student_t_nu,
-    )
+    cfg = ExperimentConfig(path=where, **values)
     try:
         for i, family in enumerate(cfg.families):
             cfg.sim_config(family, derive_seed(cfg.seed, i))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    # the owners above checked every value they read; no other number may be nan or inf
+    for section, keys in _KEYS.items():
+        for key, (parse, _) in keys.items():
+            value = values[key]
+            silent = key == "snr_db" and value == -math.inf  # a silent primary
+            if parse is _float and value is not None and not (math.isfinite(value) or silent):
+                raise ConfigError(f"{where}: [{section}] {key} = {value} must be finite")
     return cfg

@@ -245,20 +245,13 @@ def _ml_scale(weight, v, q):
 class _Kind(NamedTuple):
     weight: Callable  # (WeightFunction, d) -> u(d)
     post_step: Callable  # normalization applied after every weighted step
-    parameters: Callable  # (p, nu, shape_s) -> the WeightFunction fields the kind sets
 
 
 _KINDS = {
-    "scm": _Kind(lambda w, d: np.ones_like(d), _no_scaling, lambda p, nu, s: {}),
-    "tyler": _Kind(lambda w, d: w.p / d, _pin_trace, lambda p, nu, s: {}),
-    "student_t": _Kind(
-        lambda w, d: (2.0 * w.p + w.nu) / (w.nu + 2.0 * d), _no_scaling,
-        lambda p, nu, s: {"nu": nu},
-    ),
-    "gg_ml": _Kind(
-        lambda w, d: (w.shape_s / w.scale_b) * d ** (w.shape_s - 1.0), _ml_scale,
-        lambda p, nu, s: {"shape_s": s},
-    ),
+    "scm": _Kind(lambda w, d: np.ones_like(d), _no_scaling),
+    "tyler": _Kind(lambda w, d: w.p / d, _pin_trace),
+    "student_t": _Kind(lambda w, d: (2.0 * w.p + w.nu) / (w.nu + 2.0 * d), _no_scaling),
+    "gg_ml": _Kind(lambda w, d: (w.shape_s / w.scale_b) * d ** (w.shape_s - 1.0), _ml_scale),
 }
 KINDS = tuple(_KINDS)
 
@@ -274,6 +267,10 @@ class WeightFunction:
     tyler      u(d) = p / d                  trace pinned to p
     student_t  u(d) = (2p + nu) / (nu + 2d)  none
     gg_ml      u(d) = (s/b) d^(s-1)          closed-form ML scale
+
+    A weight keeps only its kind's own parameter, ``nu`` for student_t and
+    ``shape_s`` for gg_ml, and sets the other to None, so weights of one
+    kind and dimension compare equal whatever else was passed.
 
     ``nu = 0`` degenerates student_t to the Tyler weight.  The gg_ml scale
     ``b`` is derived from (p, s) so that the weight matches the density
@@ -302,19 +299,16 @@ class WeightFunction:
         object.__setattr__(self, "p", _integer("p", self.p))
         if self.p < 1:
             raise ValueError("dimension p must be at least 1")
-        if self.kind == "student_t" and (self.nu is None or not 0 <= self.nu < np.inf):
-            raise ValueError(f"student_t weight requires a finite nu >= 0, got {self.nu}")
-        if self.kind == "gg_ml" and (self.shape_s is None or not 0 < self.shape_s < np.inf):
-            raise ValueError(f"gg_ml weight requires a finite shape_s > 0, got {self.shape_s}")
-
-    @classmethod
-    def for_kind(
-        cls, kind: str, p: int, nu: float | None = None, shape_s: float | None = None
-    ) -> "WeightFunction":
-        """The weight of estimator ``kind`` at dimension p.  ``nu`` (student_t)
-        and ``shape_s`` (gg_ml) are read only by the kind that uses them."""
-        parameters = _KINDS[kind].parameters if kind in _KINDS else lambda *_: {}
-        return cls(kind, p, **parameters(p, nu, shape_s))  # an unknown kind fails validation
+        if self.kind == "student_t":
+            if self.nu is None or not 0 <= self.nu < np.inf:
+                raise ValueError(f"student_t weight requires a finite nu >= 0, got {self.nu}")
+        else:
+            object.__setattr__(self, "nu", None)
+        if self.kind == "gg_ml":
+            if self.shape_s is None or not 0 < self.shape_s < np.inf:
+                raise ValueError(f"gg_ml weight requires a finite shape_s > 0, got {self.shape_s}")
+        else:
+            object.__setattr__(self, "shape_s", None)
 
     @property
     def scale_b(self) -> float:

@@ -91,8 +91,7 @@ class SimConfig:
         return tuple(dict.fromkeys(spec.estimator for spec in self.detectors))
 
     def weight_for(self, kind: str) -> WeightFunction:
-        return WeightFunction.for_kind(kind, self.p, nu=self.student_t_nu,
-                                       shape_s=self.noise.shape_s)
+        return WeightFunction(kind, self.p, nu=self.student_t_nu, shape_s=self.noise.shape_s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,24 +192,9 @@ def _collect_samples(config: SimConfig, hypothesis: Hypothesis,
                 f"{spec.label}: {excluded} of {config.trials} trials lost to "
                 f"non-convergence (limit {_MAX_EXCLUSION_RATE:.1%})"
             )
-        values = spec.evaluate(usable["lam"], usable["trace"], config.p)
+        values = spec.evaluate(usable["lam"], usable["trace"], config.p, config.noise.sigma2)
         samples[spec] = StatSample(values=np.sort(values), spec=spec, n_excluded=excluded)
     return samples
-
-
-def run_trials(
-    config: SimConfig,
-    hypothesis: Hypothesis,
-    threads: int | None = None,
-) -> dict[DetectorSpec, StatSample]:
-    """Generate the statistic sample of every configured detector.
-
-    Each trial draws a fresh channel (under H1) and sample matrix from the
-    stream ``(master_seed, trial_index)``, computes each requested estimator
-    once, and feeds every statistic sharing it.  Unusable trials (see
-    ``run_experiment``) are dropped; more than 0.1% drops abort the run.
-    """
-    return _collect_samples(config, hypothesis, _run_chunks(config, hypothesis, threads))
 
 
 def run_experiment(
@@ -218,12 +202,17 @@ def run_experiment(
     with_h1: bool,
     threads: int | None = None,
 ) -> ExperimentResult:
-    """Run H0 (and optionally H1) trials and gather iteration diagnostics.
+    """Run H0 (and optionally H1) trials: every configured detector's
+    statistic sample under each hypothesis, plus iteration diagnostics.
 
-    Every trial leaves one record per estimator kind: the estimate's largest
-    eigenvalue and trace, its iteration count (map evaluations), ``ok`` (no
-    singular iterate) and ``converged``.  A trial is *usable* for a kind when
-    it is both ok and converged; only usable trials feed the statistics.
+    Each trial draws a fresh channel (under H1) and sample matrix from the
+    stream ``(master_seed, trial_index)`` and computes each requested
+    estimator once, feeding every statistic that shares it.  Every trial
+    leaves one record per estimator kind: the estimate's largest eigenvalue
+    and trace, its iteration count (map evaluations), ``ok`` (no singular
+    iterate) and ``converged``.  A trial is *usable* for a kind when it is
+    both ok and converged; only usable trials feed the statistics, and more
+    than 0.1% unusable trials raise ``ExclusionRateError``.
     ``iteration_stats`` holds, per kind, the mean, max and 50th, 90th and
     99th percentiles of the usable trials' iteration counts, and why the
     other trials were excluded: ``singular`` (an iterate left the

@@ -30,7 +30,7 @@ from robustsense import (
     ks_distance,
     m_estimate_batch,
     pod_at_pfa,
-    run_trials,
+    run_experiment,
     sample_chunk,
     sample_trial,
     scm,
@@ -50,9 +50,9 @@ FAMILIES = {
     "student_t": NoiseModel("student_t", sigma2=SIGMA2, dof_nu=3.0),
 }
 FOUR_DETECTORS = (
-    DetectorSpec("rlrt", "scm", SIGMA2),
+    DetectorSpec("rlrt", "scm"),
     DetectorSpec("glrt", "scm"),
-    DetectorSpec("rlrt", "tyler", SIGMA2),
+    DetectorSpec("rlrt", "tyler"),
     DetectorSpec("glrt", "tyler"),
 )
 
@@ -84,7 +84,7 @@ def null_cdf_runs():
     for i, (name, model) in enumerate(FAMILIES.items()):
         cfg = SimConfig(p=P, n=10, trials=TRIALS, noise=model,
                         detectors=FOUR_DETECTORS, master_seed=derive_seed(1729, i))
-        runs[name] = run_trials(cfg, Hypothesis.H0, threads=THREADS)
+        runs[name] = run_experiment(cfg, with_h1=False, threads=THREADS).h0
     return runs, time.perf_counter() - start
 
 
@@ -105,9 +105,8 @@ def gaussian_roc_pods():
 
     cfg = SimConfig(p=P, n=50, trials=TRIALS, noise=FAMILIES["gaussian"],
                     detectors=FOUR_DETECTORS, master_seed=3141, rho=1.0)
-    h0 = run_trials(cfg, Hypothesis.H0, threads=THREADS)
-    h1 = run_trials(cfg, Hypothesis.H1, threads=THREADS)
-    return {spec.label: pod_at_pfa(roc_curve(h0[spec], h1[spec]), 0.1)
+    result = run_experiment(cfg, with_h1=True, threads=THREADS)
+    return {spec.label: pod_at_pfa(roc_curve(result.h0[spec], result.h1[spec]), 0.1)
             for spec in FOUR_DETECTORS}
 
 
@@ -120,8 +119,8 @@ def test_criterion_1_constant_false_alarm(null_cdf_runs):
     pairs = [("gaussian", "gg"), ("gaussian", "student_t"), ("gg", "student_t")]
     tyler_ks, scm_ks = {}, {}
     for stat in ("rlrt", "glrt"):
-        ty = DetectorSpec(stat, "tyler", SIGMA2 if stat == "rlrt" else None)
-        sc = DetectorSpec(stat, "scm", SIGMA2 if stat == "rlrt" else None)
+        ty = DetectorSpec(stat, "tyler")
+        sc = DetectorSpec(stat, "scm")
         for a, b in pairs:
             tyler_ks[(stat, a, b)] = ks_distance(runs[a][ty].values, runs[b][ty].values)
             scm_ks[(stat, a, b)] = ks_distance(runs[a][sc].values, runs[b][sc].values)
@@ -144,16 +143,16 @@ def test_criterion_2_tyler_statistic_equivalence(null_cdf_runs, impulsive_roc_di
     sigma2, trials = 2.0, 2000
     stack = sample_chunk(NoiseModel("student_t", sigma2=sigma2, dof_nu=3.0), P, 10, 0.0,
                          Hypothesis.H0, 6021, 0, trials)
-    res = m_estimate_batch(stack, WeightFunction.for_kind("tyler", P))
+    res = m_estimate_batch(stack, WeightFunction("tyler", P))
     lam, trace = res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real
-    expected = sigma2 * DetectorSpec("rlrt", "tyler", sigma2).evaluate(lam, trace, P)
-    glrt = DetectorSpec("glrt", "tyler").evaluate(lam, trace, P)
+    expected = sigma2 * DetectorSpec("rlrt", "tyler").evaluate(lam, trace, P, sigma2)
+    glrt = DetectorSpec("glrt", "tyler").evaluate(lam, trace, P, sigma2)
     worst = float(np.max(np.abs(glrt - expected) / expected))
     usable = int(res.ok.sum())
 
     # the sorted 100k-trial samples obey the same constant (sigma2 = 1 here)
     runs, _ = null_cdf_runs
-    ty_r = runs["gg"][DetectorSpec("rlrt", "tyler", SIGMA2)].values
+    ty_r = runs["gg"][DetectorSpec("rlrt", "tyler")].values
     ty_g = runs["gg"][DetectorSpec("glrt", "tyler")].values
     worst_sorted = float(np.max(np.abs(ty_g - ty_r) / ty_r))
 
@@ -202,9 +201,9 @@ def test_criterion_4_gaussian_ordering(gaussian_roc_pods):
 def test_criterion_5_fixed_point_correctness():
     eps, n, per_family = 1e-6, 50, 100
     weights = {
-        "tyler": WeightFunction.for_kind("tyler", P),
-        "student_t": WeightFunction.for_kind("student_t", P, nu=3.0),
-        "gg_ml": WeightFunction.for_kind("gg_ml", P, shape_s=0.1),
+        "tyler": WeightFunction("tyler", P),
+        "student_t": WeightFunction("student_t", P, nu=3.0),
+        "gg_ml": WeightFunction("gg_ml", P, shape_s=0.1),
     }
     worst_resid, worst_scm, worst_trace = 0.0, 0.0, 0.0
     converged_count, total = 0, 0
@@ -225,7 +224,7 @@ def test_criterion_5_fixed_point_correctness():
         for k in range(per_family):
             worst_scm = max(worst_scm,
                             fixed_point_residual(scm(stack[k]), stack[k],
-                                                 WeightFunction.for_kind("scm", P)))
+                                                 WeightFunction("scm", P)))
     ok = (worst_resid < 10 * eps and worst_scm < 1e-14 and worst_trace < 1e-12
           and converged_count == total)
     report("criterion 5 fixed-point correctness",
@@ -237,14 +236,14 @@ def test_criterion_5_fixed_point_correctness():
 def test_criterion_6_student_t_weight_limits():
     x = sample_trial(NoiseModel("gaussian"), P, 100, 0.0, Hypothesis.H0, RngStream(6200, 0))
     s = scm(x)
-    near = m_estimate_batch(x[None], WeightFunction.for_kind("student_t", P, nu=1e6))
+    near = m_estimate_batch(x[None], WeightFunction("student_t", P, nu=1e6))
     dev_scm = np.linalg.norm(near.estimates[0] - s) / np.linalg.norm(s)
 
     x2 = sample_trial(NoiseModel("student_t", dof_nu=3.0), P, 50, 0.0, Hypothesis.H0,
                       RngStream(6200, 1))
     tight = FixedPointOptions(epsilon=1e-12, max_iterations=500)
-    zero_dof = m_estimate_batch(x2[None], WeightFunction.for_kind("student_t", P, nu=0.0), tight)
-    tyler = m_estimate_batch(x2[None], WeightFunction.for_kind("tyler", P), tight)
+    zero_dof = m_estimate_batch(x2[None], WeightFunction("student_t", P, nu=0.0), tight)
+    tyler = m_estimate_batch(x2[None], WeightFunction("tyler", P), tight)
     raw, ty = zero_dof.estimates[0], tyler.estimates[0]
     raw = raw * (np.trace(ty).real / np.trace(raw).real)
     dev_tyler = np.linalg.norm(raw - ty) / np.linalg.norm(ty)

@@ -1,5 +1,6 @@
 """Command-line surface: presets, CSV schemas, manifests, determinism, exits."""
 
+import dataclasses
 import json
 import os
 import platform
@@ -12,7 +13,9 @@ import pytest
 
 import robustsense
 from robustsense.cli import main
-from robustsense.config import PRESETS, ConfigError, load_config, preset_path
+from robustsense.config import (
+    _KEYS, PRESETS, ConfigError, ExperimentConfig, load_config, preset_path,
+)
 
 POF_TEMPLATE = """\
 [experiment]
@@ -176,6 +179,47 @@ def test_non_finite_values_are_rejected_at_load(tmp_path, capsys, key, value):
     stderr = capsys.readouterr().err
     assert config in stderr and "Traceback" not in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gg_shape", "nan"), ("student_t_dof", "-inf"), ("student_t_nu", "nan"),
+])
+def test_non_finite_values_nothing_reads_are_rejected_at_load(tmp_path, capsys, key, value):
+    # a gaussian-only config with scm and tyler reads none of these keys
+    text = POF_TEMPLATE.format(trials=16, seed=1).replace(
+        "families = gaussian, gg, student_t", "families = gaussian") + "student_t_nu = 3.0\n"
+    text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line
+                     for line in text.splitlines()) + "\n"
+    config = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=f"{key} = {value} must be finite") as err:
+        load_config(config)
+    assert str(err.value).startswith(f"{config}: ")
+    out = tmp_path / "o"
+    assert main(["pof-curve", "--config", config, "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_key_table_matches_the_config_fields_and_the_readme():
+    keys = {key for section in _KEYS.values() for key in section}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"path"}
+    assert keys == fields
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    listed = {line.split("=", 1)[0].strip() for line in example.splitlines() if "=" in line}
+    assert listed == keys
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    x = robustsense.sample_trial(robustsense.NoiseModel("gg", shape_s=0.1), 5, 10, 0.0,
+                                 robustsense.Hypothesis.H0, robustsense.RngStream(11, 0))
+    np.save(tmp_path / "snapshots.npy", x)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert isinstance(namespace["signal_present"], bool)
 
 
 @pytest.mark.parametrize("nu", ["-1", "nan"])

@@ -34,14 +34,15 @@ def data_with_scm(a):
     return math.sqrt(len(a)) * np.linalg.cholesky(np.asarray(a, dtype=complex))
 
 
-def statistic(spec, stack):
+def statistic(spec, stack, sigma2=1.0):
     """``spec``'s statistic per stack member: the estimate of ``spec``'s kind,
-    its top eigenvalue and trace, then ``spec.evaluate``, as in
-    ``montecarlo._chunk_stats`` and ``_collect_samples``."""
+    its top eigenvalue and trace, then ``spec.evaluate`` at noise power
+    ``sigma2``, as in ``montecarlo._chunk_stats`` and ``_collect_samples``."""
     p = stack.shape[1]
-    res = m_estimate_batch(stack, WeightFunction.for_kind(spec.estimator, p))
+    res = m_estimate_batch(stack, WeightFunction(spec.estimator, p))
     assert res.ok.all()
-    return spec.evaluate(res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real, p)
+    return spec.evaluate(res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real, p,
+                         sigma2)
 
 
 def charpoly_top_eigenvalue(a):
@@ -58,34 +59,34 @@ def charpoly_top_eigenvalue(a):
 
 def test_largest_eigenvalue_diagonal():
     res = m_estimate_batch(data_with_scm(np.diag([3.0, 1.0, 1.0]))[None],
-                           WeightFunction.for_kind("scm", 3))
+                           WeightFunction("scm", 3))
     assert res.eigenvalues[0, -1] == pytest.approx(3.0, abs=1e-14)
 
 
 def test_largest_eigenvalue_identity():
-    res = m_estimate_batch(data_with_scm(np.eye(7))[None], WeightFunction.for_kind("scm", 7))
+    res = m_estimate_batch(data_with_scm(np.eye(7))[None], WeightFunction("scm", 7))
     assert res.eigenvalues[0, -1] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_largest_eigenvalue_against_charpoly_oracle():
     # the lam_max a chunk's trial record stores, against an eigensolver-free oracle
     stack = np.stack([random_data(5, seed) for seed in range(31, 37)])
-    lam = m_estimate_batch(stack, WeightFunction.for_kind("scm", 5)).eigenvalues[:, -1]
+    lam = m_estimate_batch(stack, WeightFunction("scm", 5)).eigenvalues[:, -1]
     for k, x in enumerate(stack):
         assert abs(lam[k] - charpoly_top_eigenvalue(scm(x))) < 1e-10 * lam[k]
 
 
 def test_rlrt_values():
-    assert statistic(DetectorSpec("rlrt", "scm", 1.0),
+    assert statistic(DetectorSpec("rlrt", "scm"),
                      data_with_scm(np.diag([2.0, 1.0]))[None])[0] == pytest.approx(2.0, abs=1e-14)
-    assert statistic(DetectorSpec("rlrt", "scm", 0.25),
-                     data_with_scm(0.25 * np.eye(3))[None])[0] == pytest.approx(1.0, abs=1e-14)
+    assert statistic(DetectorSpec("rlrt", "scm"), data_with_scm(0.25 * np.eye(3))[None],
+                     0.25)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_rlrt_mean_matches_raw_normal_bruteforce():
     # same Wishart largest-eigenvalue mean from two independent pipelines
     p, n, trials = 5, 10, 4000
-    ours = statistic(DetectorSpec("rlrt", "scm", 1.0),
+    ours = statistic(DetectorSpec("rlrt", "scm"),
                      noise_stack(NoiseModel("gaussian"), p, n, 32, trials))
     g2 = RngStream(33, 0).generator()
     brute = np.empty(trials)
@@ -120,22 +121,23 @@ def test_glrt_bounds():
 
 def test_spec_evaluates_stacks_like_scalars():
     res = m_estimate_batch(np.stack([random_data(4, seed) for seed in range(50, 56)]),
-                           WeightFunction.for_kind("scm", 4))
+                           WeightFunction("scm", 4))
     lam, trace = res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real
-    for spec in (DetectorSpec("rlrt", "tyler", 2.0), DetectorSpec("glrt", "gg_ml")):
-        assert spec.evaluate(lam, trace, 4).tolist() == [
-            spec.evaluate(float(a), float(b), 4) for a, b in zip(lam, trace)]
+    for spec in (DetectorSpec("rlrt", "tyler"), DetectorSpec("glrt", "gg_ml")):
+        assert spec.evaluate(lam, trace, 4, 2.0).tolist() == [
+            spec.evaluate(float(a), float(b), 4, 2.0) for a, b in zip(lam, trace)]
+
+
+def test_each_statistic_reads_only_its_own_inputs():
+    # rlrt reads the noise power alone, glrt the trace and p alone
+    rlrt, glrt = DetectorSpec("rlrt", "scm"), DetectorSpec("glrt", "scm")
+    assert rlrt.evaluate(3.0, math.nan, 7, 1.5) == 2.0
+    assert glrt.evaluate(3.0, 6.0, 4, math.nan) == 2.0
 
 
 def test_detector_spec_validation():
     with pytest.raises(ValueError):
-        DetectorSpec("rlrt", "scm")  # missing sigma2
-    with pytest.raises(ValueError):
-        DetectorSpec("rlrt", "scm", sigma2=0.0)
-    with pytest.raises(ValueError):
-        DetectorSpec("glrt", "scm", sigma2=1.0)  # glrt is blind
-    with pytest.raises(ValueError):
-        DetectorSpec("energy", "scm", sigma2=1.0)
+        DetectorSpec("energy", "scm")
     with pytest.raises(ValueError):
         DetectorSpec("glrt", "mcd")
     assert DetectorSpec("glrt", "tyler").label == "tyler_glrt"
@@ -145,7 +147,7 @@ def test_tyler_statistics_proportional_every_trial():
     # pinning the trace to p makes glrt = sigma2 * rlrt per realization
     p, sigma2 = 4, 2.0
     stack = noise_stack(NoiseModel("student_t", sigma2=sigma2, dof_nu=3.0), p, 20, 36, 25)
-    rlrt = statistic(DetectorSpec("rlrt", "tyler", sigma2), stack)
+    rlrt = statistic(DetectorSpec("rlrt", "tyler"), stack, sigma2)
     glrt = statistic(DetectorSpec("glrt", "tyler"), stack)
     assert glrt == pytest.approx(p * sigma2 / p * rlrt, rel=1e-12)
 
@@ -153,6 +155,6 @@ def test_tyler_statistics_proportional_every_trial():
 def test_scm_statistic_ratio_varies_across_trials():
     stack = noise_stack(NoiseModel("gaussian"), 4, 20, 37, 25)
     ratios = (statistic(DetectorSpec("glrt", "scm"), stack)
-              / statistic(DetectorSpec("rlrt", "scm", 1.0), stack))
+              / statistic(DetectorSpec("rlrt", "scm"), stack))
     assert np.std(ratios) > 0
     assert len(np.unique(np.round(ratios, 12))) > 1

@@ -26,17 +26,15 @@ from robustsense import (
     pod_at_pfa,
     roc_curve,
     run_experiment,
-    run_trials,
     threshold_grid,
 )
 from robustsense import estimators, sampling
 from robustsense.config import ConfigError, load_config
 from robustsense.sampling import Hypothesis
 
-SIG2 = 1.0
-SCM_R = DetectorSpec("rlrt", "scm", SIG2)
+SCM_R = DetectorSpec("rlrt", "scm")
 SCM_G = DetectorSpec("glrt", "scm")
-TY_R = DetectorSpec("rlrt", "tyler", SIG2)
+TY_R = DetectorSpec("rlrt", "tyler")
 TY_G = DetectorSpec("glrt", "tyler")
 
 
@@ -84,10 +82,9 @@ def test_config_validation(tmp_path):
     lambda v: NoiseModel("gg", shape_s=v),
     lambda v: NoiseModel("student_t", dof_nu=v),
     lambda v: small_config(rho=v),
-    lambda v: DetectorSpec("rlrt", "scm", v),
-    lambda v: WeightFunction.for_kind("student_t", 3, nu=v),
+    lambda v: WeightFunction("student_t", 3, nu=v),
     lambda v: WeightFunction("gg_ml", 3, shape_s=v),
-], ids=["sigma2", "shape_s", "dof_nu", "rho", "rlrt-sigma2", "nu", "gg_ml-shape_s"])
+], ids=["sigma2", "shape_s", "dof_nu", "rho", "nu", "gg_ml-shape_s"])
 def test_each_owner_rejects_non_finite_values(build, value):
     with pytest.raises(ValueError, match="finite"):
         build(value)
@@ -123,16 +120,16 @@ def test_derive_seed_is_deterministic_and_salted():
 # ---------------------------------------------------------------------------
 
 def test_single_trial_produces_one_value_per_detector():
-    out = run_trials(small_config(trials=1, detectors=(SCM_R, SCM_G, TY_R, TY_G)),
-                     Hypothesis.H0)
+    out = run_experiment(small_config(trials=1, detectors=(SCM_R, SCM_G, TY_R, TY_G)),
+                         with_h1=False).h0
     assert len(out) == 4
     assert all(s.values.shape == (1,) for s in out.values())
 
 
 def test_worker_count_does_not_change_results():
     cfg = small_config(trials=9000, detectors=(SCM_G, TY_G))
-    a = run_trials(cfg, Hypothesis.H0, threads=1)
-    b = run_trials(cfg, Hypothesis.H0, threads=3)
+    a = run_experiment(cfg, with_h1=False, threads=1).h0
+    b = run_experiment(cfg, with_h1=False, threads=3).h0
     for spec in a:
         assert np.array_equal(a[spec].values, b[spec].values)
 
@@ -255,21 +252,29 @@ def test_chunk_size_property(trials, chunk):
 def test_shared_estimator_equals_isolated_computation():
     cfg_both = small_config(trials=300, detectors=(TY_R, TY_G))
     cfg_single = small_config(trials=300, detectors=(TY_G,))
-    both = run_trials(cfg_both, Hypothesis.H0)
-    single = run_trials(cfg_single, Hypothesis.H0)
+    both = run_experiment(cfg_both, with_h1=False).h0
+    single = run_experiment(cfg_single, with_h1=False).h0
     assert np.array_equal(both[TY_G].values, single[TY_G].values)
 
 
 def test_values_are_sorted_ascending():
-    out = run_trials(small_config(trials=400), Hypothesis.H0)
+    out = run_experiment(small_config(trials=400), with_h1=False).h0
     for s in out.values():
         assert np.all(np.diff(s.values) >= 0)
 
 
+def test_rlrt_divides_by_the_noise_models_sigma2():
+    # the same draws at noise power 2.5 scale lam_max by 2.5, which rlrt divides out
+    unit, loud = (run_experiment(small_config(trials=200, noise=NoiseModel("gaussian", sigma2=s2),
+                                              detectors=(SCM_R,)), with_h1=False).h0[SCM_R].values
+                  for s2 in (1.0, 2.5))
+    assert loud == pytest.approx(unit, rel=1e-12)
+
+
 def test_h1_shifts_statistics_up():
     cfg = small_config(trials=400, rho=4.0, detectors=(SCM_G,))
-    h0 = run_trials(cfg, Hypothesis.H0)[SCM_G].values
-    h1 = run_trials(cfg, Hypothesis.H1)[SCM_G].values
+    result = run_experiment(cfg, with_h1=True)
+    h0, h1 = result.h0[SCM_G].values, result.h1[SCM_G].values
     assert np.median(h1) > np.median(h0)
 
 
@@ -278,7 +283,7 @@ def test_exclusion_rate_guard_trips():
                     detectors=(TY_G,), master_seed=1,
                     options=FixedPointOptions(max_iterations=1))
     with pytest.raises(ExclusionRateError):
-        run_trials(cfg, Hypothesis.H0)
+        run_experiment(cfg, with_h1=False)
 
 
 def test_run_experiment_counts_exclusions_by_cause(monkeypatch):
@@ -302,10 +307,10 @@ def test_run_experiment_counts_exclusions_by_cause(monkeypatch):
 
 def test_scm_depends_on_family_tyler_does_not():
     trials = 2000
-    gauss = run_trials(small_config(trials=trials, seed=50), Hypothesis.H0)
-    heavy = run_trials(small_config(trials=trials, seed=51,
-                                    noise=NoiseModel("gg", shape_s=0.1)),
-                       Hypothesis.H0)
+    gauss = run_experiment(small_config(trials=trials, seed=50), with_h1=False).h0
+    heavy = run_experiment(small_config(trials=trials, seed=51,
+                                        noise=NoiseModel("gg", shape_s=0.1)),
+                           with_h1=False).h0
     assert ks_distance(gauss[SCM_G].values, heavy[SCM_G].values) > 0.2
     assert ks_distance(gauss[TY_G].values, heavy[TY_G].values) < 0.06
 
@@ -341,7 +346,7 @@ def test_gaussian_scm_rlrt_null_follows_the_khatri_law():
     assert np.allclose(khatri_cdf(x, 1, n), gammainc(n, x))  # p = 1: |x|^2 ~ Gamma(n, 1)
     config = SimConfig(p=p, n=n, trials=trials, noise=NoiseModel("gaussian"),
                        detectors=(SCM_R,), master_seed=99)
-    values = run_trials(config, Hypothesis.H0)[SCM_R].values
+    values = run_experiment(config, with_h1=False).h0[SCM_R].values
     assert values.size == trials
     exact = khatri_cdf(n * values, p, n)
     ecdf = np.arange(trials + 1) / trials  # ecdf[k]: the empirical CDF just right of point k-1
@@ -434,8 +439,8 @@ def test_calibrated_threshold_validates_on_holdout():
     alpha, trials = 0.1, 20_000
     cfg_a = small_config(trials=trials, seed=60, detectors=(SCM_G,))
     cfg_b = small_config(trials=trials, seed=61, detectors=(SCM_G,))
-    t = calibrate_threshold(run_trials(cfg_a, Hypothesis.H0)[SCM_G], alpha)
-    fresh = run_trials(cfg_b, Hypothesis.H0)[SCM_G].values
+    t = calibrate_threshold(run_experiment(cfg_a, with_h1=False).h0[SCM_G], alpha)
+    fresh = run_experiment(cfg_b, with_h1=False).h0[SCM_G].values
     achieved = np.sum(fresh > t) / fresh.size
     assert abs(achieved - alpha) < 3.0 * math.sqrt(alpha * (1 - alpha) / trials)
 
@@ -485,8 +490,8 @@ def test_roc_rejects_mismatched_specs():
 
 def test_tyler_rlrt_and_glrt_share_roc_points():
     cfg = small_config(trials=600, rho=1.0, detectors=(TY_R, TY_G))
-    h0 = run_trials(cfg, Hypothesis.H0)
-    h1 = run_trials(cfg, Hypothesis.H1)
+    result = run_experiment(cfg, with_h1=True)
+    h0, h1 = result.h0, result.h1
     r = roc_curve(h0[TY_R], h1[TY_R])
     g = roc_curve(h0[TY_G], h1[TY_G])
     assert np.array_equal(r.pfa, g.pfa)
