@@ -1,5 +1,11 @@
 """Command-line front end: run experiments from config files and emit CSV
-curve data plus a JSON run manifest."""
+curve data plus a JSON run manifest.
+
+Each ``cmd_*`` function runs its simulations, hands every CSV to
+``emit(name, header, columns)`` as soon as it is computed and returns the
+manifest's ``(detectors, iteration_stats)``; ``main`` owns the kind rule,
+the output directory, the CSV writes and the manifest.
+"""
 
 from __future__ import annotations
 
@@ -24,139 +30,60 @@ from .montecarlo import (
 )
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits: parses back to the identical float
-    return f"{x:.17g}"
-
-
-def _write_csv(path: Path, header: tuple[str, ...], columns) -> None:
-    rows = zip(*columns)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-
-
-def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seed: int,
-                    threads: int | None, detectors: dict, iterations: dict,
-                    outputs: list[Path], t0: float) -> None:
-    """Write ``manifest.json``: everything needed to reproduce the run and audit its health."""
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config_path": cfg.path,
-        "config": {**asdict(cfg), "seed": seed},
-        "master_seed": seed,
-        "threads": threads,
-        # versions the output bytes rest on: numpy's Generator algorithms define
-        # every draw, its SeedSequence mixing and PCG64 seeding every trial's
-        # stream (sample_chunk reproduces both as array arithmetic), and
-        # Python's math.lgamma the gg texture scale
-        "python": "{}.{}.{}".format(*sys.version_info[:3]),
-        "numpy": np.__version__,
-        "detectors": detectors,
-        "estimator_iterations": iterations,
-        "outputs": sorted(str(o) for o in outputs),
-        "wall_clock_s": time.perf_counter() - t0,
-    }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def cmd_pof_curve(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int | None) -> list[Path]:
-    """One (threshold, pfa, cdf) CSV per detector and noise family, plus manifest."""
-    if cfg.kind != "pof-curve":
-        raise ConfigError(f"{cfg.path}: config kind {cfg.kind!r} does not match command 'pof-curve'")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    outputs: list[Path] = []
-    detectors: dict = {}
-    iteration_stats: dict = {}
+def cmd_pof_curve(cfg: ExperimentConfig, seed: int, threads: int, emit):
+    """One (threshold, pfa, cdf) CSV per detector and noise family."""
+    detectors, iteration_stats = {}, {}
     for i, family in enumerate(cfg.families):
         sim = cfg.sim_config(family, derive_seed(seed, i))
         result = run_experiment(sim, with_h1=False, threads=threads)
         for spec, sample in result.h0.items():
             curve = empirical_pfa_curve(sample, threshold_grid(sample))
-            path = out_dir / f"pof_{family}_{spec.label}.csv"
-            _write_csv(path, ("threshold", "pfa", "cdf"),
-                       (curve.thresholds.tolist(), curve.pfa.tolist(), curve.cdf.tolist()))
-            outputs.append(path)
-            detectors[f"{family}/{spec.label}"] = {
-                "trials": sim.trials,
-                "h0_excluded": sample.n_excluded,
-            }
+            emit(f"pof_{family}_{spec.label}.csv", ("threshold", "pfa", "cdf"),
+                 (curve.thresholds.tolist(), curve.pfa.tolist(), curve.cdf.tolist()))
+            detectors[f"{family}/{spec.label}"] = {"trials": sim.trials,
+                                                   "h0_excluded": sample.n_excluded}
         for kind, entry in result.iteration_stats.items():
             iteration_stats[f"{family}/{kind}"] = entry
-    _write_manifest(out_dir, "pof-curve", cfg, seed, threads, detectors, iteration_stats, outputs, t0)
-    return outputs
+    return detectors, iteration_stats
 
 
-def cmd_roc(cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int | None) -> list[Path]:
-    """One (pfa, pod) CSV per detector, plus manifest."""
-    if cfg.kind != "roc":
-        raise ConfigError(f"{cfg.path}: config kind {cfg.kind!r} does not match command 'roc'")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
+def cmd_roc(cfg: ExperimentConfig, seed: int, threads: int, emit):
+    """One (pfa, pod) CSV per detector."""
     sim = cfg.sim_config(cfg.families[0], seed)
     result = run_experiment(sim, with_h1=True, threads=threads)
-    outputs: list[Path] = []
-    detectors: dict = {}
+    detectors = {}
     for spec in sim.detectors:
         curve = roc_curve(result.h0[spec], result.h1[spec])
-        path = out_dir / f"roc_{spec.label}.csv"
-        _write_csv(path, ("pfa", "pod"), (curve.pfa.tolist(), curve.pod.tolist()))
-        outputs.append(path)
-        detectors[spec.label] = {
-            "trials": sim.trials,
-            "h0_excluded": result.h0[spec].n_excluded,
-            "h1_excluded": result.h1[spec].n_excluded,
-        }
-    _write_manifest(out_dir, "roc", cfg, seed, threads, detectors, result.iteration_stats, outputs, t0)
-    return outputs
+        emit(f"roc_{spec.label}.csv", ("pfa", "pod"), (curve.pfa.tolist(), curve.pod.tolist()))
+        detectors[spec.label] = {"trials": sim.trials, "h0_excluded": result.h0[spec].n_excluded,
+                                 "h1_excluded": result.h1[spec].n_excluded}
+    return detectors, result.iteration_stats
 
 
-def cmd_calibrate(
-    cfg: ExperimentConfig,
-    target_pfa: float,
-    out_dir: Path,
-    seed: int,
-    threads: int | None,
-) -> Path:
+def cmd_calibrate(cfg: ExperimentConfig, seed: int, threads: int, emit, target_pfa: float):
     """Calibrate per-detector thresholds on H0 trials; report holdout false-alarm rates.
 
     The threshold comes from one H0 run and the achieved rate from an
-    independent H0 run with a different derived seed.  Multi-family configs
-    calibrate under their first listed family.
+    independent H0 run with a different derived seed.  Either config kind
+    is accepted; multi-family configs calibrate under their first listed
+    family.
     """
-    if not 0.0 < target_pfa < 1.0:
-        raise ConfigError(f"--pfa must lie strictly between 0 and 1, got {target_pfa}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
     family = cfg.families[0]
     sim_cal = cfg.sim_config(family, derive_seed(seed, 0))
     sim_holdout = cfg.sim_config(family, derive_seed(seed, 1))
     result_cal = run_experiment(sim_cal, with_h1=False, threads=threads)
     result_holdout = run_experiment(sim_holdout, with_h1=False, threads=threads)
-    labels, thresholds, achieved = [], [], []
-    for spec in sim_cal.detectors:
-        t = calibrate_threshold(result_cal.h0[spec], target_pfa)
-        labels.append(spec.label)
-        thresholds.append(t)
-        achieved.append(float(empirical_pfa_curve(result_holdout.h0[spec], [t]).pfa[0]))
-    path = out_dir / "calibration.csv"
-    _write_csv(path, ("detector", "threshold", "achieved_pfa"), (labels, thresholds, achieved))
-    detectors = {
-        spec.label: {
-            "trials": sim_cal.trials,
-            "calibration_excluded": result_cal.h0[spec].n_excluded,
-            "holdout_excluded": result_holdout.h0[spec].n_excluded,
-        }
-        for spec in sim_cal.detectors
-    }
-    _write_manifest(out_dir, "calibrate", cfg, seed, threads, detectors,
-                    result_cal.iteration_stats, [path], t0)
-    return path
+    specs = sim_cal.detectors
+    thresholds = [calibrate_threshold(result_cal.h0[spec], target_pfa) for spec in specs]
+    achieved = [float(empirical_pfa_curve(result_holdout.h0[spec], [t]).pfa[0])
+                for spec, t in zip(specs, thresholds)]
+    emit("calibration.csv", ("detector", "threshold", "achieved_pfa"),
+         ([spec.label for spec in specs], thresholds, achieved))
+    detectors = {spec.label: {"trials": sim_cal.trials,
+                              "calibration_excluded": result_cal.h0[spec].n_excluded,
+                              "holdout_excluded": result_holdout.h0[spec].n_excluded}
+                 for spec in specs}
+    return detectors, result_cal.iteration_stats
 
 
 def _seed(raw: str) -> int:
@@ -186,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=_seed, default=None,
                          help="master seed override (default: the config's seed)")
-        cmd.add_argument("--threads", type=_threads, default=None,
-                         help="worker cap; never affects numerical results")
+        cmd.add_argument("--threads", type=_threads, default=1,
+                         help="worker cap (default 1: serial); never affects numerical results")
 
     common(sub.add_parser("pof-curve", help="threshold vs false-alarm curves under H0"))
     common(sub.add_parser("roc", help="detection vs false-alarm curves"))
@@ -201,14 +128,56 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.command == "calibrate":
+            if not 0.0 < args.pfa < 1.0:
+                raise ConfigError(f"--pfa must lie strictly between 0 and 1, got {args.pfa}")
+        elif cfg.kind != args.command:
+            raise ConfigError(
+                f"{cfg.path}: config kind {cfg.kind!r} does not match command {args.command!r}")
         seed = cfg.seed if args.seed is None else args.seed
         out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
+        outputs: list[str] = []
+
+        def emit(name: str, header: tuple[str, ...], columns) -> None:
+            # floats with 17 significant digits parse back to the identical float
+            path = out_dir / name
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(",".join(header) + "\n")
+                for row in zip(*columns):
+                    fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                                      for v in row) + "\n")
+            outputs.append(str(path))
+
         if args.command == "pof-curve":
-            cmd_pof_curve(cfg, out_dir, seed, args.threads)
+            detectors, iterations = cmd_pof_curve(cfg, seed, args.threads, emit)
         elif args.command == "roc":
-            cmd_roc(cfg, out_dir, seed, args.threads)
+            detectors, iterations = cmd_roc(cfg, seed, args.threads, emit)
         else:
-            cmd_calibrate(cfg, args.pfa, out_dir, seed, args.threads)
+            detectors, iterations = cmd_calibrate(cfg, seed, args.threads, emit, args.pfa)
+        # everything needed to reproduce the run and audit its health
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "config_path": cfg.path,
+            "config": {**asdict(cfg), "seed": seed},
+            "master_seed": seed,
+            "threads": args.threads,
+            # versions the output bytes rest on: numpy's Generator algorithms define
+            # every draw, its SeedSequence mixing and PCG64 seeding every trial's
+            # stream (sample_chunk reproduces both as array arithmetic), and
+            # Python's math.lgamma the gg texture scale
+            "python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "numpy": np.__version__,
+            "detectors": detectors,
+            "estimator_iterations": iterations,
+            "outputs": sorted(outputs),
+            "wall_clock_s": time.perf_counter() - t0,
+        }
+        with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except (ConfigError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

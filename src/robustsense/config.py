@@ -126,7 +126,8 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
         path = bundled
     where = str(path)
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no interpolation: a '%' in a value is plain text, not configparser syntax
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=where)

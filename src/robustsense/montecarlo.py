@@ -153,7 +153,7 @@ def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
     return lo, out
 
 
-def _run_chunks(config: SimConfig, hypothesis: Hypothesis, threads: int | None):
+def _run_chunks(config: SimConfig, hypothesis: Hypothesis, threads: int):
     """Chunk-batched sampling and estimation over chunks of ``_chunk_trials``.
 
     Returns one ``_TRIAL`` record array per estimator kind, indexed by
@@ -163,11 +163,12 @@ def _run_chunks(config: SimConfig, hypothesis: Hypothesis, threads: int | None):
     """
     records = {kind: np.empty(config.trials, _TRIAL) for kind in config.estimator_kinds()}
     starts = range(0, config.trials, _chunk_trials(config))
-    if threads is None or threads <= 1 or len(starts) <= 1:
+    workers = min(threads, len(starts))
+    if workers <= 1:
         results = (_chunk_stats(config, hypothesis, lo) for lo in starts)
         pool = None
     else:
-        pool = ProcessPoolExecutor(max_workers=min(threads, len(starts)))
+        pool = ProcessPoolExecutor(max_workers=workers)
         results = pool.map(_chunk_stats, repeat(config), repeat(hypothesis), starts)
     try:
         for lo, chunk in results:
@@ -200,7 +201,7 @@ def _collect_samples(config: SimConfig, hypothesis: Hypothesis,
 def run_experiment(
     config: SimConfig,
     with_h1: bool,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> ExperimentResult:
     """Run H0 (and optionally H1) trials: every configured detector's
     statistic sample under each hypothesis, plus iteration diagnostics.

@@ -1,9 +1,11 @@
 """Command-line surface: presets, CSV schemas, manifests, determinism, exits."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import robustsense
+from robustsense import cli, montecarlo
 from robustsense.cli import main
 from robustsense.config import (
     _KEYS, PRESETS, ConfigError, ExperimentConfig, load_config, preset_path,
@@ -54,6 +57,8 @@ gg_shape = 0.5
 estimators = scm, tyler, gg_ml
 statistics = rlrt, glrt
 """
+
+CHECK = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -235,6 +240,19 @@ def test_bad_weight_parameter_is_rejected_at_load(tmp_path, capsys, nu):
     assert not out.exists()
 
 
+def test_percent_in_a_value_is_plain_text(tmp_path, capsys):
+    # configparser's default interpolation would raise on '%' outside load_config's checks
+    text = Path(load_config("fig4").path).read_text()
+    text, count = re.subn(r"(?m)^seed = \d+$", "seed = 5%", text)
+    assert count == 1
+    config = write_config(tmp_path, text, "pct.ini")
+    out = tmp_path / "o"
+    assert main(["roc", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {config}: [experiment] seed = '5%' is not an integer"]
+    assert not out.exists()
+
+
 def test_config_requires_gg_shape(tmp_path):
     text = POF_TEMPLATE.format(trials=10, seed=1).replace("gg_shape = 0.5\n", "")
     with pytest.raises(ConfigError, match="gg_shape"):
@@ -365,6 +383,31 @@ def test_roc_command_rejects_pof_config(tmp_path):
     assert main(["roc", "--config", config, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_pof_curve_command_rejects_roc_config(tmp_path, capsys):
+    config = write_config(tmp_path, ROC_TEMPLATE.format(trials=10, seed=9, snr_db=0.0))
+    out = tmp_path / "o"
+    assert main(["pof-curve", "--config", config, "--out", str(out)]) == 2
+    assert "does not match command 'pof-curve'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_calibrate_accepts_roc_config(tmp_path, monkeypatch):
+    # calibrate takes either kind: the first family, H0 trials only
+    runs = []
+
+    def recording(sim, with_h1, threads):
+        runs.append((sim.noise.family, with_h1))
+        return montecarlo.run_experiment(sim, with_h1, threads)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    config = write_config(tmp_path, ROC_TEMPLATE.format(trials=200, seed=9, snr_db=0.0))
+    out = tmp_path / "out"
+    assert main(["calibrate", "--config", config, "--out", str(out), "--pfa", "0.1"]) == 0
+    assert runs == [("gg", False), ("gg", False)]
+    _, rows = read_csv(out / "calibration.csv")
+    assert [r[0] for r in rows] == [s.label for s in load_config(config).detector_specs()]
+
+
 # ---------------------------------------------------------------------------
 # calibrate command
 # ---------------------------------------------------------------------------
@@ -424,6 +467,16 @@ def test_bad_thread_count_is_rejected_at_parse_time(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+def test_exclusion_rate_error_exits_without_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(montecarlo, "_MAX_EXCLUSION_RATE", -1.0)  # any count exceeds it
+    config = write_config(tmp_path, ROC_TEMPLATE.format(trials=16, seed=1, snr_db=0.0))
+    out = tmp_path / "out"
+    assert main(["roc", "--config", config, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: scm_rlrt: ")
+    assert not (out / "manifest.json").exists()
+
+
 def test_missing_config_exits_nonzero(tmp_path, capsys):
     assert main(["roc", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -436,6 +489,56 @@ def test_malformed_config_exits_nonzero(tmp_path, capsys):
     assert main(["pof-curve", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "bad.ini" in err
+
+
+# ---------------------------------------------------------------------------
+# manifest contract
+# ---------------------------------------------------------------------------
+
+def load_check():
+    spec = importlib.util.spec_from_file_location("perfbench_check", CHECK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("command, text", [
+    ("pof-curve", POF_TEMPLATE.format(trials=40, seed=2)),
+    ("roc", ROC_TEMPLATE.format(trials=40, seed=2, snr_db=0.0)),
+], ids=["pof-curve", "roc"])
+def test_benchmark_reads_usable_counts_of_every_csv(tmp_path, monkeypatch, command, text):
+    # every 5th trial of the (single) chunk loses its estimate: 8 of 40 excluded
+    estimate = montecarlo.m_estimate_batch
+
+    def lossy(x, weight, opts=None):
+        res = estimate(x, weight, opts)
+        converged = res.converged.copy()
+        converged[::5] = False
+        return dataclasses.replace(res, converged=converged)
+
+    monkeypatch.setattr(montecarlo, "m_estimate_batch", lossy)
+    monkeypatch.setattr(montecarlo, "_MAX_EXCLUSION_RATE", 1.0)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    counts = load_check().usable_counts(json.loads((out / "manifest.json").read_text()))
+    assert sorted(counts) == sorted(p.name for p in out.glob("*.csv"))
+    assert set(counts.values()) == {(32, 32 if command == "roc" else None)}
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("command, text, extra", [
+    ("pof-curve", POF_TEMPLATE.format(trials=64, seed=2), ()),
+    ("roc", ROC_TEMPLATE.format(trials=64, seed=2, snr_db=0.0), ()),
+    ("calibrate", POF_TEMPLATE.format(trials=64, seed=2), ("--pfa", "0.1")),
+], ids=["pof-curve", "roc", "calibrate"])
+def test_manifest_lists_outputs_command_and_threads(tmp_path, command, text, extra, threads):
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, text), "--out", str(out), *extra]
+    assert main(argv + (["--threads", threads] if threads else [])) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(str(p) for p in out.glob("*.csv"))
+    assert manifest["command"] == command
+    assert manifest["threads"] == (2 if threads else 1)  # the worker cap that ran; 1 is serial
 
 
 # ---------------------------------------------------------------------------
