@@ -144,10 +144,20 @@ def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
     hi = min(lo + _chunk_trials(config), config.trials)
     x = sample_chunk(config.noise, config.p, config.n, config.rho, hypothesis,
                      config.master_seed, lo, hi)
-    out = {}
-    for kind in config.estimator_kinds():
-        res = m_estimate_batch(x, config.weight_for(kind), config.options)
-        out[kind] = np.rec.fromarrays(
+    out, estimates = {}, {}
+    # a kind that warm-starts from another kind runs after it
+    weights = sorted(map(config.weight_for, config.estimator_kinds()),
+                     key=lambda w: w.warm_start is not None)
+    for weight in weights:
+        initial = None
+        if weight.warm_start in estimates:
+            # each member starts from its own usable source estimate, else
+            # from the identity
+            usable = _usable(out[weight.warm_start])[:, None, None]
+            initial = np.where(usable, estimates[weight.warm_start], np.eye(config.p))
+        res = m_estimate_batch(x, weight, config.options, initial)
+        estimates[weight.kind] = res.estimates
+        out[weight.kind] = np.rec.fromarrays(
             (res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real,
              res.iterations, res.ok, res.converged), dtype=_TRIAL)
     return lo, out
@@ -218,8 +228,15 @@ def run_experiment(
     99th percentiles of the usable trials' iteration counts, and why the
     other trials were excluded: ``singular`` (an iterate left the
     positive-definite cone) and ``max_iterations`` (no convergence within
-    the iteration budget), all pooled over both hypotheses.
+    the iteration budget), all pooled over both hypotheses.  A kind with a
+    warm start (``WeightFunction.warm_start``, gg_ml from tyler) counts its
+    iterations from the other kind's estimate when the run has that kind.
+    ``threads`` caps the worker processes; it must be an integer of at
+    least 1, and it never changes the result.
     """
+    threads = _integer("threads", threads)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     kinds = config.estimator_kinds()
     counts: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
     excluded = {kind: {"singular": 0, "max_iterations": 0} for kind in kinds}

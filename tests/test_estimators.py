@@ -34,10 +34,12 @@ def null_stack(model, trials, p, n, seed):
     return sample_chunk(model, p, n, 0.0, Hypothesis.H0, seed, 0, trials)
 
 
-def estimate(x, weight=None, opts=None):
-    """The estimate of the one-member stack x[None] (Tyler by default); the
-    member must be usable."""
-    res = m_estimate_batch(x[None], weight or WeightFunction("tyler", x.shape[0]), opts)
+def estimate(x, weight=None, opts=None, initial=None):
+    """The estimate of the one-member stack x[None] (Tyler by default), from
+    the initial iterate ``initial`` (default: the identity); the member must
+    be usable."""
+    res = m_estimate_batch(x[None], weight or WeightFunction("tyler", x.shape[0]), opts,
+                           None if initial is None else initial[None])
     assert res.ok[0]
     return res.estimates[0]
 
@@ -268,8 +270,7 @@ def test_one_step_affine_equivariance(weight):
     a = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
     one_step = FixedPointOptions(epsilon=1e-300, max_iterations=1)
     plain = estimate(x, weight, one_step)
-    moved = estimate(a @ x, weight,
-                     FixedPointOptions(epsilon=1e-300, max_iterations=1, initial=a @ a.conj().T))
+    moved = estimate(a @ x, weight, one_step, initial=a @ a.conj().T)
     target = a @ plain @ a.conj().T
     assert np.linalg.norm(moved - target) / np.linalg.norm(target) < 1e-10
 
@@ -510,14 +511,33 @@ def test_zero_column_rejected():
             assert solo.residuals[0] == res.residuals[i]
 
 
+@pytest.mark.parametrize("hypothesis", list(Hypothesis), ids=lambda h: h.name)
+def test_gg_ml_from_tyler_agrees_with_cold_start_in_fewer_evaluations(hypothesis):
+    assert WeightFunction("gg_ml", 5, shape_s=0.1).warm_start == "tyler"
+    assert all(WeightFunction(kind, 5, nu=3.0).warm_start is None
+               for kind in ("scm", "tyler", "student_t"))
+    x = sample_chunk(NoiseModel("gg", shape_s=0.1), 5, 50, 1.0, hypothesis, 2718, 0, 256)
+    tyler = m_estimate_batch(x, WeightFunction("tyler", 5))
+    assert tyler.ok.all() and tyler.converged.all()
+    gg = WeightFunction("gg_ml", 5, shape_s=0.1)
+    cold = m_estimate_batch(x, gg)
+    warm = m_estimate_batch(x, gg, initial=tyler.estimates)
+    for res in (cold, warm):
+        assert res.ok.all() and res.converged.all()
+    gap = (np.linalg.norm(warm.estimates - cold.estimates, axis=(1, 2))
+           / np.linalg.norm(cold.estimates, axis=(1, 2)))
+    assert gap.max() < 1e-5
+    assert warm.iterations.mean() < cold.iterations.mean()
+
+
 def test_invalid_initial_iterate():
     x = gaussian_data(3, 10, seed=17)
     with pytest.raises(ValueError):
         m_estimate_batch(x[None], WeightFunction("tyler", 3),
-                         FixedPointOptions(initial=np.diag([1.0, 1.0, -1.0])))
+                         initial=np.diag([1.0, 1.0, -1.0])[None])
     with pytest.raises(ValueError):
         m_estimate_batch(x[None], WeightFunction("tyler", 3),
-                         FixedPointOptions(initial=np.array([[1, 1], [0, 1]], dtype=complex)))
+                         initial=np.array([[1, 1], [0, 1]], dtype=complex)[None])
 
 
 def test_rank_deficient_data_is_flagged_unusable():
@@ -545,21 +565,26 @@ def test_options_validation():
 # batched engine
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("stack, weights", [
+@pytest.mark.parametrize("stack, weights, warm", [
     (null_stack(NoiseModel("gg", shape_s=0.3), 6, 4, 24, seed=19),
      (WeightFunction("tyler", 4), WeightFunction("student_t", 4, nu=3.0),
-      WeightFunction("gg_ml", 4, shape_s=0.3))),
+      WeightFunction("gg_ml", 4, shape_s=0.3)), False),
     # the fig3/fig4 geometry: 64 members at n = 50 make the engine's
     # temporaries larger than the 256 KiB above which numpy reuses an
     # operator's temporary operand as its output
     (sample_chunk(NoiseModel("gaussian"), 5, 50, 1.0, Hypothesis.H1, 3141, 0, 64),
-     (WeightFunction("tyler", 5), WeightFunction("gg_ml", 5, shape_s=0.1))),
-], ids=["p4-n24", "p5-n50"])
-def test_batch_matches_solo_bitwise(stack, weights):
+     (WeightFunction("tyler", 5), WeightFunction("gg_ml", 5, shape_s=0.1)), False),
+    # fig3: every member starts from its own Tyler estimate
+    (sample_chunk(NoiseModel("gg", shape_s=0.1), 5, 50, 1.0, Hypothesis.H1, 3141, 0, 64),
+     (WeightFunction("gg_ml", 5, shape_s=0.1),), True),
+], ids=["p4-n24", "p5-n50", "p5-n50-warm"])
+def test_batch_matches_solo_bitwise(stack, weights, warm):
+    starts = m_estimate_batch(stack, WeightFunction("tyler", stack.shape[1])).estimates if warm else None
     for w in weights:
-        batch = m_estimate_batch(stack, w)
+        batch = m_estimate_batch(stack, w, initial=starts)
         for i in range(len(stack)):
-            solo = m_estimate_batch(stack[i:i + 1], w)
+            solo = m_estimate_batch(stack[i:i + 1], w,
+                                    initial=None if starts is None else starts[i:i + 1])
             assert solo.ok[0] and batch.ok[i]
             assert np.array_equal(solo.estimates[0], batch.estimates[i])
             assert solo.iterations[0] == batch.iterations[i]
@@ -611,18 +636,22 @@ def test_tensor_distances_and_weighted_step_match_direct_formulas(p):
 # Traced peak of the engine on this 4096-member stack, which it runs in
 # blocks of 512 members (their Q fits the 5.12 MB block budget at p=5,
 # n=50) and builds each block's Q from pair products of about 1 MiB per
-# piece: 13.4 MB for Tyler and 13.6 MB for gg_ml.  The bound keeps the
+# piece: 13.4 MB for Tyler, 13.6 MB for gg_ml from the identity and 11.1 MB
+# for gg_ml from the members' Tyler estimates.  The bound keeps the
 # 19.1 MB of whole-block pair products plus 15% headroom; a whole-stack
 # outer-product tensor alone would take 41 MB.
 ENGINE_PEAK_MB = 22.0
 
 
-@pytest.mark.parametrize("weight", [WeightFunction("tyler", 5),
-                                    WeightFunction("gg_ml", 5, shape_s=0.1)],
-                         ids=lambda w: w.kind)
-def test_engine_peak_memory_on_a_full_chunk(traced_peak, weight):
+@pytest.mark.parametrize("weight, warm", [(WeightFunction("tyler", 5), False),
+                                          (WeightFunction("gg_ml", 5, shape_s=0.1), False),
+                                          (WeightFunction("gg_ml", 5, shape_s=0.1), True)],
+                         ids=["tyler", "gg_ml", "gg_ml-warm"])
+def test_engine_peak_memory_on_a_full_chunk(traced_peak, weight, warm):
     x = sample_chunk(NoiseModel("gg", shape_s=0.1), 5, 50, 0.0, Hypothesis.H0, 7, 0, 4096)
-    res, peak = traced_peak(m_estimate_batch, x, weight)
+    # the warm start is gg_ml from every member's own Tyler estimate
+    starts = m_estimate_batch(x, WeightFunction("tyler", 5)).estimates if warm else None
+    res, peak = traced_peak(m_estimate_batch, x, weight, None, starts)
     assert res.ok.all() and res.converged.all()
     assert peak / 1e6 <= ENGINE_PEAK_MB
 

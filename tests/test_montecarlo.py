@@ -249,6 +249,43 @@ def test_chunk_size_property(trials, chunk):
         montecarlo._CHUNK_BYTES = old
 
 
+@pytest.mark.parametrize("threads", [0, -3, 2.5, True])
+def test_run_experiment_rejects_bad_thread_counts(threads):
+    with pytest.raises(ValueError, match="threads must be"):
+        run_experiment(small_config(trials=4), with_h1=False, threads=threads)
+
+
+def test_gg_ml_starts_from_usable_tyler_estimates_only(monkeypatch):
+    gg_g = DetectorSpec("glrt", "gg_ml")
+    cfg = small_config(trials=6, noise=NoiseModel("gg", shape_s=0.2), detectors=(TY_G, gg_g),
+                       rho=1.0, n=12)
+    x = sampling.sample_chunk(cfg.noise, cfg.p, cfg.n, cfg.rho, Hypothesis.H1,
+                              cfg.master_seed, 0, cfg.trials)
+    engine = montecarlo.m_estimate_batch
+    gg = cfg.weight_for("gg_ml")
+    cold = engine(x, gg)
+    warm = engine(x, gg, initial=engine(x, cfg.weight_for("tyler")).estimates)
+    assert not np.array_equal(cold.iterations[2:], warm.iterations[2:])
+
+    def spoiled(x, weight, opts=None, initial=None):
+        res = engine(x, weight, opts, initial)
+        if weight.kind == "tyler":
+            res.converged[0] = False  # hit max_iterations
+            res.ok[1] = False  # singular: its estimate is a placeholder
+            res.estimates[1] = np.nan
+        return res
+
+    monkeypatch.setattr(montecarlo, "m_estimate_batch", spoiled)
+    # a chunk runs gg_ml's source kind first, whatever the detector order
+    for detectors in ((TY_G, gg_g), (gg_g, TY_G)):
+        cfg = small_config(trials=6, noise=cfg.noise, detectors=detectors, rho=1.0, n=12)
+        got = montecarlo._chunk_stats(cfg, Hypothesis.H1, 0)[1]["gg_ml"]
+        for i, ref in enumerate((cold, cold, warm, warm, warm, warm)):
+            assert got["lam"][i] == ref.eigenvalues[i, -1]
+            assert got["trace"][i] == np.einsum("kii->k", ref.estimates).real[i]
+            assert got["iterations"][i] == ref.iterations[i]
+
+
 def test_shared_estimator_equals_isolated_computation():
     cfg_both = small_config(trials=300, detectors=(TY_R, TY_G))
     cfg_single = small_config(trials=300, detectors=(TY_G,))
