@@ -12,9 +12,7 @@ from .detectors import DetectorSpec
 from .estimators import (
     FixedPointOptions,
     WeightFunction,
-    fixed_point_residual,
     m_estimate_batch,
-    scm,
 )
 from .montecarlo import (
     CdfCurve,
@@ -26,8 +24,6 @@ from .montecarlo import (
     calibrate_threshold,
     derive_seed,
     empirical_pfa_curve,
-    ks_distance,
-    pod_at_pfa,
     roc_curve,
     run_experiment,
     threshold_grid,
@@ -58,15 +54,11 @@ __all__ = [
     "calibrate_threshold",
     "derive_seed",
     "empirical_pfa_curve",
-    "fixed_point_residual",
     "gg_scale",
-    "ks_distance",
     "m_estimate_batch",
-    "pod_at_pfa",
     "roc_curve",
     "run_experiment",
     "sample_chunk",
     "sample_trial",
-    "scm",
     "threshold_grid",
 ]

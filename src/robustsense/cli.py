@@ -164,10 +164,9 @@ def main(argv: list[str] | None = None) -> int:
             "config": {**asdict(cfg), "seed": seed},
             "master_seed": seed,
             "threads": args.threads,
-            # versions the output bytes rest on: numpy's Generator algorithms define
-            # every draw, its SeedSequence mixing and PCG64 seeding every trial's
-            # stream (sample_chunk reproduces both as array arithmetic), and
-            # Python's math.lgamma the gg texture scale
+            # versions the output bytes rest on: numpy's Generator and Philox
+            # algorithms define every draw, and Python's math.lgamma the gg
+            # texture scale
             "python": "{}.{}.{}".format(*sys.version_info[:3]),
             "numpy": np.__version__,
             "detectors": detectors,

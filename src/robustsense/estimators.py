@@ -60,15 +60,6 @@ _MAX_BLOCK = 512
 _PAIR_BYTES = 1 << 20
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    """Relative Frobenius test ||A - A^H|| / ||A|| <= 1e-12 (zero matrix passes)."""
-    a = np.asarray(a)
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return True
-    return np.linalg.norm(a - a.conj().T) <= 1e-12 * scale
-
-
 class _Whitened(NamedTuple):
     """Inverses of a stack of iterates and the squared Mahalanobis distances
     ``d_i = x_i^H Sigma^{-1} x_i`` of the data columns under them.
@@ -378,18 +369,6 @@ class BatchFixedPointResult:
     eigenvalues: np.ndarray  # (B, p)
 
 
-def scm(x: np.ndarray) -> np.ndarray:
-    """Sample covariance matrix (1/n) X X^H, symmetrized against rounding."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2:
-        raise ValueError("X must be a p x n matrix")
-    n = x.shape[1]
-    if n < 1:
-        raise ValueError("need at least one snapshot column")
-    s = (x @ x.conj().T) / n
-    return 0.5 * (s + s.conj().T)
-
-
 def _apply_map(kind: _Kind, weight, wh: _Whitened, q):
     """One evaluation of the iteration map F on factored iterates.
 
@@ -627,32 +606,3 @@ def m_estimate_batch(
     evals = np.linalg.eigvalsh(estimates)
     ok &= (evals[:, 0] > 0) & (evals[:, -1] <= _COND_LIMIT * evals[:, 0])
     return BatchFixedPointResult(estimates, iterations, residuals, converged, ok, evals)
-
-
-def fixed_point_residual(
-    sigma_hat: np.ndarray,
-    x: np.ndarray,
-    weight: WeightFunction,
-) -> float:
-    """Relative Frobenius gap between sigma_hat and the estimator map applied to it.
-
-    For the Tyler weight the right-hand side is rescaled to the trace of
-    ``sigma_hat`` before differencing, matching the trace-normalized
-    iteration.
-    """
-    sigma_hat = np.asarray(sigma_hat, dtype=np.complex128)
-    if not is_hermitian(sigma_hat):
-        raise ValueError("sigma_hat must be Hermitian")
-    if np.linalg.eigvalsh(sigma_hat)[0] <= 0:
-        raise ValueError("sigma_hat must be positive definite")
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[1]
-    chol_inv = np.linalg.inv(np.linalg.cholesky(sigma_hat))
-    v = chol_inv @ x
-    d = np.sum(v.real**2 + v.imag**2, axis=0)
-    w = weight(d) / n
-    rhs = (x * w[None, :]) @ x.conj().T
-    rhs = 0.5 * (rhs + rhs.conj().T)
-    if weight.kind == "tyler":
-        rhs = rhs * (np.trace(sigma_hat).real / np.trace(rhs).real)
-    return float(np.linalg.norm(sigma_hat - rhs) / np.linalg.norm(sigma_hat))

@@ -315,26 +315,3 @@ def roc_curve(h0: StatSample, h1: StatSample) -> RocCurve:
     thresholds = np.concatenate([support[::-1], [np.nextafter(support[0], -np.inf)]])
     return RocCurve(pfa=empirical_pfa_curve(h0, thresholds).pfa,
                     pod=empirical_pfa_curve(h1, thresholds).pfa)
-
-
-def pod_at_pfa(curve: RocCurve, pfa_target: float) -> float:
-    """Linear interpolation of the detection probability at a false-alarm level."""
-    if not 0.0 <= pfa_target <= 1.0:
-        raise ValueError("pfa_target must lie in [0, 1]")
-    # keep the highest pod among duplicated pfa values (step-function plateaus)
-    rev_pfa = curve.pfa[::-1]
-    uniq, first = np.unique(rev_pfa, return_index=True)
-    pods = curve.pod[::-1][first]
-    return float(np.interp(pfa_target, uniq, pods))
-
-
-def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov distance sup_t |F_a(t) - F_b(t)|."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    if not a.size or not b.size:
-        raise ValueError("ks_distance needs two non-empty samples")
-    grid = np.concatenate([a, b])
-    ca = np.searchsorted(a, grid, side="right") / a.size
-    cb = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.abs(ca - cb).max())

@@ -11,7 +11,6 @@ unit-variance complex Gaussian symbols ``s``.  ``sample_trial`` and
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import warnings
@@ -47,8 +46,11 @@ def _integer(name: str, value) -> int:
 class RngStream:
     """Deterministic random stream keyed by (master_seed, stream_id).
 
-    Streams sharing a master seed but carrying distinct ids are statistically
-    independent; the same pair always reproduces the identical sequence.
+    A Philox4x64 counter-based stream (Salmon et al., SC 2011): the key is
+    ``SeedSequence(master_seed).generate_state(2, np.uint64)`` and the
+    counter starts at (0, 0, 0, stream_id).  Philox carries from the lowest
+    counter word up, so distinct ids are 2**192 blocks apart and never
+    overlap; the same pair always reproduces the identical sequence.
     """
 
     master_seed: int
@@ -60,98 +62,22 @@ class RngStream:
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
             object.__setattr__(self, name, value)
+        if self.stream_id >= 1 << 64:
+            raise ValueError(f"stream_id must be below 2**64, got {self.stream_id}")
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence((self.master_seed, self.stream_id))
-        )
+        key = np.random.SeedSequence(self.master_seed).generate_state(2, np.uint64)
+        bit_generator = np.random.Philox(key=key)
+        bit_generator.state = _philox_state(key.tolist(), self.stream_id)
+        return np.random.Generator(bit_generator)
 
 
-# numpy's SeedSequence mixing (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit LCG multiplier: _stream_states reproduces both as array arithmetic
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
-_MASK32 = 0xFFFFFFFF
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _words(value: int) -> list[int]:
-    """SeedSequence's coercion of a non-negative int: little-endian uint32 words, [0] for 0."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _seed_sequence_state(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of an
-    (m, L) uint32 entropy array, as an (m, 4) uint64 array.
-
-    numpy's mixing and state generation run on whole columns in wrapping
-    uint32 arithmetic; the hash constant is a Python int, the same for every row.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ (result >> _XSHIFT)
-
-    width = entropy.shape[1]
-    zero = np.zeros(len(entropy), dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < width else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, width):  # entropy beyond the pool
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-
-    hash_const = _INIT_B
-    state = np.empty((len(entropy), 2 * _POOL_SIZE), dtype="<u4")
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value *= np.uint32(hash_const)
-        state[:, i] = value ^ (value >> _XSHIFT)
-    return state.view("<u8").astype(np.uint64)
-
-
-def _stream_states(master_seed: int, lo: int, hi: int):
-    """Yield the PCG64 (state, inc) of ``RngStream(master_seed, t).generator()``
-    for t in [lo, hi), seeded for the whole range in one array pass.
-
-    The entropy of trial t is the words of (master_seed, t); trials are hashed
-    in runs of equal word count (t crosses 2**32, 2**64, ...).  Each trial's
-    words (v0, v1, v2, v3) then seed PCG64 as ``pcg64_srandom_r`` does from
-    state 0: seed = v0:v1, inc = (v2:v3 << 1) | 1, two LCG steps.
-    """
-    seed_words = _words(master_seed)
-    a = lo
-    while a < hi:
-        t_width = max(1, -(-a.bit_length() // 32))
-        b = min(hi, 1 << 32 * t_width)
-        t = np.arange(a, b, dtype=np.uint64 if b <= 1 << 64 else object)
-        entropy = np.empty((b - a, len(seed_words) + t_width), dtype=np.uint32)
-        entropy[:, :len(seed_words)] = seed_words
-        for i in range(t_width):
-            entropy[:, len(seed_words) + i] = t >> 32 * i & _MASK32
-        for row in _seed_sequence_state(entropy):
-            v0, v1, v2, v3 = row.tolist()
-            inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
-            yield ((inc + (v0 << 64 | v1)) * _PCG64_MULT + inc) & _MASK128, inc
-        a = b
+def _philox_state(key: list[int], t: int) -> dict:
+    """The Philox state at the start of stream ``t`` under ``key``: counter
+    (0, 0, 0, t) and an empty output buffer.  Python ints keep the state
+    setter cheap; ``sample_chunk`` re-points one generator per trial with it."""
+    return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, t], "key": key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 @dataclass(frozen=True)
@@ -347,9 +273,9 @@ def sample_chunk(
     """Sample trials [lo, hi) as an (hi - lo, p, n) stack, byte-equal to
     ``sample_trial(..., RngStream(master_seed, t))`` for every trial t.
 
-    Every trial's stream is seeded in one array pass (``_stream_states``),
-    and the stack is made in pieces of about ``_PIECE_BYTES``.  For each
-    piece, one generator is pointed at each of its trials' states in turn
+    The stack is made in pieces of about ``_PIECE_BYTES``.  For each piece,
+    one generator is pointed at each of its trials' streams in turn (the
+    run's Philox key, the trial index as the counter; ``_philox_state``)
     and makes only that trial's raw draws, in the order of the stream
     contract (README, ``robustsense.sampling``), into piece-sized buffers:
     one ``standard_normal`` call per complex step, real half first.  Then
@@ -361,8 +287,9 @@ def sample_chunk(
     redraw loops.
     """
     _check_geometry(p, n, rho)
-    if hi < lo:
-        raise ValueError(f"require lo <= hi, got lo={lo}, hi={hi}")
+    lo, hi = _integer("lo", lo), _integer("hi", hi)
+    if not 0 <= lo <= hi <= 1 << 64:  # the last trial's id must fit the counter word
+        raise ValueError(f"require 0 <= lo <= hi <= 2**64, got lo={lo}, hi={hi}")
     m = hi - lo
     h1 = hypothesis is Hypothesis.H1
     step = max(1, _PIECE_BYTES // (16 * p * n))  # trials per piece
@@ -373,16 +300,14 @@ def sample_chunk(
         c, s = np.empty((k, 2, p, 1)), np.empty((k, 2, n))
     x = np.empty((m, p, n), dtype=np.complex128)
     guard = np.empty(m, dtype=bool)
-    first = RngStream(master_seed, lo)  # its generator is re-pointed at every trial
-    gen = first.generator()
-    states = _stream_states(first.master_seed, first.stream_id, hi)
+    gen = RngStream(master_seed).generator()  # re-pointed at every trial
+    bit_generator = gen.bit_generator
+    key = bit_generator.state["state"]["key"].tolist()
     for a in range(0, m, step):
         piece = slice(a, min(a + step, m))
         size = piece.stop - a
-        for i, (state, inc) in enumerate(itertools.islice(states, size)):
-            gen.bit_generator.state = {"bit_generator": "PCG64",
-                                       "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
+        for i in range(size):
+            bit_generator.state = _philox_state(key, lo + a + i)
             if h1:
                 gen.standard_normal(out=c[i])
             _texture_draws(model, p, gen, g[i], None if w is None else w[i])

@@ -25,18 +25,16 @@ from robustsense import (
     SimConfig,
     WeightFunction,
     derive_seed,
-    fixed_point_residual,
     gg_scale,
-    ks_distance,
     m_estimate_batch,
-    pod_at_pfa,
     run_experiment,
     sample_chunk,
     sample_trial,
-    scm,
 )
 from robustsense.cli import main
 from robustsense.sampling import Hypothesis
+
+from oracles import fixed_point_residual, ks_distance, pod_at_pfa, scm
 
 pytestmark = pytest.mark.slow
 

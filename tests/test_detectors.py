@@ -13,9 +13,10 @@ from robustsense import (
     WeightFunction,
     m_estimate_batch,
     sample_chunk,
-    scm,
 )
 from robustsense.sampling import Hypothesis
+
+from oracles import scm
 
 
 def noise_stack(model, p, n, seed, trials):

@@ -16,13 +16,13 @@ from robustsense import (
     RngStream,
     WeightFunction,
     estimators,
-    fixed_point_residual,
     m_estimate_batch,
     sample_chunk,
     sample_trial,
-    scm,
 )
 from robustsense.sampling import gg_scale
+
+from oracles import fixed_point_residual, scm
 
 
 def gaussian_data(p, n, seed, stream=0):

@@ -21,9 +21,7 @@ from robustsense import (
     calibrate_threshold,
     derive_seed,
     empirical_pfa_curve,
-    ks_distance,
     montecarlo,
-    pod_at_pfa,
     roc_curve,
     run_experiment,
     threshold_grid,
@@ -31,6 +29,8 @@ from robustsense import (
 from robustsense import estimators, sampling
 from robustsense.config import ConfigError, load_config
 from robustsense.sampling import Hypothesis
+
+from oracles import ks_distance, pod_at_pfa
 
 SCM_R = DetectorSpec("rlrt", "scm")
 SCM_G = DetectorSpec("glrt", "scm")

@@ -65,9 +65,15 @@ def test_trial_rejects_bad_geometry(p, n, rho, message):
         sample_chunk(NoiseModel("gaussian"), p, n, rho, H1, 3, 0, 2)
 
 
-def test_chunk_rejects_a_reversed_trial_range():
-    with pytest.raises(ValueError, match="lo <= hi"):
-        sample_chunk(NoiseModel("gaussian"), 3, 4, 1.0, H1, 3, 5, 2)
+@pytest.mark.parametrize("lo, hi, message", [
+    (5, 2, "lo <= hi"), (-1, 2, "0 <= lo"), (0, 2**64 + 1, "hi <= 2\\*\\*64"),
+    (0, True, "hi must be an integer"), (0, 2.5, "hi must be an integer"),
+    (1.0, 3, "lo must be an integer"), (np.False_, 3, "lo must be an integer"),
+], ids=["reversed", "negative-lo", "hi-past-2**64", "bool-hi", "float-hi", "float-lo",
+        "numpy-bool-lo"])
+def test_chunk_rejects_a_bad_trial_range(lo, hi, message):
+    with pytest.raises(ValueError, match=message):
+        sample_chunk(NoiseModel("gaussian"), 3, 4, 1.0, H1, 3, lo, hi)
 
 
 def test_sphere_second_moment_is_identity_over_p():
@@ -262,6 +268,8 @@ def test_stream_rejects_negative_ids():
         RngStream(-1, 0)
     with pytest.raises(ValueError, match="stream_id"):
         RngStream(0, -1)
+    with pytest.raises(ValueError, match="stream_id must be below 2"):
+        RngStream(0, 2**64)  # the id is one 64-bit counter word
     # a non-integer fails where it is owned, not in numpy's SeedSequence later
     for seed, stream, field in [(1.5, 0, "master_seed"), (0, 2.0, "stream_id"),
                                 ("7", 0, "master_seed"), (True, 0, "master_seed"),
@@ -276,43 +284,25 @@ def test_stream_rejects_negative_ids():
 
 
 # ---------------------------------------------------------------------------
-# vectorized seeding: sample_chunk's stream states are numpy's own
+# the stream is numpy's own Philox at counter (0, 0, 0, t)
 # ---------------------------------------------------------------------------
 
-def numpy_state(seed, t):
-    state = np.random.default_rng(np.random.SeedSequence((seed, t))).bit_generator.state
-    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
-    return state["state"]["state"], state["state"]["inc"]
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1, derive_seed(2718, 3)],
+                         ids=["seed-0", "seed-2**32", "seed-2**64-1", "seed-derived"])
+@pytest.mark.parametrize("t", [0, 2**32, 2**64 - 1], ids=["t-0", "t-2**32", "t-2**64-1"])
+def test_stream_is_philox_keyed_by_the_seed_with_the_id_as_counter(seed, t):
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    # a uint64 array: numpy turns a list holding 2**64 - 1 into floats
+    counter = np.array([0, 0, 0, t], dtype=np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    ours = RngStream(seed, t).generator()
+    assert ours.standard_normal(11).tobytes() == expected.standard_normal(11).tobytes()
+    assert ours.bit_generator.random_raw(9).tolist() == expected.bit_generator.random_raw(9).tolist()
 
 
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
-              2**96 + 12345]  # 4 seed words: with t, entropy beyond the pool
-
-
-@pytest.mark.parametrize("seed", EDGE_SEEDS)
-@pytest.mark.parametrize("lo, hi", [(0, 3), (2**32 - 2, 2**32 + 2), (2**64 - 1, 2**64 + 1)],
-                         ids=["t-from-0", "t-across-2**32", "t-across-2**64"])
-def test_stream_states_match_numpy_seeding_at_edge_ids(seed, lo, hi):
-    states = list(sampling._stream_states(seed, lo, hi))
-    assert states == [numpy_state(seed, t) for t in range(lo, hi)]
-
-
-def test_stream_states_match_numpy_seeding_on_random_pairs():
-    draw = np.random.default_rng(20240517)
-    for _ in range(200):
-        # random word counts: seeds of 1-4 words (4 overflow the pool), ids of 1-2
-        seed = int(draw.integers(0, 2**63)) >> int(draw.integers(0, 64)) << int(draw.integers(0, 40))
-        lo = int(draw.integers(0, 2**63)) >> int(draw.integers(0, 64))
-        hi = lo + int(draw.integers(0, 4))
-        assert list(sampling._stream_states(seed, lo, hi)) == [
-            numpy_state(seed, t) for t in range(lo, hi)]
-
-
-def test_chunk_sampler_is_bitwise_equal_across_a_two_word_stream_id():
-    # a 64-bit derive_seed seed (2 words) and ids crossing 2**32 (1 then 2 words)
+def test_chunk_sampler_is_bitwise_equal_at_the_last_stream_ids():
     model, seed = NoiseModel("student_t", dof_nu=3.0), derive_seed(2718, 3)
-    lo, hi = 2**32 - 3, 2**32 + 3
-    assert seed >= 2**32
+    lo, hi = 2**64 - 3, 2**64
     for hypothesis in Hypothesis:
         batched = sample_chunk(model, 4, 9, 1.0, hypothesis, seed, lo, hi)
         expected = reference_chunk(model, 4, 9, 1.0, hypothesis, seed, lo, hi)
@@ -380,15 +370,15 @@ def test_chunk_sampler_peak_memory_is_within_twice_its_stack(traced_peak, model,
 
 
 # sha256 of reference_chunk(model, 5, 10, 1.0, hypothesis, 2024, 0, 16),
-# recorded before the chunk sampler existed (the gg pins again when gg_scale
-# moved to math.lgamma): the per-trial path itself must not drift either
+# recorded from the per-trial path when trial streams became Philox counter
+# streams: the per-trial path itself must not drift either
 PER_TRIAL_SHA256 = {
-    ("gaussian", "H0"): "054f6eb2291a07f3df988578a5a8a776a02fddafa15ff28e12569b0843a42261",
-    ("gaussian", "H1"): "405d12bb13e310e7314a2fc07e50ace6bd16ec36a8451def7fb98dd88b3b22d9",
-    ("gg", "H0"): "802fb73f4b405e01a7ee7454f805ecb44fa195febfa7c299a7673dcd93319921",
-    ("gg", "H1"): "337a42b69a00991d3682ba4470712bac62c145bb2a10831ec338883f83221d34",
-    ("student_t", "H0"): "cec6de6a72f46b3c265e02248054032101a408d5c8e0f03951ac141b9052f709",
-    ("student_t", "H1"): "17dbd1c6355f27fbf7a59e2690d5575d3e51fc7cfe90feff054789df0d431372",
+    ("gaussian", "H0"): "bcc491b295aec83bcd3e3d5faf7b1b1228f6132af8ec774918460eed22607cc5",
+    ("gaussian", "H1"): "369541f12c71427bcf7815d2cc69be066ff090c567b7bfdc2a854250bb9c846c",
+    ("gg", "H0"): "61b21f6b34f9d4c964da8dcd664c69fcec75fdb45a5a44b7bf5eca1348c10509",
+    ("gg", "H1"): "991d5c13724b776aa8ac3c578446b231f6e097f7f10c015d9d1542febdd1cd47",
+    ("student_t", "H0"): "22d82d66f659a08db09074a838f750dbeb09624d08ba78d1b24b089e91ed3b5c",
+    ("student_t", "H1"): "41e859b01b61e6f95214ac836a9cc2e7272b1fcc5fa57a6f150fc82e97cb1359",
 }
 
 
