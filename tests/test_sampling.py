@@ -300,6 +300,24 @@ def test_stream_is_philox_keyed_by_the_seed_with_the_id_as_counter(seed, t):
     assert ours.bit_generator.random_raw(9).tolist() == expected.bit_generator.random_raw(9).tolist()
 
 
+def test_stream_is_philox_keyed_by_the_seed_on_random_pairs():
+    draw = np.random.default_rng(20240517)
+    model = NoiseModel("gaussian")
+    for i in range(200):
+        # seeds of 1-4 32-bit words (4 reach past the edge seeds), ids anywhere in 64 bits
+        seed = int(draw.integers(0, 2**63)) >> int(draw.integers(0, 64)) << int(draw.integers(0, 40))
+        t = int(draw.integers(0, 2**64, dtype=np.uint64)) >> int(draw.integers(0, 64))
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        counter = np.array([0, 0, 0, t], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        assert RngStream(seed, t).generator().standard_normal(5).tobytes() == \
+            expected.standard_normal(5).tobytes()
+        if i % 20 == 0:  # the chunk path reads the key from its own generator
+            hi = min(t + 2, 2**64)
+            assert sample_chunk(model, 2, 3, 1.0, Hypothesis.H1, seed, t, hi).tobytes() == \
+                reference_chunk(model, 2, 3, 1.0, Hypothesis.H1, seed, t, hi).tobytes()
+
+
 def test_chunk_sampler_is_bitwise_equal_at_the_last_stream_ids():
     model, seed = NoiseModel("student_t", dof_nu=3.0), derive_seed(2718, 3)
     lo, hi = 2**64 - 3, 2**64
