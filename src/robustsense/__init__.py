@@ -9,11 +9,7 @@ harness with a CSV-emitting command line.
 __version__ = "0.1.0"
 
 from .detectors import DetectorSpec
-from .estimators import (
-    FixedPointOptions,
-    WeightFunction,
-    m_estimate_batch,
-)
+from .estimators import WeightFunction, m_estimate_batch
 from .montecarlo import (
     CdfCurve,
     ExclusionRateError,
@@ -43,7 +39,6 @@ __all__ = [
     "DetectorSpec",
     "ExclusionRateError",
     "ExperimentResult",
-    "FixedPointOptions",
     "Hypothesis",
     "NoiseModel",
     "RngStream",

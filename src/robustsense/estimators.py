@@ -7,13 +7,11 @@ An M-estimate solves
 
 for a scalar weight function ``u``.  The iteration map F evaluates the
 right-hand side at the previous iterate and rescales the result by the
-estimator kind's post-step normalization.  The engine runs F in SQUAREM
-cycles (Varadhan & Roland, Scand. J. Stat. 2008): two evaluations of F, then
-an extrapolation from the three iterates.  Every evaluation is tested with
-``||I - Sigma^{-1} F(Sigma)||_F < epsilon``, and the returned estimate is always
-an output of F.  The engine operates on stacks of sample matrices; each stack
-member follows exactly the trajectory it would follow alone, so batched and
-one-at-a-time results agree.
+estimator kind's post-step normalization; ``WeightFunction`` lists the kinds
+and how the engine accelerates F, and ``m_estimate_batch`` gives the
+stopping rule and the flags.  The engine operates on stacks of sample
+matrices; each stack member follows exactly the trajectory it would follow
+alone, so batched and one-at-a-time results agree.
 
 Inside the iteration the data enter only through their outer products: the
 distances x_i^H Sigma^{-1} x_i = <Sigma^{-1}, x_i x_i^H> and the weighted step
@@ -48,6 +46,9 @@ from numpy.linalg import _umath_linalg
 from .sampling import _integer, gg_scale
 
 _COND_LIMIT = 1e14
+# the stopping rule of the fixed-point iteration (see m_estimate_batch)
+_EPSILON = 1e-6
+_MAX_ITERATIONS = 200
 # growth and shrink factor of the SQUAREM step-length bound (mstep in
 # Varadhan & Roland's reference implementation, which starts the bound at 1)
 _STEP_FACTOR = 4.0
@@ -235,10 +236,13 @@ def _ml_scale(weight, v, q):
     s = weight.shape_s
     p, n = v.shape[-1], q.shape[-1]
     wv = _whiten(v, q)
-    c = (s / (weight.scale_b * n * p) * np.sum(wv.d**s, axis=1)) ** (1.0 / s)
-    return v * c[:, None, None], _Whitened(
-        wv.inv / c[:, None, None], wv.d / c[:, None], wv.singular
-    )
+    # a numerically singular V can factor yet give negative distances, so a
+    # NaN c; the next evaluation flags that member (its step is not finite)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = (s / (weight.scale_b * n * p) * np.sum(wv.d**s, axis=1)) ** (1.0 / s)
+        return v * c[:, None, None], _Whitened(
+            wv.inv / c[:, None, None], wv.d / c[:, None], wv.singular
+        )
 
 
 class _Kind(NamedTuple):
@@ -292,8 +296,12 @@ class WeightFunction:
     The weighted step and its normalization make the iteration map F, which
     ``m_estimate_batch`` runs in SQUAREM cycles (Varadhan & Roland, Scand. J.
     Stat. 2008): two evaluations of F, then an extrapolation from the three
-    iterates.  The stopping rule is the plain iteration's, applied to every
-    evaluation, and iteration counts are counts of map evaluations.
+    iterates (``_extrapolate``; its step-length bound follows the authors'
+    reference implementation).  At p=5, n=10 this cuts Tyler from about 35
+    map evaluations to about 15.  The stopping rule is the plain iteration's,
+    applied to every evaluation, so an estimate is always an output of F and
+    carries its normalization exactly, and iteration counts are counts of map
+    evaluations.
     """
 
     kind: str
@@ -333,32 +341,15 @@ class WeightFunction:
         return _KINDS[self.kind].weight(self, np.asarray(d, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class FixedPointOptions:
-    """Knobs of the fixed-point iteration.  Tyler's estimate always has
-    trace p."""
-
-    epsilon: float = 1e-6
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        max_iterations = _integer("max_iterations", self.max_iterations)
-        if max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-        object.__setattr__(self, "max_iterations", max_iterations)
-
-
 @dataclass(frozen=True, eq=False)
 class BatchFixedPointResult:
     """Per-member results over a stack of sample matrices.
 
     ``ok`` is False where the iteration hit a singular or indefinite iterate
     (those estimates are placeholders and must be discarded); ``converged``
-    is False where the residual never dropped below epsilon.  ``iterations``
-    counts evaluations of the iteration map.  ``eigenvalues`` are those of
-    the estimates, ascending, from the exit vetting.
+    is False where the residual never dropped below ``_EPSILON``.
+    ``iterations`` counts evaluations of the iteration map.  ``eigenvalues``
+    are those of the estimates, ascending, from the exit vetting.
     """
 
     estimates: np.ndarray  # (B, p, p)
@@ -425,7 +416,7 @@ def _extrapolate(theta0, theta1, theta2, wh2, q, bound):
     return cand, wh, bound
 
 
-def _iterate_block(weight, opts, x, estimates, iterations, residuals, converged, ok) -> None:
+def _iterate_block(weight, x, estimates, iterations, residuals, converged, ok) -> None:
     """Run the fixed-point iteration on one block of ``m_estimate_batch``'s
     stack, filling that block's views of the result arrays in place;
     ``estimates`` enters holding the initial iterates."""
@@ -448,7 +439,7 @@ def _iterate_block(weight, opts, x, estimates, iterations, residuals, converged,
     base = None  # theta0 of the current cycle, between its two evaluations
     bound = np.ones(active.size)  # SQUAREM step-length bounds
 
-    for m in range(1, opts.max_iterations + 1):
+    for m in range(1, _MAX_ITERATIONS + 1):
         if active.size == 0:
             break
         if wh is None:
@@ -462,7 +453,7 @@ def _iterate_block(weight, opts, x, estimates, iterations, residuals, converged,
                 break
 
         nxt, nxt_wh, resid, bad = _apply_map(kind, weight, wh, q)
-        done = ~bad & (resid < opts.epsilon)
+        done = ~bad & (resid < _EPSILON)
         if m % 2:
             # a cycle's first evaluation tests the last extrapolation: where
             # the residual grew, shrink the step bound
@@ -490,70 +481,33 @@ def _iterate_block(weight, opts, x, estimates, iterations, residuals, converged,
 
 
 def m_estimate_batch(
-    x: np.ndarray,
-    weight: WeightFunction,
-    opts: FixedPointOptions | None = None,
-    initial: np.ndarray | None = None,
+    x: np.ndarray, weight: WeightFunction, initial: np.ndarray | None = None
 ) -> BatchFixedPointResult:
-    """Run the accelerated fixed-point iteration on a (B, p, n) stack of
-    sample matrices.
+    """Estimate the scatter of each member of a (B, p, n) stack of sample
+    matrices under ``weight``.
 
     ``initial`` is a (B, p, p) stack of per-member initial iterates, each
     Hermitian (relative Frobenius asymmetry at most 1e-12) and positive
     definite (its Cholesky factorization succeeds); ``None`` starts every
-    member from the identity.  The Monte Carlo harness starts each gg_ml
-    member from Tyler's estimate of the same trial where that is usable
-    (``WeightFunction.warm_start``), so in such a run gg_ml's iterations
-    count evaluations from Tyler's estimate.  The scm kind ignores it.
+    member from the identity.  The scm kind ignores it: one step is exact.
+    The Monte Carlo harness starts each gg_ml member from Tyler's usable
+    estimate of the same trial (``WeightFunction.warm_start``), so there
+    gg_ml's iterations count evaluations from that start.
 
-    The iteration map F is one weighted step followed by the kind's
-    post-step normalization (see ``WeightFunction``): Tyler iterates are
-    renormalized to trace p, and gg_ml iterates are multiplied by their
-    closed-form ML scale (Pascal et al., IEEE TSP 2013).  F runs in SQUAREM
-    cycles (Varadhan & Roland, "Simple and globally convergent methods for
-    accelerating the convergence of any EM algorithm", Scand. J. Stat. 2008):
-    from theta0 the cycle evaluates theta1 = F(theta0) and theta2 = F(theta1),
-    then starts the next cycle from the extrapolation of the three (see
-    ``_extrapolate``), or from theta2 where that leaves the positive-definite
-    cone.  Each member's step length is bounded as in the authors' reference
-    implementation: the bound starts at 1, grows 4x when a step reaches it,
-    and shrinks 4x when a step overshoots, that is when the candidate leaves
-    the cone or the next cycle's first residual exceeds the last one.  At
-    p=5, n=10 this cuts Tyler from about 35 map evaluations to about 15.
+    A member stops, with that F(Sigma) as its estimate, at the first map
+    evaluation where ``||I - Sigma^{-1} F(Sigma)||_F < _EPSILON``, or after
+    ``_MAX_ITERATIONS`` evaluations with ``converged`` False; ``iterations``
+    counts evaluations.  ``ok`` is False for a member with an all-zero
+    snapshot column (0 iterations), one whose Cholesky factorization fails
+    inside the loop, and one whose estimate fails the exit vetting
+    (condition number above 1e14, non-positive or non-finite eigenvalues).
+    An scm member is flagged only when its estimate is zero (an all-zero
+    sample matrix); with n <= p its singular estimate stays usable.
 
-    The robust kinds never touch x inside the iteration.  Both the distances
-    d_i = x_i^H Sigma^{-1} x_i = <Sigma^{-1}, x_i x_i^H> and the weighted
-    step sum_i w_i x_i x_i^H are linear in the outer products x_i x_i^H.
-    The stack runs in consecutive blocks of as many members as fit their Q
-    in ``_BLOCK_BYTES`` (5.12 MB; at most 512 members, at least 1: 512 at
-    p=5 and n=10 or 50, 1 at p=40, n=400).  Each block first builds its
-    real (B, p*p, n) tensor Q (``_outer_products``, in pieces of about
-    ``_PAIR_BYTES`` = 1 MiB of complex pair products), and each map
-    evaluation is two batched real mat-vecs against it: d = g Q with g the
-    packed Sigma^{-1} (``_dual``), and the weighted step Q w.  Members that
-    leave are dropped from Q, and the call's memory scales with one block's
-    Q, not with the stack.
-
-    The stopping rule is the plain iteration's: every evaluation is tested
-    with ``||I - Sigma^{-1} F(Sigma)||_F < epsilon``, and a member is frozen,
-    with that F(Sigma) as its estimate, the first time it passes.  So the
-    estimate is always an output of F and carries its normalization exactly.
-    ``iterations`` and ``max_iterations`` count map evaluations.  Members move
-    in lockstep by evaluation count, and each member's arithmetic involves
-    only its own data, so a stack gives bitwise the results of its members
-    run alone.  Each evaluation factors each member's iterate once; the
-    gg_ml scale step and the extrapolation's positive-definiteness test
-    factor the next iterate, and the next evaluation reuses that factor.
-    Members with an all-zero snapshot column (flagged before the first
-    evaluation, with 0 iterations), members whose Cholesky factorization
-    fails inside the loop, and members whose estimate fails the exit
-    vetting (condition number above 1e14, non-positive or non-finite
-    eigenvalues) are flagged ``ok = False``.  An scm member is flagged when
-    its estimate is zero (an all-zero sample matrix); with n <= p its
-    singular estimate stays usable.
+    ``WeightFunction`` describes the iteration map and its SQUAREM cycles;
+    the module docstring describes the outer-product tensor Q and the byte
+    budgets of the blocks the stack runs in.
     """
-    if opts is None:
-        opts = FixedPointOptions()
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 3:
         raise ValueError("expected a (B, p, n) stack of sample matrices")
@@ -599,7 +553,7 @@ def m_estimate_batch(
     members = _block_members(p, n)
     for lo in range(0, n_batch, members):
         block = slice(lo, lo + members)
-        _iterate_block(weight, opts, x[block], estimates[block], iterations[block],
+        _iterate_block(weight, x[block], estimates[block], iterations[block],
                        residuals[block], converged[block], ok[block])
 
     # exit vetting: NaN, non-positive or condition number above 1e14

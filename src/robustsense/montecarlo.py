@@ -26,7 +26,7 @@ from itertools import repeat
 import numpy as np
 
 from .detectors import DetectorSpec
-from .estimators import FixedPointOptions, WeightFunction, m_estimate_batch
+from .estimators import WeightFunction, m_estimate_batch
 from .sampling import Hypothesis, NoiseModel, _check_geometry, _integer, sample_chunk
 
 # bytes of a chunk's complex (trials, p, n) sample stack (2048 trials at
@@ -65,7 +65,6 @@ class SimConfig:
     master_seed: int
     rho: float = 0.0
     student_t_nu: float = 3.0  # weight parameter for student_t detectors
-    options: FixedPointOptions = FixedPointOptions()
 
     def __post_init__(self):
         for name in ("p", "n", "trials", "master_seed"):
@@ -155,7 +154,7 @@ def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
             # from the identity
             usable = _usable(out[weight.warm_start])[:, None, None]
             initial = np.where(usable, estimates[weight.warm_start], np.eye(config.p))
-        res = m_estimate_batch(x, weight, config.options, initial)
+        res = m_estimate_batch(x, weight, initial=initial)
         estimates[weight.kind] = res.estimates
         out[weight.kind] = np.rec.fromarrays(
             (res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real,

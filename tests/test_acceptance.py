@@ -18,7 +18,6 @@ from scipy.integrate import quad
 
 from robustsense import (
     DetectorSpec,
-    FixedPointOptions,
     NoiseModel,
     RngStream,
     RocCurve,
@@ -35,6 +34,7 @@ from robustsense.cli import main
 from robustsense.sampling import Hypothesis
 
 from oracles import fixed_point_residual, ks_distance, pod_at_pfa, scm
+from stopping import stopping_rule
 
 pytestmark = pytest.mark.slow
 
@@ -239,9 +239,9 @@ def test_criterion_6_student_t_weight_limits():
 
     x2 = sample_trial(NoiseModel("student_t", dof_nu=3.0), P, 50, 0.0, Hypothesis.H0,
                       RngStream(6200, 1))
-    tight = FixedPointOptions(epsilon=1e-12, max_iterations=500)
-    zero_dof = m_estimate_batch(x2[None], WeightFunction("student_t", P, nu=0.0), tight)
-    tyler = m_estimate_batch(x2[None], WeightFunction("tyler", P), tight)
+    with stopping_rule(epsilon=1e-12, max_iterations=500):
+        zero_dof = m_estimate_batch(x2[None], WeightFunction("student_t", P, nu=0.0))
+        tyler = m_estimate_batch(x2[None], WeightFunction("tyler", P))
     raw, ty = zero_dof.estimates[0], tyler.estimates[0]
     raw = raw * (np.trace(ty).real / np.trace(raw).real)
     dev_tyler = np.linalg.norm(raw - ty) / np.linalg.norm(ty)

@@ -510,8 +510,8 @@ def test_benchmark_reads_usable_counts_of_every_csv(tmp_path, monkeypatch, comma
     # every 5th trial of the (single) chunk loses its estimate: 8 of 40 excluded
     estimate = montecarlo.m_estimate_batch
 
-    def lossy(x, weight, opts=None, initial=None):
-        res = estimate(x, weight, opts, initial)
+    def lossy(x, weight, initial=None):
+        res = estimate(x, weight, initial=initial)
         converged = res.converged.copy()
         converged[::5] = False
         return dataclasses.replace(res, converged=converged)

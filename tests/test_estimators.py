@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from robustsense import (
-    FixedPointOptions,
     Hypothesis,
     NoiseModel,
     RngStream,
@@ -23,6 +22,7 @@ from robustsense import (
 from robustsense.sampling import gg_scale
 
 from oracles import fixed_point_residual, scm
+from stopping import stopping_rule
 
 
 def gaussian_data(p, n, seed, stream=0):
@@ -34,11 +34,11 @@ def null_stack(model, trials, p, n, seed):
     return sample_chunk(model, p, n, 0.0, Hypothesis.H0, seed, 0, trials)
 
 
-def estimate(x, weight=None, opts=None, initial=None):
+def estimate(x, weight=None, initial=None):
     """The estimate of the one-member stack x[None] (Tyler by default), from
     the initial iterate ``initial`` (default: the identity); the member must
     be usable."""
-    res = m_estimate_batch(x[None], weight or WeightFunction("tyler", x.shape[0]), opts,
+    res = m_estimate_batch(x[None], weight or WeightFunction("tyler", x.shape[0]),
                            None if initial is None else initial[None])
     assert res.ok[0]
     return res.estimates[0]
@@ -200,9 +200,9 @@ def test_student_t_large_dof_approaches_scm():
 def test_student_t_zero_dof_approaches_tyler():
     x = sample_trial(NoiseModel("student_t", dof_nu=3.0), 5, 50, 0.0, Hypothesis.H0,
                      RngStream(10, 0))
-    opts = FixedPointOptions(epsilon=1e-12, max_iterations=500)
-    raw = estimate(x, WeightFunction("student_t", 5, nu=0.0), opts)
-    ty = estimate(x, opts=opts)
+    with stopping_rule(epsilon=1e-12, max_iterations=500):
+        raw = estimate(x, WeightFunction("student_t", 5, nu=0.0))
+        ty = estimate(x)
     raw = raw * (np.trace(ty).real / np.trace(raw).real)
     assert np.linalg.norm(raw - ty) / np.linalg.norm(ty) < 1e-8
 
@@ -212,7 +212,12 @@ def test_student_t_zero_dof_approaches_tyler():
 # ||I - T^{-1} S||_F, against the default tolerance 1e-6; the gaps seen over
 # 3000 random cases (p <= 5, n = p+1 .. p+30, three noise families) stay
 # below 2e-9.
-TIGHT = FixedPointOptions(epsilon=1e-10, max_iterations=1000)
+def tight(x):
+    """Tyler's estimate of x to epsilon 1e-10."""
+    with stopping_rule(epsilon=1e-10, max_iterations=1000):
+        return estimate(x)
+
+
 FAMILIES = [NoiseModel("gaussian"), NoiseModel("gg", shape_s=0.2),
             NoiseModel("student_t", dof_nu=3.0)]
 tyler_cases = dict(
@@ -223,7 +228,7 @@ tyler_cases = dict(
 
 def tyler_case(p, extra, family, seed):
     x = sample_trial(family, p, p + extra, 0.0, Hypothesis.H0, RngStream(seed, 0))
-    return x, estimate(x, opts=TIGHT), RngStream(seed, 1).generator()
+    return x, tight(x), RngStream(seed, 1).generator()
 
 
 def metric_gap(s, t):
@@ -234,7 +239,7 @@ def metric_gap(s, t):
 @given(**tyler_cases, log_scale=st.floats(-3.0, 3.0))
 def test_tyler_is_invariant_to_global_rescaling(p, extra, family, seed, log_scale):
     x, sigma, _ = tyler_case(p, extra, family, seed)
-    assert metric_gap(estimate(10.0**log_scale * x, opts=TIGHT), sigma) < 1e-6
+    assert metric_gap(tight(10.0**log_scale * x), sigma) < 1e-6
 
 
 @settings(max_examples=30, deadline=None)
@@ -242,7 +247,7 @@ def test_tyler_is_invariant_to_global_rescaling(p, extra, family, seed, log_scal
 def test_tyler_is_invariant_to_per_column_rescaling(p, extra, family, seed):
     x, sigma, g = tyler_case(p, extra, family, seed)
     scales = 10.0 ** g.uniform(-1.0, 1.0, size=x.shape[1])
-    assert metric_gap(estimate(x * scales, opts=TIGHT), sigma) < 1e-6
+    assert metric_gap(tight(x * scales), sigma) < 1e-6
 
 
 @settings(max_examples=30, deadline=None)
@@ -256,7 +261,7 @@ def test_tyler_is_affine_equivariant(p, extra, family, seed):
     a = u @ np.diag(2.0 ** g.uniform(-2.0, 2.0, size=p)) @ w
     target = a @ sigma @ a.conj().T
     target *= p / np.trace(target).real
-    assert metric_gap(estimate(a @ x, opts=TIGHT), target) < 1e-6
+    assert metric_gap(tight(a @ x), target) < 1e-6
 
 
 @pytest.mark.parametrize("weight", [
@@ -268,9 +273,9 @@ def test_one_step_affine_equivariance(weight):
     x = gaussian_data(3, 12, seed=11)
     g = RngStream(11, 1).generator()
     a = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
-    one_step = FixedPointOptions(epsilon=1e-300, max_iterations=1)
-    plain = estimate(x, weight, one_step)
-    moved = estimate(a @ x, weight, one_step, initial=a @ a.conj().T)
+    with stopping_rule(epsilon=1e-300, max_iterations=1):
+        plain = estimate(x, weight)
+        moved = estimate(a @ x, weight, initial=a @ a.conj().T)
     target = a @ plain @ a.conj().T
     assert np.linalg.norm(moved - target) / np.linalg.norm(target) < 1e-10
 
@@ -287,8 +292,8 @@ def test_estimates_are_hermitian_positive_definite():
 
 def test_max_iterations_reported_as_not_converged():
     x = gaussian_data(3, 20, seed=13)
-    res = m_estimate_batch(x[None], WeightFunction("tyler", 3),
-                           FixedPointOptions(max_iterations=2))
+    with stopping_rule(max_iterations=2):
+        res = m_estimate_batch(x[None], WeightFunction("tyler", 3))
     assert res.ok[0]
     assert not res.converged[0]
     assert res.iterations[0] == 2
@@ -319,12 +324,14 @@ def test_gg_ml_estimate_solves_the_scale_equation():
         d = np.einsum("ji,ji->i", x.conj(), np.linalg.solve(sigma, x)).real
         return abs(s / (weight.scale_b * n * p) * np.sum(d**s) - 1.0)
 
-    res = m_estimate_batch(stack, weight, FixedPointOptions(epsilon=1e-10))
+    with stopping_rule(epsilon=1e-10):
+        res = m_estimate_batch(stack, weight)
     assert res.ok[0] and res.converged[0]
     assert scale_gap(res.estimates[0]) < 1e-9
     assert fixed_point_residual(res.estimates[0], x, weight) < 1e-8
     # the scale step puts every iterate on the equation, not just the limit
-    assert scale_gap(estimate(x, weight, FixedPointOptions(max_iterations=1))) < 1e-12
+    with stopping_rule(max_iterations=1):
+        assert scale_gap(estimate(x, weight)) < 1e-12
 
 
 def test_tyler_squarem_needs_few_map_evaluations():
@@ -335,8 +342,8 @@ def test_tyler_squarem_needs_few_map_evaluations():
     assert res.ok.all() and res.converged.all()
     assert res.iterations.mean() <= 20
     assert res.iterations.max() <= 30
-    ref = m_estimate_batch(stack, WeightFunction("tyler", p),
-                           FixedPointOptions(epsilon=1e-12, max_iterations=500))
+    with stopping_rule(epsilon=1e-12, max_iterations=500):
+        ref = m_estimate_batch(stack, WeightFunction("tyler", p))
     assert ref.converged.all()
     gap = np.linalg.norm(res.estimates - ref.estimates, axis=(1, 2))
     assert (gap / np.linalg.norm(ref.estimates, axis=(1, 2))).max() < 1e-5
@@ -547,20 +554,6 @@ def test_rank_deficient_data_is_flagged_unusable():
     assert not m_estimate_batch(x[None], WeightFunction("tyler", 3)).ok[0]
 
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        FixedPointOptions(epsilon=0.0)
-    with pytest.raises(ValueError):
-        FixedPointOptions(max_iterations=0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="epsilon"):
-            FixedPointOptions(epsilon=bad)
-    for bad in (2.5, True, np.True_):
-        with pytest.raises(ValueError, match="max_iterations"):
-            FixedPointOptions(max_iterations=bad)
-    assert type(FixedPointOptions(max_iterations=np.int64(5)).max_iterations) is int
-
-
 # ---------------------------------------------------------------------------
 # batched engine
 # ---------------------------------------------------------------------------
@@ -651,7 +644,7 @@ def test_engine_peak_memory_on_a_full_chunk(traced_peak, weight, warm):
     x = sample_chunk(NoiseModel("gg", shape_s=0.1), 5, 50, 0.0, Hypothesis.H0, 7, 0, 4096)
     # the warm start is gg_ml from every member's own Tyler estimate
     starts = m_estimate_batch(x, WeightFunction("tyler", 5)).estimates if warm else None
-    res, peak = traced_peak(m_estimate_batch, x, weight, None, starts)
+    res, peak = traced_peak(m_estimate_batch, x, weight, starts)
     assert res.ok.all() and res.converged.all()
     assert peak / 1e6 <= ENGINE_PEAK_MB
 

@@ -1,13 +1,18 @@
 """Golden hashes: short CLI runs of every preset must keep their CSV bytes.
 
 Each case runs one preset at its own seed with ``trials`` lowered to 2048
-(``calibrate`` runs fig2 at ``--pfa 0.1``) and compares the sha256 of every
-CSV with ``golden_hashes.json``.  A change meant to be byte-neutral (a
-refactor or a speed-up) must leave them all equal.
+(``calibrate`` runs fig2 at ``--pfa 0.1``; the ``_m13db`` cases run fig3
+and fig4 at ``snr_db = -13``) and compares the sha256 of every CSV with
+``golden_hashes.json``.  A change meant to be byte-neutral (a refactor or a
+speed-up) must leave them all equal.
 
 The ROC CSVs of fig3 and fig4 are saturated at their 0 dB operating point
-(every robust pod is 1 on most of the curve), so they are weak witnesses;
-fig1's pof curves carry the signal.
+(every robust pod is 1 on most of the curve): 8 of their 10 CSVs share one
+hash, so they are weak witnesses.  At -13 dB no curve saturates (pod at
+pfa 0.1 is 0.09-0.79 on fig3 and 0.16-0.32 on fig4), and only each run's
+Tyler rlrt/glrt pair shares a hash, as it must: with sigma^2 = 1 and trace
+p the two statistics are equal (criterion 2).  Those two cases and fig1's
+pof curves carry the signal.
 
 Regenerate only when a change is meant to alter the curves, and say so:
 
@@ -33,19 +38,24 @@ from robustsense.config import load_config
 HASHES = Path(__file__).with_name("golden_hashes.json")
 TRIALS = 2048
 CASES = {
-    "pof-curve_fig1": ("pof-curve", "fig1", ()),
-    "roc_fig3": ("roc", "fig3", ()),
-    "roc_fig4": ("roc", "fig4", ()),
-    "calibrate_fig2": ("calibrate", "fig2", ("--pfa", "0.1")),
+    "pof-curve_fig1": ("pof-curve", "fig1", (), None),
+    "roc_fig3": ("roc", "fig3", (), None),
+    "roc_fig4": ("roc", "fig4", (), None),
+    "roc_fig3_m13db": ("roc", "fig3", (), -13),
+    "roc_fig4_m13db": ("roc", "fig4", (), -13),
+    "calibrate_fig2": ("calibrate", "fig2", ("--pfa", "0.1"), None),
 }
 
 
 def run_case(name: str, work: Path) -> dict[str, str]:
     """Run one case in ``work``; return {csv name: sha256}."""
-    command, preset, extra = CASES[name]
+    command, preset, extra, snr_db = CASES[name]
     path = Path(load_config(preset).path)
     text, count = re.subn(r"(?m)^trials = \d+$", f"trials = {TRIALS}", path.read_text())
     assert count == 1, f"{path}: expected one trials line"
+    if snr_db is not None:
+        text, count = re.subn(r"(?m)^snr_db = \S+$", f"snr_db = {snr_db}", text)
+        assert count == 1, f"{path}: expected one snr_db line"
     config = work / f"{preset}.ini"
     config.write_text(text)
     out = work / "out"

@@ -13,7 +13,6 @@ from scipy.special import gamma, gammainc
 from robustsense import (
     DetectorSpec,
     ExclusionRateError,
-    FixedPointOptions,
     NoiseModel,
     SimConfig,
     StatSample,
@@ -31,6 +30,7 @@ from robustsense.config import ConfigError, load_config
 from robustsense.sampling import Hypothesis
 
 from oracles import ks_distance, pod_at_pfa
+from stopping import stopping_rule
 
 SCM_R = DetectorSpec("rlrt", "scm")
 SCM_G = DetectorSpec("glrt", "scm")
@@ -267,8 +267,8 @@ def test_gg_ml_starts_from_usable_tyler_estimates_only(monkeypatch):
     warm = engine(x, gg, initial=engine(x, cfg.weight_for("tyler")).estimates)
     assert not np.array_equal(cold.iterations[2:], warm.iterations[2:])
 
-    def spoiled(x, weight, opts=None, initial=None):
-        res = engine(x, weight, opts, initial)
+    def spoiled(x, weight, initial=None):
+        res = engine(x, weight, initial=initial)
         if weight.kind == "tyler":
             res.converged[0] = False  # hit max_iterations
             res.ok[1] = False  # singular: its estimate is a placeholder
@@ -317,26 +317,25 @@ def test_h1_shifts_statistics_up():
 
 def test_exclusion_rate_guard_trips():
     cfg = SimConfig(p=3, n=8, trials=64, noise=NoiseModel("gaussian"),
-                    detectors=(TY_G,), master_seed=1,
-                    options=FixedPointOptions(max_iterations=1))
-    with pytest.raises(ExclusionRateError):
+                    detectors=(TY_G,), master_seed=1)
+    with stopping_rule(max_iterations=1), pytest.raises(ExclusionRateError):
         run_experiment(cfg, with_h1=False)
 
 
 def test_run_experiment_counts_exclusions_by_cause(monkeypatch):
     monkeypatch.setattr(montecarlo, "_MAX_EXCLUSION_RATE", 1.0)
     cfg = SimConfig(p=3, n=8, trials=64, noise=NoiseModel("gaussian"), rho=1.0,
-                    detectors=(SCM_G, TY_G), master_seed=1,
-                    options=FixedPointOptions(max_iterations=12))
+                    detectors=(SCM_G, TY_G), master_seed=1)
     capped = 0
-    for hypothesis in Hypothesis:
-        tyler = montecarlo._run_chunks(cfg, hypothesis, 1)["tyler"]
-        assert tyler["ok"].all()
-        assert (tyler["iterations"][~tyler["converged"]] == 12).all()
-        capped += int(np.count_nonzero(~tyler["converged"]))
+    with stopping_rule(max_iterations=12):
+        for hypothesis in Hypothesis:
+            tyler = montecarlo._run_chunks(cfg, hypothesis, 1)["tyler"]
+            assert tyler["ok"].all()
+            assert (tyler["iterations"][~tyler["converged"]] == 12).all()
+            capped += int(np.count_nonzero(~tyler["converged"]))
+        # pooled over both hypotheses; scm is exact in one step
+        stats = run_experiment(cfg, with_h1=True).iteration_stats
     assert 0 < capped < 2 * 64
-    # pooled over both hypotheses; scm is exact in one step
-    stats = run_experiment(cfg, with_h1=True).iteration_stats
     assert stats["tyler"]["max_iterations"] == capped
     assert stats["tyler"]["singular"] == 0
     assert stats["scm"]["max_iterations"] == stats["scm"]["singular"] == 0
