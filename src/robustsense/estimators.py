@@ -37,13 +37,13 @@ block's Q at a time, however large the stack is.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .sampling import _integer, gg_scale
+from .sampling import gg_scale
 
 _COND_LIMIT = 1e14
 # the stopping rule of the fixed-point iteration (see m_estimate_batch)
@@ -225,7 +225,7 @@ def _pin_trace(weight, v, q):
     # Tyler's weight is scale-free, so the equation fixes Sigma only up to
     # scale; pin the trace to p
     trace = np.einsum("kii->k", v).real
-    return v * (weight.p / trace)[:, None, None], None
+    return v * (v.shape[-1] / trace)[:, None, None], None
 
 
 def _ml_scale(weight, v, q):
@@ -239,25 +239,25 @@ def _ml_scale(weight, v, q):
     # a numerically singular V can factor yet give negative distances, so a
     # NaN c; the next evaluation flags that member (its step is not finite)
     with np.errstate(invalid="ignore", divide="ignore"):
-        c = (s / (weight.scale_b * n * p) * np.sum(wv.d**s, axis=1)) ** (1.0 / s)
+        c = (s / (gg_scale(p, s) * n * p) * np.sum(wv.d**s, axis=1)) ** (1.0 / s)
         return v * c[:, None, None], _Whitened(
             wv.inv / c[:, None, None], wv.d / c[:, None], wv.singular
         )
 
 
 class _Kind(NamedTuple):
-    weight: Callable  # (WeightFunction, d) -> u(d)
+    weight: Callable  # (WeightFunction, d, p) -> u(d) in dimension p
     post_step: Callable  # normalization applied after every weighted step
     # the kind whose estimate of the same data is a good start, or None
     warm_start: str | None = None
 
 
 _KINDS = {
-    "scm": _Kind(lambda w, d: np.ones_like(d), _no_scaling),
-    "tyler": _Kind(lambda w, d: w.p / d, _pin_trace),
-    "student_t": _Kind(lambda w, d: (2.0 * w.p + w.nu) / (w.nu + 2.0 * d), _no_scaling),
-    "gg_ml": _Kind(lambda w, d: (w.shape_s / w.scale_b) * d ** (w.shape_s - 1.0), _ml_scale,
-                   "tyler"),
+    "scm": _Kind(lambda w, d, p: np.ones_like(d), _no_scaling),
+    "tyler": _Kind(lambda w, d, p: p / d, _pin_trace),
+    "student_t": _Kind(lambda w, d, p: (2.0 * p + w.nu) / (w.nu + 2.0 * d), _no_scaling),
+    "gg_ml": _Kind(lambda w, d, p: (w.shape_s / gg_scale(p, w.shape_s)) * d ** (w.shape_s - 1.0),
+                   _ml_scale, "tyler"),
 }
 KINDS = tuple(_KINDS)
 
@@ -274,13 +274,14 @@ class WeightFunction:
     student_t  u(d) = (2p + nu) / (nu + 2d)  none
     gg_ml      u(d) = (s/b) d^(s-1)          closed-form ML scale; starts from tyler
 
-    A weight keeps only its kind's own parameter, ``nu`` for student_t and
-    ``shape_s`` for gg_ml, and sets the other to None, so weights of one
-    kind and dimension compare equal whatever else was passed.
+    A weight is its kind and that kind's own parameter, ``nu`` for student_t
+    and ``shape_s`` for gg_ml, both keyword-only; it sets the other to None,
+    so weights of one kind compare equal whatever else was passed.  The
+    dimension p is the data's (``x.shape[1]``), read where it is used.
 
     ``nu = 0`` degenerates student_t to the Tyler weight.  The gg_ml scale
-    ``b`` is derived from (p, s) so that the weight matches the density
-    generator exp(-d^s / b) with unit-mean-per-dimension radius.  The gg_ml
+    ``b = gg_scale(p, s)`` makes the weight match the density generator
+    exp(-d^s / b) with unit-mean-per-dimension radius.  The gg_ml
     iterate is multiplied by the scale c that solves the trace of the ML
     equation, c^s = s/(b n p) sum_i d_i^s (Pascal, Bombrun, Tourneret &
     Berthoumieu, "Parameter estimation for multivariate generalized Gaussian
@@ -305,16 +306,13 @@ class WeightFunction:
     """
 
     kind: str
-    p: int
+    _: KW_ONLY
     nu: float | None = None
     shape_s: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}; expected one of {KINDS}")
-        object.__setattr__(self, "p", _integer("p", self.p))
-        if self.p < 1:
-            raise ValueError("dimension p must be at least 1")
         if self.kind == "student_t":
             if self.nu is None or not 0 <= self.nu < np.inf:
                 raise ValueError(f"student_t weight requires a finite nu >= 0, got {self.nu}")
@@ -322,7 +320,8 @@ class WeightFunction:
             object.__setattr__(self, "nu", None)
         if self.kind == "gg_ml":
             if self.shape_s is None or not 0 < self.shape_s < np.inf:
-                raise ValueError(f"gg_ml weight requires a finite shape_s > 0, got {self.shape_s}")
+                raise ValueError("gg_ml weight requires a finite shape_s > 0, the gg noise "
+                                 f"shape, got {self.shape_s}")
         else:
             object.__setattr__(self, "shape_s", None)
 
@@ -331,14 +330,6 @@ class WeightFunction:
         """The kind whose estimate of the same data this kind starts from
         (``m_estimate_batch``'s ``initial``), or None for the identity."""
         return _KINDS[self.kind].warm_start
-
-    @property
-    def scale_b(self) -> float:
-        """The gg_ml density scale b = gg_scale(p, shape_s)."""
-        return gg_scale(self.p, self.shape_s)
-
-    def __call__(self, d):
-        return _KINDS[self.kind].weight(self, np.asarray(d, dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,7 +361,7 @@ def _apply_map(kind: _Kind, weight, wh: _Whitened, q):
     (those get the identity as a placeholder).
     """
     p, n = wh.inv.shape[-1], q.shape[-1]
-    w = kind.weight(weight, wh.d) / n
+    w = kind.weight(weight, wh.d, p) / n
     y = np.matmul(q, w[:, :, None])[:, :, 0]
     # cheap in-loop guards; the full eigenvalue vetting happens on exit
     bad = ~np.isfinite(y).all(axis=1) | (y[:, :p].min(axis=1) <= 0)
@@ -512,8 +503,6 @@ def m_estimate_batch(
     if x.ndim != 3:
         raise ValueError("expected a (B, p, n) stack of sample matrices")
     n_batch, p, n = x.shape
-    if weight.p != p:
-        raise ValueError(f"weight function is for p={weight.p}, data has p={p}")
 
     iterations = np.zeros(n_batch, dtype=np.int64)
     residuals = np.full(n_batch, np.inf)

@@ -214,11 +214,6 @@ def _channel(direction: np.ndarray, rho: float, p: int, sigma2: float) -> np.nda
     return np.sqrt(rho * p * sigma2) * direction
 
 
-def _symbols(raw: np.ndarray) -> np.ndarray:
-    """Unit-variance complex Gaussian symbols from (..., 2, n) real and imaginary draws."""
-    return (raw[..., 0, :] + 1j * raw[..., 1, :]) / np.sqrt(2.0)
-
-
 def _check_geometry(p: int, n: int, rho: float) -> None:
     """The one check of p, n and rho, shared by both samplers and ``SimConfig``."""
     p, n = _integer("p", p), _integer("n", n)
@@ -255,9 +250,10 @@ def sample_trial(
         x[:, dead] = _noise(model, p, gen, int(dead.sum()))
     if not h1:
         return x
-    # symbols as a (1, n) row: numpy rounds a (1, 1) * (1,) complex product
-    # differently from (1, 1) * (1, 1), which sample_chunk's shapes match
-    return h * _symbols(gen.standard_normal((2, n)))[None, :] + x
+    # unit-variance symbols as a (1, n) row: numpy rounds a (1, 1) * (1,)
+    # complex product differently from (1, 1) * (1, 1), which sample_chunk's
+    # shapes match
+    return h * (_complex_draws(gen.standard_normal((2, 1, n))) / np.sqrt(2.0)) + x
 
 
 def sample_chunk(
@@ -297,7 +293,7 @@ def sample_chunk(
     raw, g = np.empty((k, 2, p, n)), np.empty((k, n))
     w = np.empty((k, n)) if model.family == "student_t" else None
     if h1:
-        c, s = np.empty((k, 2, p, 1)), np.empty((k, 2, n))
+        c, s = np.empty((k, 2, p, 1)), np.empty((k, 2, 1, n))
     x = np.empty((m, p, n), dtype=np.complex128)
     guard = np.empty(m, dtype=bool)
     gen = RngStream(master_seed).generator()  # re-pointed at every trial
@@ -323,7 +319,8 @@ def sample_chunk(
             direction = _complex_draws(c[:size])
             guard[piece] |= _unit_columns(direction)[:, 0] == 0.0
             h = _channel(direction, rho, p, model.sigma2)
-            np.add(h * _symbols(s[:size])[:, None, :], xs, out=xs)  # operand order of sample_trial
+            symbols = _complex_draws(s[:size]) / np.sqrt(2.0)
+            np.add(h * symbols, xs, out=xs)  # operand order of sample_trial
     for j in np.flatnonzero(guard):
         x[j] = sample_trial(model, p, n, rho, hypothesis, RngStream(master_seed, lo + j))
     return x

@@ -4,7 +4,7 @@ them stay independent of the code under test."""
 
 import numpy as np
 
-from robustsense import RocCurve, WeightFunction
+from robustsense import RocCurve, WeightFunction, gg_scale
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -28,6 +28,19 @@ def scm(x: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.conj().T)
 
 
+def _weight_values(weight: WeightFunction, d: np.ndarray, p: int) -> np.ndarray:
+    """u(d) of ``weight``'s kind in dimension p, from the kinds' formulas
+    written out here rather than the engine's table."""
+    if weight.kind == "scm":
+        return np.ones_like(d)
+    if weight.kind == "tyler":
+        return p / d
+    if weight.kind == "student_t":
+        return (2.0 * p + weight.nu) / (weight.nu + 2.0 * d)
+    s = weight.shape_s
+    return s / gg_scale(p, s) * d ** (s - 1.0)
+
+
 def fixed_point_residual(
     sigma_hat: np.ndarray,
     x: np.ndarray,
@@ -35,6 +48,7 @@ def fixed_point_residual(
 ) -> float:
     """Relative Frobenius gap between sigma_hat and the estimator map applied to it.
 
+    The weight u(d) comes from ``_weight_values`` with p = ``x.shape[0]``.
     For the Tyler weight the right-hand side is rescaled to the trace of
     ``sigma_hat`` before differencing, matching the trace-normalized
     iteration.
@@ -45,11 +59,11 @@ def fixed_point_residual(
     if np.linalg.eigvalsh(sigma_hat)[0] <= 0:
         raise ValueError("sigma_hat must be positive definite")
     x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[1]
+    p, n = x.shape
     chol_inv = np.linalg.inv(np.linalg.cholesky(sigma_hat))
     v = chol_inv @ x
     d = np.sum(v.real**2 + v.imag**2, axis=0)
-    w = weight(d) / n
+    w = _weight_values(weight, d, p) / n
     rhs = (x * w[None, :]) @ x.conj().T
     rhs = 0.5 * (rhs + rhs.conj().T)
     if weight.kind == "tyler":

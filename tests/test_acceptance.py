@@ -141,7 +141,7 @@ def test_criterion_2_tyler_statistic_equivalence(null_cdf_runs, impulsive_roc_di
     sigma2, trials = 2.0, 2000
     stack = sample_chunk(NoiseModel("student_t", sigma2=sigma2, dof_nu=3.0), P, 10, 0.0,
                          Hypothesis.H0, 6021, 0, trials)
-    res = m_estimate_batch(stack, WeightFunction("tyler", P))
+    res = m_estimate_batch(stack, WeightFunction("tyler"))
     lam, trace = res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real
     expected = sigma2 * DetectorSpec("rlrt", "tyler").evaluate(lam, trace, P, sigma2)
     glrt = DetectorSpec("glrt", "tyler").evaluate(lam, trace, P, sigma2)
@@ -199,9 +199,9 @@ def test_criterion_4_gaussian_ordering(gaussian_roc_pods):
 def test_criterion_5_fixed_point_correctness():
     eps, n, per_family = 1e-6, 50, 100
     weights = {
-        "tyler": WeightFunction("tyler", P),
-        "student_t": WeightFunction("student_t", P, nu=3.0),
-        "gg_ml": WeightFunction("gg_ml", P, shape_s=0.1),
+        "tyler": WeightFunction("tyler"),
+        "student_t": WeightFunction("student_t", nu=3.0),
+        "gg_ml": WeightFunction("gg_ml", shape_s=0.1),
     }
     worst_resid, worst_scm, worst_trace = 0.0, 0.0, 0.0
     converged_count, total = 0, 0
@@ -222,7 +222,7 @@ def test_criterion_5_fixed_point_correctness():
         for k in range(per_family):
             worst_scm = max(worst_scm,
                             fixed_point_residual(scm(stack[k]), stack[k],
-                                                 WeightFunction("scm", P)))
+                                                 WeightFunction("scm")))
     ok = (worst_resid < 10 * eps and worst_scm < 1e-14 and worst_trace < 1e-12
           and converged_count == total)
     report("criterion 5 fixed-point correctness",
@@ -234,14 +234,14 @@ def test_criterion_5_fixed_point_correctness():
 def test_criterion_6_student_t_weight_limits():
     x = sample_trial(NoiseModel("gaussian"), P, 100, 0.0, Hypothesis.H0, RngStream(6200, 0))
     s = scm(x)
-    near = m_estimate_batch(x[None], WeightFunction("student_t", P, nu=1e6))
+    near = m_estimate_batch(x[None], WeightFunction("student_t", nu=1e6))
     dev_scm = np.linalg.norm(near.estimates[0] - s) / np.linalg.norm(s)
 
     x2 = sample_trial(NoiseModel("student_t", dof_nu=3.0), P, 50, 0.0, Hypothesis.H0,
                       RngStream(6200, 1))
     with stopping_rule(epsilon=1e-12, max_iterations=500):
-        zero_dof = m_estimate_batch(x2[None], WeightFunction("student_t", P, nu=0.0))
-        tyler = m_estimate_batch(x2[None], WeightFunction("tyler", P))
+        zero_dof = m_estimate_batch(x2[None], WeightFunction("student_t", nu=0.0))
+        tyler = m_estimate_batch(x2[None], WeightFunction("tyler"))
     raw, ty = zero_dof.estimates[0], tyler.estimates[0]
     raw = raw * (np.trace(ty).real / np.trace(raw).real)
     dev_tyler = np.linalg.norm(raw - ty) / np.linalg.norm(ty)

@@ -40,7 +40,7 @@ def statistic(spec, stack, sigma2=1.0):
     its top eigenvalue and trace, then ``spec.evaluate`` at noise power
     ``sigma2``, as in ``montecarlo._chunk_stats`` and ``_collect_samples``."""
     p = stack.shape[1]
-    res = m_estimate_batch(stack, WeightFunction(spec.estimator, p))
+    res = m_estimate_batch(stack, WeightFunction(spec.estimator))
     assert res.ok.all()
     return spec.evaluate(res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real, p,
                          sigma2)
@@ -60,19 +60,19 @@ def charpoly_top_eigenvalue(a):
 
 def test_largest_eigenvalue_diagonal():
     res = m_estimate_batch(data_with_scm(np.diag([3.0, 1.0, 1.0]))[None],
-                           WeightFunction("scm", 3))
+                           WeightFunction("scm"))
     assert res.eigenvalues[0, -1] == pytest.approx(3.0, abs=1e-14)
 
 
 def test_largest_eigenvalue_identity():
-    res = m_estimate_batch(data_with_scm(np.eye(7))[None], WeightFunction("scm", 7))
+    res = m_estimate_batch(data_with_scm(np.eye(7))[None], WeightFunction("scm"))
     assert res.eigenvalues[0, -1] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_largest_eigenvalue_against_charpoly_oracle():
     # the lam_max a chunk's trial record stores, against an eigensolver-free oracle
     stack = np.stack([random_data(5, seed) for seed in range(31, 37)])
-    lam = m_estimate_batch(stack, WeightFunction("scm", 5)).eigenvalues[:, -1]
+    lam = m_estimate_batch(stack, WeightFunction("scm")).eigenvalues[:, -1]
     for k, x in enumerate(stack):
         assert abs(lam[k] - charpoly_top_eigenvalue(scm(x))) < 1e-10 * lam[k]
 
@@ -122,7 +122,7 @@ def test_glrt_bounds():
 
 def test_spec_evaluates_stacks_like_scalars():
     res = m_estimate_batch(np.stack([random_data(4, seed) for seed in range(50, 56)]),
-                           WeightFunction("scm", 4))
+                           WeightFunction("scm"))
     lam, trace = res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real
     for spec in (DetectorSpec("rlrt", "tyler"), DetectorSpec("glrt", "gg_ml")):
         assert spec.evaluate(lam, trace, 4, 2.0).tolist() == [

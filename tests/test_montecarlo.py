@@ -82,8 +82,8 @@ def test_config_validation(tmp_path):
     lambda v: NoiseModel("gg", shape_s=v),
     lambda v: NoiseModel("student_t", dof_nu=v),
     lambda v: small_config(rho=v),
-    lambda v: WeightFunction("student_t", 3, nu=v),
-    lambda v: WeightFunction("gg_ml", 3, shape_s=v),
+    lambda v: WeightFunction("student_t", nu=v),
+    lambda v: WeightFunction("gg_ml", shape_s=v),
 ], ids=["sigma2", "shape_s", "dof_nu", "rho", "nu", "gg_ml-shape_s"])
 def test_each_owner_rejects_non_finite_values(build, value):
     with pytest.raises(ValueError, match="finite"):

@@ -30,7 +30,8 @@ def load_spans():
 def test_tracer_finds_every_live_hook():
     tracer = load_spans().Tracer()
     cfg = SimConfig(p=3, n=8, trials=16, noise=NoiseModel("gg", shape_s=0.5), rho=1.0,
-                    detectors=(DetectorSpec("glrt", "tyler"), DetectorSpec("glrt", "gg_ml")),
+                    detectors=(DetectorSpec("glrt", "scm"), DetectorSpec("glrt", "tyler"),
+                               DetectorSpec("glrt", "gg_ml")),
                     master_seed=3)
     try:
         tracer.install()
@@ -41,5 +42,6 @@ def test_tracer_finds_every_live_hook():
     recorded = {(name, hyp) for _, _, name, hyp, _, _ in tracer.spans}
     for hyp in ("h0", "h1"):
         for name in ("montecarlo.run_trials", "montecarlo.chunk", "detectors.statistics",
-                     "sampling.rng", "estimators.tyler", "estimators.gg_ml"):
+                     "sampling.rng", "estimators.scm", "estimators.tyler",
+                     "estimators.gg_ml"):
             assert (name, hyp) in recorded
