@@ -22,6 +22,7 @@ from .montecarlo import (
     empirical_pfa_curve,
     roc_curve,
     run_experiment,
+    run_experiments,
     threshold_grid,
 )
 from .sampling import (
@@ -53,6 +54,7 @@ __all__ = [
     "m_estimate_batch",
     "roc_curve",
     "run_experiment",
+    "run_experiments",
     "sample_chunk",
     "sample_trial",
     "threshold_grid",

@@ -1,18 +1,21 @@
 """Command-line front end: run experiments from config files and emit CSV
 curve data plus a JSON run manifest.
 
-Each ``cmd_*`` function runs its simulations, hands every CSV to
-``emit(name, header, columns)`` as soon as it is computed and returns the
-manifest's ``(detectors, iteration_stats)``; ``main`` owns the kind rule,
-the output directory, the CSV writes and the manifest.
+Each ``cmd_*`` function runs its simulations in one ``run_experiments`` or
+``run_experiment`` call, so a command starts at most one worker pool, hands
+every CSV to ``emit(name, header, columns)`` as soon as it is computed and
+returns the manifest's ``(detectors, iteration_stats)``; ``main`` owns the
+kind rule, the output directory, the CSV writes and the manifest.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from .montecarlo import (
     empirical_pfa_curve,
     roc_curve,
     run_experiment,
+    run_experiments,
     threshold_grid,
 )
 
@@ -33,17 +37,17 @@ from .montecarlo import (
 def cmd_pof_curve(cfg: ExperimentConfig, seed: int, threads: int, emit):
     """One (threshold, pfa, cdf) CSV per detector and noise family."""
     detectors, iteration_stats = {}, {}
-    for i, family in enumerate(cfg.families):
-        sim = cfg.sim_config(family, derive_seed(seed, i))
-        result = run_experiment(sim, with_h1=False, threads=threads)
-        for spec, sample in result.h0.items():
-            curve = empirical_pfa_curve(sample, threshold_grid(sample))
-            emit(f"pof_{family}_{spec.label}.csv", ("threshold", "pfa", "cdf"),
-                 (curve.thresholds.tolist(), curve.pfa.tolist(), curve.cdf.tolist()))
-            detectors[f"{family}/{spec.label}"] = {"trials": sim.trials,
-                                                   "h0_excluded": sample.n_excluded}
-        for kind, entry in result.iteration_stats.items():
-            iteration_stats[f"{family}/{kind}"] = entry
+    sims = [cfg.sim_config(family, derive_seed(seed, i)) for i, family in enumerate(cfg.families)]
+    with closing(run_experiments(sims, with_h1=False, threads=threads)) as results:
+        for family, sim, result in zip(cfg.families, sims, results):
+            for spec, sample in result.h0.items():
+                curve = empirical_pfa_curve(sample, threshold_grid(sample))
+                emit(f"pof_{family}_{spec.label}.csv", ("threshold", "pfa", "cdf"),
+                     (curve.thresholds.tolist(), curve.pfa.tolist(), curve.cdf.tolist()))
+                detectors[f"{family}/{spec.label}"] = {"trials": sim.trials,
+                                                       "h0_excluded": sample.n_excluded}
+            for kind, entry in result.iteration_stats.items():
+                iteration_stats[f"{family}/{kind}"] = entry
     return detectors, iteration_stats
 
 
@@ -71,8 +75,8 @@ def cmd_calibrate(cfg: ExperimentConfig, seed: int, threads: int, emit, target_p
     family = cfg.families[0]
     sim_cal = cfg.sim_config(family, derive_seed(seed, 0))
     sim_holdout = cfg.sim_config(family, derive_seed(seed, 1))
-    result_cal = run_experiment(sim_cal, with_h1=False, threads=threads)
-    result_holdout = run_experiment(sim_holdout, with_h1=False, threads=threads)
+    result_cal, result_holdout = run_experiments((sim_cal, sim_holdout), with_h1=False,
+                                                 threads=threads)
     specs = sim_cal.detectors
     thresholds = [calibrate_threshold(result_cal.h0[spec], target_pfa) for spec in specs]
     achieved = [float(empirical_pfa_curve(result_holdout.h0[spec], [t]).pfa[0])
@@ -100,6 +104,10 @@ def _threads(raw: str) -> int:
     return int(raw)
 
 
+# the CLI's default worker cap: the cores this process may run on
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robustsense",
@@ -113,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=_seed, default=None,
                          help="master seed override (default: the config's seed)")
-        cmd.add_argument("--threads", type=_threads, default=1,
-                         help="worker cap (default 1: serial); never affects numerical results")
+        cmd.add_argument("--threads", type=_threads, default=_CORES,
+                         help=f"worker cap (default: the {_CORES} usable cores); "
+                              "never affects numerical results")
 
     common(sub.add_parser("pof-curve", help="threshold vs false-alarm curves under H0"))
     common(sub.add_parser("roc", help="detection vs false-alarm curves"))

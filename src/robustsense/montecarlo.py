@@ -13,6 +13,12 @@ trials at (p, n) = (5, 10) (the cap; the budget would give 10240), 2048 at
 (5, 50) and 32 at (40, 400).  Inside a chunk the sampler and the estimator
 engine bound their own pieces and blocks by bytes as well (see
 ``sample_chunk`` and ``robustsense.estimators``).
+
+``run_experiments`` runs all simulations of one call, such as the noise
+families of one CLI command, on at most one worker pool.  It submits every
+chunk before it collects any, so workers never wait for the parent between
+simulations.  The parent holds finished chunk records, 26 bytes per trial
+per estimator kind (``_TRIAL``), until it reaches their simulation.
 """
 
 from __future__ import annotations
@@ -162,30 +168,26 @@ def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
     return lo, out
 
 
-def _run_chunks(config: SimConfig, hypothesis: Hypothesis, threads: int):
-    """Chunk-batched sampling and estimation over chunks of ``_chunk_trials``.
+def _chunk_starts(config: SimConfig) -> range:
+    """First trial of each chunk of one (config, hypothesis) run."""
+    return range(0, config.trials, _chunk_trials(config))
 
-    Returns one ``_TRIAL`` record array per estimator kind, indexed by
-    trial.  Every trial draws from its own stream and chunks are merged by
-    index, so neither the worker count nor the chunk size can change the
-    result.
+
+def _run_chunks(config: SimConfig, hypothesis: Hypothesis, results=None):
+    """One record array of ``_TRIAL`` per estimator kind, indexed by trial,
+    merged from the ``(lo, chunk)`` pairs of ``_chunk_stats``.
+
+    ``results`` yields the pairs a worker pool computed; without it the
+    chunks run here, one after another.  Every trial draws from its own
+    stream and chunks are merged by index, so neither the worker count nor
+    the chunk size can change the result.
     """
     records = {kind: np.empty(config.trials, _TRIAL) for kind in config.estimator_kinds()}
-    starts = range(0, config.trials, _chunk_trials(config))
-    workers = min(threads, len(starts))
-    if workers <= 1:
-        results = (_chunk_stats(config, hypothesis, lo) for lo in starts)
-        pool = None
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_chunk_stats, repeat(config), repeat(hypothesis), starts)
-    try:
-        for lo, chunk in results:
-            for kind, trials in chunk.items():
-                records[kind][lo:lo + trials.size] = trials
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    if results is None:
+        results = (_chunk_stats(config, hypothesis, lo) for lo in _chunk_starts(config))
+    for lo, chunk in results:
+        for kind, trials in chunk.items():
+            records[kind][lo:lo + trials.size] = trials
     return records
 
 
@@ -205,6 +207,65 @@ def _collect_samples(config: SimConfig, hypothesis: Hypothesis,
         values = spec.evaluate(usable["lam"], usable["trace"], config.p, config.noise.sigma2)
         samples[spec] = StatSample(values=np.sort(values), spec=spec, n_excluded=excluded)
     return samples
+
+
+def _experiment(config: SimConfig, hypotheses, pending) -> ExperimentResult:
+    """One simulation's result from its runs' chunk results (``None``: run
+    the chunks here), one per hypothesis."""
+    kinds = config.estimator_kinds()
+    counts: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
+    excluded = {kind: {"singular": 0, "max_iterations": 0} for kind in kinds}
+    samples = {}
+    for hypothesis, results in zip(hypotheses, pending):
+        trials = _run_chunks(config, hypothesis, results)
+        samples[hypothesis] = _collect_samples(config, hypothesis, trials)
+        for kind, rec in trials.items():
+            counts[kind].append(rec["iterations"][_usable(rec)])
+            excluded[kind]["singular"] += int(np.count_nonzero(~rec["ok"]))
+            excluded[kind]["max_iterations"] += int(np.count_nonzero(rec["ok"] & ~rec["converged"]))
+    stats = {}
+    for kind, chunks in counts.items():
+        pooled = np.concatenate(chunks)
+        p50, p90, p99 = np.percentile(pooled, (50, 90, 99))
+        stats[kind] = {"mean": float(pooled.mean()), "max": float(pooled.max()),
+                       "p50": float(p50), "p90": float(p90), "p99": float(p99), **excluded[kind]}
+    return ExperimentResult(h0=samples[Hypothesis.H0], h1=samples.get(Hypothesis.H1),
+                            iteration_stats=stats)
+
+
+def run_experiments(configs, with_h1: bool, threads: int = 1):
+    """Run several simulations on at most one worker pool and yield each
+    one's ``ExperimentResult``, in the order of ``configs``.
+
+    The pool starts ``min(threads, chunks of the whole call)`` workers, and
+    every chunk of every simulation is submitted before any result is
+    collected, so workers go from one simulation's chunks straight to the
+    next while the caller consumes the results already yielded.  Until the
+    parent reaches a simulation it holds that simulation's finished chunk
+    records, 26 bytes per trial per estimator kind.  With one worker, or
+    one chunk, nothing is forked and each simulation runs when its result
+    is asked for.  A failed simulation, or closing the generator
+    (``contextlib.closing`` where a caller may stop early), cancels the
+    chunks not yet started and shuts the pool down.  See ``run_experiment``
+    for what a result holds and for ``threads``.
+    """
+    threads = _integer("threads", threads)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    configs = tuple(configs)
+    hypotheses = (Hypothesis.H0, Hypothesis.H1) if with_h1 else (Hypothesis.H0,)
+    workers = min(threads, len(hypotheses) * sum(len(_chunk_starts(c)) for c in configs))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        # Executor.map submits all of a run's chunks at once
+        pending = [[None if pool is None else
+                    pool.map(_chunk_stats, repeat(config), repeat(hyp), _chunk_starts(config))
+                    for hyp in hypotheses] for config in configs]
+        for config, results in zip(configs, pending):
+            yield _experiment(config, hypotheses, results)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(
@@ -231,30 +292,13 @@ def run_experiment(
     warm start (``WeightFunction.warm_start``, gg_ml from tyler) counts its
     iterations from the other kind's estimate when the run has that kind.
     ``threads`` caps the worker processes; it must be an integer of at
-    least 1, and it never changes the result.
+    least 1, and it never changes the result.  This is ``run_experiments``
+    on one config: the H0 and H1 chunks share one pool, and the parent
+    holds finished H1 chunk records (26 bytes per trial per kind) while it
+    collects H0.
     """
-    threads = _integer("threads", threads)
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    kinds = config.estimator_kinds()
-    counts: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
-    excluded = {kind: {"singular": 0, "max_iterations": 0} for kind in kinds}
-    samples = {}
-    for hypothesis in (Hypothesis.H0, Hypothesis.H1) if with_h1 else (Hypothesis.H0,):
-        trials = _run_chunks(config, hypothesis, threads)
-        samples[hypothesis] = _collect_samples(config, hypothesis, trials)
-        for kind, rec in trials.items():
-            counts[kind].append(rec["iterations"][_usable(rec)])
-            excluded[kind]["singular"] += int(np.count_nonzero(~rec["ok"]))
-            excluded[kind]["max_iterations"] += int(np.count_nonzero(rec["ok"] & ~rec["converged"]))
-    stats = {}
-    for kind, chunks in counts.items():
-        pooled = np.concatenate(chunks)
-        p50, p90, p99 = np.percentile(pooled, (50, 90, 99))
-        stats[kind] = {"mean": float(pooled.mean()), "max": float(pooled.max()),
-                       "p50": float(p50), "p90": float(p90), "p99": float(p99), **excluded[kind]}
-    return ExperimentResult(h0=samples[Hypothesis.H0], h1=samples.get(Hypothesis.H1),
-                            iteration_stats=stats)
+    [result] = run_experiments((config,), with_h1, threads)
+    return result
 
 
 def _rank_grid(values: np.ndarray) -> np.ndarray:

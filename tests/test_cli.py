@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import multiprocessing
 import os
 import platform
 import re
@@ -323,10 +324,31 @@ def test_pof_curve_single_trial_degenerate(tmp_path):
 def test_pof_curve_reruns_byte_identical(tmp_path):
     config = write_config(tmp_path, POF_TEMPLATE.format(trials=300, seed=5))
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["pof-curve", "--config", config, "--out", str(out1)]) == 0
+    assert main(["pof-curve", "--config", config, "--out", str(out1), "--threads", "1"]) == 0
     assert main(["pof-curve", "--config", config, "--out", str(out2), "--threads", "2"]) == 0
     for f1 in sorted(out1.glob("*.csv")):
         assert f1.read_bytes() == (out2 / f1.name).read_bytes()
+
+
+@pytest.mark.parametrize("command, text, extra", [
+    ("roc", ROC_TEMPLATE.format(trials=200, seed=13, snr_db=0.0), ()),
+    ("calibrate", POF_TEMPLATE.format(trials=200, seed=13), ("--pfa", "0.1")),
+], ids=["roc", "calibrate"])
+def test_worker_count_leaves_csv_bytes_alone(tmp_path, monkeypatch, command, text, extra):
+    # 64-trial chunks: four per run, shared out between the workers
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 64 * 16 * 3 * 8)
+    config = write_config(tmp_path, text)
+    outs = {threads: tmp_path / f"t{threads}" for threads in ("1", "2")}
+    for threads, out in outs.items():
+        argv = [command, "--config", config, "--out", str(out), "--threads", threads, *extra]
+        assert main(argv) == 0
+    csvs = sorted(p.name for p in outs["1"].glob("*.csv"))
+    assert csvs and csvs == sorted(p.name for p in outs["2"].glob("*.csv"))
+    for name in csvs:
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in outs.values()]
+    for key in ("detectors", "estimator_iterations"):
+        assert manifests[0][key] == manifests[1][key]
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -395,11 +417,11 @@ def test_calibrate_accepts_roc_config(tmp_path, monkeypatch):
     # calibrate takes either kind: the first family, H0 trials only
     runs = []
 
-    def recording(sim, with_h1, threads):
-        runs.append((sim.noise.family, with_h1))
-        return montecarlo.run_experiment(sim, with_h1, threads)
+    def recording(sims, with_h1, threads):
+        runs.extend((sim.noise.family, with_h1) for sim in sims)
+        return montecarlo.run_experiments(sims, with_h1, threads)
 
-    monkeypatch.setattr(cli, "run_experiment", recording)
+    monkeypatch.setattr(cli, "run_experiments", recording)
     config = write_config(tmp_path, ROC_TEMPLATE.format(trials=200, seed=9, snr_db=0.0))
     out = tmp_path / "out"
     assert main(["calibrate", "--config", config, "--out", str(out), "--pfa", "0.1"]) == 0
@@ -477,6 +499,59 @@ def test_exclusion_rate_error_exits_without_manifest(tmp_path, monkeypatch, caps
     assert not (out / "manifest.json").exists()
 
 
+FAILURES = {  # how the gg family fails, and the error line it gives
+    "exclusions": "error: scm_rlrt: ",  # every estimate unusable: ExclusionRateError
+    "worker": "error: worker failed",  # an exception in the worker that samples it
+    "csv": "error: [Errno 21] Is a directory",  # its first CSV cannot be written
+}
+
+
+@pytest.mark.parametrize("failure", sorted(FAILURES))
+def test_failed_command_stops_the_pool_and_keeps_finished_csvs(tmp_path, monkeypatch, capsys,
+                                                               failure):
+    sample_chunk = montecarlo.sample_chunk
+
+    def failing(noise, *args):
+        x = sample_chunk(noise, *args)
+        if noise.family != "gg" or failure == "csv":
+            return x
+        if failure == "worker":
+            raise RuntimeError("worker failed on a gg chunk")
+        return np.zeros_like(x)
+
+    monkeypatch.setattr(montecarlo, "sample_chunk", failing)  # forked workers inherit it
+    config = write_config(tmp_path, POF_TEMPLATE.format(trials=40, seed=14))
+    out = tmp_path / "out"
+    if failure == "csv":
+        (out / "pof_gg_scm_rlrt.csv").mkdir(parents=True)
+    assert main(["pof-curve", "--config", config, "--out", str(out), "--threads", "2"]) == 2
+    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().err.startswith(FAILURES[failure])
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == [
+        "pof_gaussian_scm_glrt.csv", "pof_gaussian_scm_rlrt.csv",
+        "pof_gaussian_tyler_glrt.csv", "pof_gaussian_tyler_rlrt.csv"]
+
+
+@pytest.mark.parametrize("command, text, extra", [
+    ("pof-curve", POF_TEMPLATE.format(trials=40, seed=15), ()),
+    ("roc", ROC_TEMPLATE.format(trials=40, seed=15, snr_db=0.0), ()),
+    ("calibrate", POF_TEMPLATE.format(trials=40, seed=15), ("--pfa", "0.1")),
+], ids=["pof-curve", "roc", "calibrate"])
+def test_command_starts_one_pool(tmp_path, monkeypatch, command, text, extra):
+    made = []
+
+    class CountingExecutor(montecarlo.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingExecutor)
+    argv = [command, "--config", write_config(tmp_path, text), "--out", str(tmp_path / "out"),
+            "--threads", "2", *extra]
+    assert main(argv) == 0
+    assert made == [2]
+
+
 def test_missing_config_exits_nonzero(tmp_path, capsys):
     assert main(["roc", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -538,7 +613,9 @@ def test_manifest_lists_outputs_command_and_threads(tmp_path, command, text, ext
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == sorted(str(p) for p in out.glob("*.csv"))
     assert manifest["command"] == command
-    assert manifest["threads"] == (2 if threads else 1)  # the worker cap that ran; 1 is serial
+    # the worker cap that ran; without --threads, the cores this process may use
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert manifest["threads"] == (2 if threads else usable)
 
 
 # ---------------------------------------------------------------------------

@@ -151,15 +151,27 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-        def shutdown(self):
+        def shutdown(self, cancel_futures):
             pass
 
+    merged = []
+    run_chunks = montecarlo._run_chunks
+
+    def recording(config, hypothesis, results=None):
+        merged.append(run_chunks(config, hypothesis, results))
+        return merged[-1]
+
     cfg = small_config(trials=8)
-    serial = montecarlo._run_chunks(cfg, Hypothesis.H0, 1)
+    serial = montecarlo._run_chunks(cfg, Hypothesis.H0)
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialExecutor)
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_bytes(cfg, 4))
-    assert_chunks_equal(montecarlo._run_chunks(cfg, Hypothesis.H0, 5), serial)
+    monkeypatch.setattr(montecarlo, "_run_chunks", recording)
+    list(montecarlo.run_experiments([cfg], with_h1=False, threads=5))
+    assert_chunks_equal(merged[0], serial)
     assert started == [2]
+    # the cap counts the chunks of the whole call: 2 configs x 2 hypotheses x 2
+    list(montecarlo.run_experiments([cfg, cfg], with_h1=True, threads=16))
+    assert started == [2, 8]
 
 
 FAMILY_CONFIGS = {
@@ -180,10 +192,10 @@ def assert_chunks_equal(a, b):
 @pytest.mark.parametrize("hypothesis", list(Hypothesis), ids=lambda h: h.name)
 def test_results_do_not_depend_on_chunk_boundaries(monkeypatch, family, hypothesis):
     cfg = small_config(trials=23, rho=1.0, **FAMILY_CONFIGS[family])
-    default = montecarlo._run_chunks(cfg, hypothesis, 1)
+    default = montecarlo._run_chunks(cfg, hypothesis)
     for chunk in (1, 7):
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_bytes(cfg, chunk))
-        assert_chunks_equal(montecarlo._run_chunks(cfg, hypothesis, 1), default)
+        assert_chunks_equal(montecarlo._run_chunks(cfg, hypothesis), default)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
@@ -193,17 +205,17 @@ def test_results_do_not_depend_on_byte_budgets(monkeypatch, family, hypothesis):
     # 1-member engine blocks or 1-member pair pieces; each is forced alone
     # (a 1-member block would hide its pair pieces' boundaries), then all
     cfg = small_config(trials=23, rho=1.0, **FAMILY_CONFIGS[family])
-    default = montecarlo._run_chunks(cfg, hypothesis, 1)
+    default = montecarlo._run_chunks(cfg, hypothesis)
     budgets = ((montecarlo, "_CHUNK_BYTES"), (sampling, "_PIECE_BYTES"),
                (estimators, "_BLOCK_BYTES"), (estimators, "_PAIR_BYTES"))
     for module, budget in budgets:
         with monkeypatch.context() as patch:
             patch.setattr(module, budget, 1)
-            assert_chunks_equal(montecarlo._run_chunks(cfg, hypothesis, 1), default)
+            assert_chunks_equal(montecarlo._run_chunks(cfg, hypothesis), default)
     for module, budget in budgets:
         monkeypatch.setattr(module, budget, 1)
     assert montecarlo._chunk_trials(cfg) == 1
-    assert_chunks_equal(montecarlo._run_chunks(cfg, hypothesis, 1), default)
+    assert_chunks_equal(montecarlo._run_chunks(cfg, hypothesis), default)
 
 
 def test_chunk_and_block_sizes_follow_their_byte_budgets():
@@ -242,9 +254,9 @@ def test_chunk_size_property(trials, chunk):
     cfg = small_config(trials=trials, rho=1.0, seed=trials)
     old = montecarlo._CHUNK_BYTES
     try:
-        whole = montecarlo._run_chunks(cfg, Hypothesis.H1, 1)
+        whole = montecarlo._run_chunks(cfg, Hypothesis.H1)
         montecarlo._CHUNK_BYTES = chunk_bytes(cfg, chunk)
-        assert_chunks_equal(montecarlo._run_chunks(cfg, Hypothesis.H1, 1), whole)
+        assert_chunks_equal(montecarlo._run_chunks(cfg, Hypothesis.H1), whole)
     finally:
         montecarlo._CHUNK_BYTES = old
 
@@ -329,7 +341,7 @@ def test_run_experiment_counts_exclusions_by_cause(monkeypatch):
     capped = 0
     with stopping_rule(max_iterations=12):
         for hypothesis in Hypothesis:
-            tyler = montecarlo._run_chunks(cfg, hypothesis, 1)["tyler"]
+            tyler = montecarlo._run_chunks(cfg, hypothesis)["tyler"]
             assert tyler["ok"].all()
             assert (tyler["iterations"][~tyler["converged"]] == 12).all()
             capped += int(np.count_nonzero(~tyler["converged"]))
