@@ -19,18 +19,14 @@ sum_i w_i x_i x_i^H are both linear in x_i x_i^H.  The engine runs a stack in
 consecutive blocks.  Each block builds one real (B, p*p, n) tensor Q of its
 outer products (the diagonal, then the real and imaginary parts of the
 strict upper triangle), and every map evaluation is two batched real
-mat-vecs against it.  Memory is bounded by bytes, not by members:
-
-* a block takes as many members as fit their Q (8 p^2 n bytes each) in
-  ``_BLOCK_BYTES`` = 5.12 MB, at least 1 and at most ``_MAX_BLOCK`` = 512;
-* Q is filled in pieces of whole members whose complex pair products
-  (16 n p(p-1)/2 bytes each) take about ``_PAIR_BYTES`` = 1 MiB, at least
-  one member.
-
-At (p, n) = (5, 10) a block is 512 members (the cap; the budget would give
-2560) and its pairs are one piece; at (5, 50) a block is 512 members, a
-5.12 MB Q, built in pieces of 131; at (40, 400) a block is 1 member, a
-5.12 MB Q whose pair products (5.0 MB) are one piece.  A call holds one
+mat-vecs against it.  Memory is bounded by one byte budget, not by
+members: a block takes as many members as fit their Q (8 p^2 n bytes each)
+in ``_BLOCK_BYTES`` = 5.12 MB, at least 1 and at most ``_MAX_BLOCK`` = 512.
+Q is built by rows of the upper triangle, with temporaries of at most
+(B, p-1, n) complex, less than the block's own data.  At (p, n) = (5, 10) a
+block is 512 members (the cap; the budget would give 2560); at (5, 50) it is
+512 members, a 5.12 MB Q built with 1.64 MB temporaries; at (40, 400) it is
+1 member, a 5.12 MB Q built with 0.25 MB temporaries.  A call holds one
 block's Q at a time, however large the stack is.
 """
 
@@ -41,7 +37,6 @@ from dataclasses import KW_ONLY, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .sampling import gg_scale
 
@@ -57,8 +52,6 @@ _STEP_FACTOR = 4.0
 # most members a block takes
 _BLOCK_BYTES = 5_120_000
 _MAX_BLOCK = 512
-# bytes of the complex pair products ``_outer_products`` builds at a time
-_PAIR_BYTES = 1 << 20
 
 
 class _Whitened(NamedTuple):
@@ -113,26 +106,21 @@ def _outer_products(x: np.ndarray) -> np.ndarray:
 
     Row a < p holds |x_a|^2; the next p(p-1)/2 rows hold Re(x_a conj(x_b))
     and the last p(p-1)/2 rows Im(x_a conj(x_b)), for the pairs a < b of
-    the strict upper triangle in row-major order.  Q is filled in pieces of
-    whole members whose complex pair products take about ``_PAIR_BYTES``
-    (at least one member).
+    the strict upper triangle in row-major order, built one row a at a time.
     """
     n_batch, p, n = x.shape
-    iu, ju, _ = _layout(p)
-    m = iu.size
+    m = p * (p - 1) // 2
     q = np.empty((n_batch, p * p, n))
-    step = max(1, _PAIR_BYTES // (16 * max(m, 1) * n))
-    for lo in range(0, n_batch, step):
-        xs, qs = x[lo:lo + step], q[lo:lo + step]
-        np.add(np.square(xs.real), np.square(xs.imag), out=qs[:, :p])
-        if m:
-            # a call, not ``a * b.conj()``: numpy reuses an operator's
-            # temporary operand above 256 KiB and computes conj(b) * a
-            # there, which rounds differently, so a member's bits would
-            # depend on its piece's size
-            pairs = np.multiply(xs[:, iu], xs[:, ju].conj())
-            qs[:, p:p + m] = pairs.real
-            qs[:, p + m:] = pairs.imag
+    np.add(np.square(x.real), np.square(x.imag), out=q[:, :p])
+    lo = p
+    for a in range(p - 1):
+        # a call, not ``u * v.conj()``: numpy reuses an operator's temporary
+        # operand above 256 KiB and computes conj(v) * u there, which rounds
+        # differently, so a member's bits would depend on its block's size
+        pairs = np.multiply(x[:, a:a + 1], x[:, a + 1:].conj())
+        hi = lo + p - 1 - a
+        q[:, lo:hi], q[:, lo + m:hi + m] = pairs.real, pairs.imag
+        lo = hi
     return q
 
 
@@ -190,12 +178,19 @@ def _cholesky(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A member fails exactly when its own factorization fails (it is not
     numerically positive definite, or not finite), whatever the other
-    members are.  The gufunc behind ``np.linalg.cholesky`` fills such a
-    member with NaN; called directly it does so without raising for the
-    whole stack.
+    members are; its factor holds NaN.  ``np.linalg.cholesky`` returns NaN
+    for a non-finite member but raises for an indefinite one, and then the
+    members are factored one by one.
     """
-    with np.errstate(invalid="ignore"):
-        chol = _umath_linalg.cholesky_lo(sigma, signature="D->D")
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        chol = np.full_like(sigma, np.nan)
+        for k, member in enumerate(sigma):
+            try:
+                chol[k] = np.linalg.cholesky(member)
+            except np.linalg.LinAlgError:
+                pass
     return chol, ~np.isfinite(chol).all(axis=(1, 2))
 
 
@@ -497,7 +492,8 @@ def m_estimate_batch(
 
     ``WeightFunction`` describes the iteration map and its SQUAREM cycles;
     the module docstring describes the outer-product tensor Q and the byte
-    budgets of the blocks the stack runs in.
+    budget of the blocks the stack runs in: at (p, n) = (40, 400) a block is
+    one member, whose 5.12 MB Q is built with temporaries of at most 0.25 MB.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 3:

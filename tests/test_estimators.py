@@ -607,7 +607,7 @@ def test_whiten_verdict_does_not_depend_on_batch_mates():
     assert np.array_equal(both.d[0], alone.d[0])
 
 
-@pytest.mark.parametrize("p", [1, 2, 5])
+@pytest.mark.parametrize("p", [1, 2, 5, 40])
 def test_tensor_distances_and_weighted_step_match_direct_formulas(p):
     # p = 1 has no off-diagonal pairs
     g = RngStream(30, p).generator()
@@ -618,6 +618,11 @@ def test_tensor_distances_and_weighted_step_match_direct_formulas(p):
     w = g.uniform(0.1, 2.0, size=(trials, n))
     q = estimators._outer_products(x)
     assert q.shape == (trials, p * p, n)
+    # Q's bits are those of one gather of every upper-triangle pair
+    iu, ju = np.triu_indices(p, 1)
+    pairs = np.multiply(x[:, iu], x[:, ju].conj())
+    gathered = np.concatenate([x.real**2 + x.imag**2, pairs.real, pairs.imag], axis=1)
+    assert np.array_equal(q, gathered)
 
     wh = estimators._whiten(sigma, q)
     assert not wh.singular.any()
@@ -637,12 +642,12 @@ def test_tensor_distances_and_weighted_step_match_direct_formulas(p):
 
 # Traced peak of the engine on this 4096-member stack, which it runs in
 # blocks of 512 members (their Q fits the 5.12 MB block budget at p=5,
-# n=50) and builds each block's Q from pair products of about 1 MiB per
-# piece: 13.4 MB for Tyler, 13.6 MB for gg_ml from the identity and 11.1 MB
-# for gg_ml from the members' Tyler estimates.  The bound keeps the
-# 19.1 MB of whole-block pair products plus 15% headroom; a whole-stack
+# n=50) and builds each block's Q by rows, whose two complex temporaries
+# take at most 2 * 16*512*4*50 = 3.28 MB: 13.4 MB for Tyler, 13.6 MB for
+# gg_ml from the identity and 11.1 MB for gg_ml from the members' Tyler
+# estimates.  The bound adds about 15% to the largest; a whole-stack
 # outer-product tensor alone would take 41 MB.
-ENGINE_PEAK_MB = 22.0
+ENGINE_PEAK_MB = 16.0
 
 
 @pytest.mark.parametrize("weight, warm", [(WeightFunction("tyler"), False),

@@ -201,13 +201,12 @@ def test_results_do_not_depend_on_chunk_boundaries(monkeypatch, family, hypothes
 @pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
 @pytest.mark.parametrize("hypothesis", list(Hypothesis), ids=lambda h: h.name)
 def test_results_do_not_depend_on_byte_budgets(monkeypatch, family, hypothesis):
-    # a budget of one byte gives 1-trial chunks, 1-trial sampler pieces,
-    # 1-member engine blocks or 1-member pair pieces; each is forced alone
-    # (a 1-member block would hide its pair pieces' boundaries), then all
+    # a budget of one byte gives 1-trial chunks, 1-trial sampler pieces or
+    # 1-member engine blocks; each is forced alone, then all
     cfg = small_config(trials=23, rho=1.0, **FAMILY_CONFIGS[family])
     default = montecarlo._run_chunks(cfg, hypothesis)
     budgets = ((montecarlo, "_CHUNK_BYTES"), (sampling, "_PIECE_BYTES"),
-               (estimators, "_BLOCK_BYTES"), (estimators, "_PAIR_BYTES"))
+               (estimators, "_BLOCK_BYTES"))
     for module, budget in budgets:
         with monkeypatch.context() as patch:
             patch.setattr(module, budget, 1)
@@ -230,13 +229,12 @@ def test_chunk_and_block_sizes_follow_their_byte_budgets():
 # Traced peak of the run below, from the byte budgets at p=40, n=400:
 #   a chunk takes min(8, 8_192_000 // (16*40*400) = 32) = 8 trials, a 2.05 MB
 #   stack, and an engine block takes 5_120_000 // (8*40*40*400) = 1 member,
-#   whose Q is 5.12 MB.  While Q is built, the member's complex pair
-#   products (one piece, since one member already exceeds 1 MiB) make three
-#   16*780*400 = 4.99 MB temporaries.  2.05 + 5.12 + 3*4.99 = 22.2 MB; the
-#   traced peak is 23.4 MB (per-trial results and the sampler's pieces), and
-#   the bound adds 1.6 MB.  A block of all 8 members would take 8 times the
-#   engine's 20 MB.
-LARGE_RUN_PEAK_MB = 25.0
+#   whose Q is 5.12 MB.  Q is built by rows; the first row's two complex
+#   temporaries take 2 * 16*39*400 = 0.50 MB.  2.05 + 5.12 + 0.50 = 7.7 MB;
+#   the traced peak is 8.7 MB (per-trial results and the sampler's pieces),
+#   and the bound adds 1.3 MB.  A block of all 8 members would take 8 times
+#   the engine's 5.6 MB.
+LARGE_RUN_PEAK_MB = 10.0
 
 
 def test_large_dimension_run_stays_within_its_byte_budgets(traced_peak):
