@@ -22,12 +22,12 @@ strict upper triangle), and every map evaluation is two batched real
 mat-vecs against it.  Memory is bounded by one byte budget, not by
 members: a block takes as many members as fit their Q (8 p^2 n bytes each)
 in ``_BLOCK_BYTES`` = 5.12 MB, at least 1 and at most ``_MAX_BLOCK`` = 512.
-Q is built by rows of the upper triangle, with temporaries of at most
-(B, p-1, n) complex, less than the block's own data.  At (p, n) = (5, 10) a
-block is 512 members (the cap; the budget would give 2560); at (5, 50) it is
-512 members, a 5.12 MB Q built with 1.64 MB temporaries; at (40, 400) it is
-1 member, a 5.12 MB Q built with 0.25 MB temporaries.  A call holds one
-block's Q at a time, however large the stack is.
+Q is built by rows of the upper triangle, with two temporaries of at most
+(B, p-1, n) complex each.  At (p, n) = (5, 10) a block is 512 members (the
+cap; the budget would give 2560); at (5, 50) it is 512 members, a 5.12 MB Q
+built with 3.28 MB of temporaries; at (40, 400) it is 1 member, a 5.12 MB Q
+built with 0.50 MB of temporaries.  A call holds one block's Q at a time,
+however large the stack is.
 """
 
 from __future__ import annotations
@@ -493,7 +493,7 @@ def m_estimate_batch(
     ``WeightFunction`` describes the iteration map and its SQUAREM cycles;
     the module docstring describes the outer-product tensor Q and the byte
     budget of the blocks the stack runs in: at (p, n) = (40, 400) a block is
-    one member, whose 5.12 MB Q is built with temporaries of at most 0.25 MB.
+    one member, whose 5.12 MB Q is built with at most 0.50 MB of temporaries.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 3:
