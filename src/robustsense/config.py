@@ -9,7 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 from .detectors import DetectorSpec
-from .montecarlo import SimConfig, derive_seed
+from .montecarlo import SimConfig
 from .sampling import NoiseModel
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4")
@@ -179,8 +179,8 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig(path=where, **values)
     try:
-        for i, family in enumerate(cfg.families):
-            cfg.sim_config(family, derive_seed(cfg.seed, i))
+        for family in cfg.families:  # a check only; the commands derive the seeds
+            cfg.sim_config(family, cfg.seed)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     # the owners above checked every value they read; no other number may be nan or inf

@@ -32,13 +32,15 @@ from itertools import repeat
 import numpy as np
 
 from .detectors import DetectorSpec
-from .estimators import WeightFunction, m_estimate_batch
+from .estimators import KINDS, WeightFunction, m_estimate_batch
 from .sampling import Hypothesis, NoiseModel, _check_geometry, _integer, sample_chunk
 
 # bytes of a chunk's complex (trials, p, n) sample stack (2048 trials at
 # p=5, n=50), and the most trials a chunk takes.  Smaller chunks cost page
 # faults: glibc trims and re-grows the heap every chunk, and 1024-trial
-# chunks took a fig4 run from about 19k to 78k minor faults.
+# chunks took a fig4 run from about 19k to 78k minor faults.  The cap
+# keeps fig1's two workers busy: uncapped, each family is one chunk, and
+# 8192-trial fig1 runs on a 2-core VM took 1.49 s, not 1.14 s (medians of 6).
 _CHUNK_BYTES = 8_192_000
 _MAX_CHUNK = 4096
 _MAX_EXCLUSION_RATE = 1e-3
@@ -93,7 +95,8 @@ class SimConfig:
             self.weight_for(kind)
 
     def estimator_kinds(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(spec.estimator for spec in self.detectors))
+        """The configured kinds in ``KINDS`` order, warm-start sources first."""
+        return tuple(k for k in KINDS if k in {spec.estimator for spec in self.detectors})
 
     def weight_for(self, kind: str) -> WeightFunction:
         return WeightFunction(kind, nu=self.student_t_nu, shape_s=self.noise.shape_s)
@@ -150,14 +153,10 @@ def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
     x = sample_chunk(config.noise, config.p, config.n, config.rho, hypothesis,
                      config.master_seed, lo, hi)
     out, estimates = {}, {}
-    # a kind that warm-starts from another kind runs after it
-    weights = sorted(map(config.weight_for, config.estimator_kinds()),
-                     key=lambda w: w.warm_start is not None)
-    for weight in weights:
+    for weight in map(config.weight_for, config.estimator_kinds()):
         initial = None
         if weight.warm_start in estimates:
-            # each member starts from its own usable source estimate, else
-            # from the identity
+            # each member starts from its own usable source estimate, else the identity
             usable = _usable(out[weight.warm_start])[:, None, None]
             initial = np.where(usable, estimates[weight.warm_start], np.eye(config.p))
         res = m_estimate_batch(x, weight, initial=initial)

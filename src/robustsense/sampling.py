@@ -145,19 +145,17 @@ def _unit_columns(z: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _texture_draws(model: NoiseModel, p: int, gen, g: np.ndarray, w: np.ndarray | None) -> None:
-    """Make one call's raw texture draws, in stream order, into ``g`` and ``w``.
-
-    ``g`` receives standard Gamma draws (shape p/s for gg, p otherwise);
-    ``w``, given only for student_t, then receives chi-square draws.
-    """
-    gen.standard_gamma(p / model.shape_s if model.family == "gg" else p, out=g)
-    if w is not None:
-        w[...] = gen.chisquare(model.dof_nu, size=w.shape)
+def _texture_draws(model: NoiseModel, p: int, gen, t: np.ndarray) -> None:
+    """Make one call's raw texture draws, in stream order, into the (..., 2, m)
+    buffer ``t``: standard Gamma draws (shape p/s for gg, p otherwise) into
+    row 0, then, for student_t only, chi-square draws into row 1."""
+    gen.standard_gamma(p / model.shape_s if model.family == "gg" else p, out=t[..., 0, :])
+    if model.family == "student_t":
+        t[..., 1, :] = gen.chisquare(model.dof_nu, size=t[..., 1, :].shape)
 
 
-def _texture_law(model: NoiseModel, p: int, g: np.ndarray, w: np.ndarray | None):
-    """Elementwise map from raw texture draws to sigma2 * Q.
+def _texture_law(model: NoiseModel, p: int, t: np.ndarray):
+    """Elementwise map from the raw texture draws ``t`` to sigma2 * Q.
 
     Families and their laws (sigma2 factored out):
 
@@ -169,6 +167,7 @@ def _texture_law(model: NoiseModel, p: int, g: np.ndarray, w: np.ndarray | None)
 
     Each law satisfies E[Q] = p * sigma2 whenever the mean exists.
     """
+    g, w = t[..., 0, :], t[..., 1, :]
     if model.family == "gaussian":
         q = g
     elif model.family == "gg":
@@ -200,10 +199,9 @@ def _sphere(gen, p: int, m: int) -> np.ndarray:
 
 def _noise(model: NoiseModel, p: int, gen, m: int) -> np.ndarray:
     """Draw m CES noise columns sqrt(Q) * u: all textures, then all sphere vectors."""
-    g = np.empty(m)
-    w = np.empty(m) if model.family == "student_t" else None
-    _texture_draws(model, p, gen, g, w)
-    return _sphere(gen, p, m) * np.sqrt(_texture_law(model, p, g, w))
+    t = np.empty((2, m))
+    _texture_draws(model, p, gen, t)
+    return _sphere(gen, p, m) * np.sqrt(_texture_law(model, p, t))
 
 
 def _channel(direction: np.ndarray, rho: float, p: int, sigma2: float) -> np.ndarray:
@@ -290,8 +288,7 @@ def sample_chunk(
     h1 = hypothesis is Hypothesis.H1
     step = max(1, _PIECE_BYTES // (16 * p * n))  # trials per piece
     k = min(step, m)
-    raw, g = np.empty((k, 2, p, n)), np.empty((k, n))
-    w = np.empty((k, n)) if model.family == "student_t" else None
+    raw, t = np.empty((k, 2, p, n)), np.empty((k, 2, n))
     if h1:
         c, s = np.empty((k, 2, p, 1)), np.empty((k, 2, 1, n))
     x = np.empty((m, p, n), dtype=np.complex128)
@@ -306,14 +303,14 @@ def sample_chunk(
             bit_generator.state = _philox_state(key, lo + a + i)
             if h1:
                 gen.standard_normal(out=c[i])
-            _texture_draws(model, p, gen, g[i], None if w is None else w[i])
+            _texture_draws(model, p, gen, t[i])
             gen.standard_normal(out=raw[i])
             if h1:
                 gen.standard_normal(out=s[i])
 
         xs = _complex_draws(raw[:size], out=x[piece])
         guard[piece] = np.any(_unit_columns(xs) == 0.0, axis=1)
-        xs *= np.sqrt(_texture_law(model, p, g[:size], None if w is None else w[:size]))[:, None, :]
+        xs *= np.sqrt(_texture_law(model, p, t[:size]))[:, None, :]
         guard[piece] |= np.any(~np.any(xs, axis=1), axis=1)  # texture underflow
         if h1:
             direction = _complex_draws(c[:size])

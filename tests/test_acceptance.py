@@ -70,6 +70,19 @@ def three_se_margin(pod_a: float, pod_b: float, trials: int = TRIALS) -> float:
     return 3.0 * math.sqrt(var)
 
 
+def tie_notes(pods: dict[str, float], clauses, trials: int = TRIALS) -> str:
+    """Detail text naming each detector whose pod lies within 3 binomial SE
+    of 1 (pod = 1 counts), and each clause ``(text, holds, detectors)`` that
+    holds only because all of its detectors sit there: a tie at 1 shows no
+    ordering."""
+    tied = {name for name, pod in pods.items()
+            if 1.0 - pod <= 3.0 * math.sqrt(pod * (1.0 - pod) / trials)}
+    notes = [f"pod within 3 SE of 1: {', '.join(sorted(tied)) or 'none'}"]
+    notes += [f"{text} holds only as a tie at 1"
+              for text, holds, detectors in clauses if holds and tied >= set(detectors)]
+    return "; " + "; ".join(notes)
+
+
 # ---------------------------------------------------------------------------
 # shared experiment runs
 # ---------------------------------------------------------------------------
@@ -175,14 +188,16 @@ def test_criterion_3_impulsive_noise_ordering(impulsive_roc_dirs):
             for name in ("gg_ml_glrt", "tyler_glrt", "scm_glrt", "scm_rlrt")}
     m_glrt = three_se_margin(pods["tyler_glrt"], pods["scm_glrt"])
     m_rlrt = three_se_margin(pods["tyler_glrt"], pods["scm_rlrt"])
-    ok = (pods["gg_ml_glrt"] >= pods["tyler_glrt"]
+    ml_first = pods["gg_ml_glrt"] >= pods["tyler_glrt"]
+    ok = (ml_first
           and pods["tyler_glrt"] - pods["scm_glrt"] > m_glrt
           and pods["tyler_glrt"] - pods["scm_rlrt"] > m_rlrt)
     report("criterion 3 impulsive-noise ordering at pfa=0.1",
            ok,
            f"pod: gg_ml {pods['gg_ml_glrt']:.5f} >= tyler {pods['tyler_glrt']:.5f}; "
            f"tyler - scm_glrt = {pods['tyler_glrt'] - pods['scm_glrt']:.5f} vs 3se {m_glrt:.5f}; "
-           f"tyler - scm_rlrt = {pods['tyler_glrt'] - pods['scm_rlrt']:.5f} vs 3se {m_rlrt:.5f}")
+           f"tyler - scm_rlrt = {pods['tyler_glrt'] - pods['scm_rlrt']:.5f} vs 3se {m_rlrt:.5f}"
+           + tie_notes(pods, [("gg_ml >= tyler", ml_first, ("gg_ml_glrt", "tyler_glrt"))]))
 
 
 def test_criterion_4_gaussian_ordering(gaussian_roc_pods):
@@ -190,10 +205,15 @@ def test_criterion_4_gaussian_ordering(gaussian_roc_pods):
     rlrt_is_max = all(pods["scm_rlrt"] >= v for v in pods.values())
     robustness_price = abs(pods["tyler_glrt"] - pods["scm_glrt"])
     ok = rlrt_is_max and robustness_price < 0.1
+    clauses = [(f"scm_rlrt >= {name}", pods["scm_rlrt"] >= pod, ("scm_rlrt", name))
+               for name, pod in pods.items() if name != "scm_rlrt"]
+    clauses.append(("|tyler_glrt - scm_glrt| < 0.1", robustness_price < 0.1,
+                    ("tyler_glrt", "scm_glrt")))
     report("criterion 4 gaussian ordering at pfa=0.1",
            ok,
            f"scm_rlrt {pods['scm_rlrt']:.5f} is max of {sorted(pods.values())}; "
-           f"|tyler_glrt - scm_glrt| = {robustness_price:.5f} < 0.1")
+           f"|tyler_glrt - scm_glrt| = {robustness_price:.5f} < 0.1"
+           + tie_notes(pods, clauses))
 
 
 def test_criterion_5_fixed_point_correctness():

@@ -174,6 +174,28 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     assert started == [2, 8]
 
 
+def test_serial_runner_runs_each_simulation_when_asked(monkeypatch):
+    # with one worker nothing is forked, a simulation's chunks run only when
+    # its result is asked for, and closing the generator runs nothing more
+    seeds = []
+    chunk_stats = montecarlo._chunk_stats
+
+    def counting(config, hypothesis, lo):
+        seeds.append(config.master_seed)
+        return chunk_stats(config, hypothesis, lo)
+
+    first, second = small_config(trials=8, seed=1), small_config(trials=8, seed=2)
+    monkeypatch.setattr(montecarlo, "_chunk_stats", counting)
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_bytes(first, 4))
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", None)
+    results = montecarlo.run_experiments([first, second], with_h1=True, threads=1)
+    assert seeds == []
+    next(results)
+    assert seeds == [1] * 4  # 2 chunks under each hypothesis
+    results.close()
+    assert seeds == [1] * 4
+
+
 FAMILY_CONFIGS = {
     "gaussian": dict(noise=NoiseModel("gaussian", sigma2=2.5), detectors=(SCM_G, TY_G)),
     "gg": dict(noise=NoiseModel("gg", shape_s=0.2),
@@ -359,6 +381,38 @@ def test_scm_depends_on_family_tyler_does_not():
                            with_h1=False).h0
     assert ks_distance(gauss[SCM_G].values, heavy[SCM_G].values) > 0.2
     assert ks_distance(gauss[TY_G].values, heavy[TY_G].values) < 0.06
+
+
+def ks_critical(a: int, b: int, alpha: float) -> float:
+    """Large-sample critical value of the two-sample KS distance for sample
+    sizes a and b at level alpha: sqrt(-ln(alpha/2)/2 * (a + b)/(a b))."""
+    return math.sqrt(-math.log(alpha / 2) / 2 * (a + b) / (a * b))
+
+
+@pytest.mark.slow
+def test_tyler_glrt_null_is_cfar_at_large_dimension():
+    # The paper's CFAR claim at p=40, n=400: Tyler's glrt null law does not
+    # depend on the CES texture.  Pairwise two-sample KS over 1000 trials per
+    # family stays below the alpha = 0.001 critical value (0.087); the SCM's
+    # glrt (means about 1.66 Gaussian, 5.6 Student-t(3)) shows the test has
+    # power.  About 30 s, serial: forked workers run slower at this size.
+    models = (NoiseModel("gaussian"), NoiseModel("gg", shape_s=0.1),
+              NoiseModel("student_t", dof_nu=3.0))
+    runs = {}
+    for i, model in enumerate(models):
+        cfg = SimConfig(p=40, n=400, trials=1000, noise=model, detectors=(SCM_G, TY_G),
+                        master_seed=derive_seed(4040, i))
+        runs[model.family] = run_experiment(cfg, with_h1=False, threads=1).h0
+
+    def ks(spec, a, b):
+        x, y = runs[a][spec].values, runs[b][spec].values
+        return ks_distance(x, y), ks_critical(x.size, y.size, 1e-3)
+
+    for a, b in (("gaussian", "gg"), ("gaussian", "student_t"), ("gg", "student_t")):
+        distance, critical = ks(TY_G, a, b)
+        assert distance < critical, (a, b, distance, critical)
+    distance, critical = ks(SCM_G, "gaussian", "student_t")
+    assert distance > critical, (distance, critical)
 
 
 def test_run_experiment_diagnostics():

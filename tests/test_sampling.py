@@ -26,10 +26,9 @@ def gen(seed, stream=0):
 
 def textures(model, p, g, size):
     """sigma2 * Q for ``size`` draws, through the samplers' own two steps."""
-    raw = np.empty(size)
-    w = np.empty(size) if model.family == "student_t" else None
-    sampling._texture_draws(model, p, g, raw, w)
-    return sampling._texture_law(model, p, raw, w)
+    t = np.empty((2, size))
+    sampling._texture_draws(model, p, g, t)
+    return sampling._texture_law(model, p, t)
 
 
 def noise(model, p, n, seed):
@@ -415,9 +414,9 @@ def test_chunk_sampler_redraws_a_guard_trial_like_the_per_trial_path(monkeypatch
     law = sampling._texture_law
     seen = []
 
-    def spy(model, p, g, w):
-        seen.append(g.copy())
-        return law(model, p, g, w)
+    def spy(model, p, t):
+        seen.append(t[..., 0, :].copy())  # the Gamma draws
+        return law(model, p, t)
 
     monkeypatch.setattr(sampling, "_texture_law", spy)
     unforced = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
@@ -425,10 +424,11 @@ def test_chunk_sampler_redraws_a_guard_trial_like_the_per_trial_path(monkeypatch
 
     calls = []
 
-    def zero_marked(model, p, g, w):
+    def zero_marked(model, p, t):
         # all-zero noise columns in the marked trial; redraws are unmarked
+        g = t[..., 0, :]
         calls.append(g.shape)
-        return np.where(g[..., :1] == mark, 0.0, law(model, p, g, w))
+        return np.where(g[..., :1] == mark, 0.0, law(model, p, t))
 
     monkeypatch.setattr(sampling, "_texture_law", zero_marked)
     batched = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
