@@ -85,11 +85,6 @@ class ExperimentConfig:
         except OverflowError:  # snr_db above ~3083; SimConfig rejects the infinite rho
             return float("inf")
 
-    def noise_model(self, family: str) -> NoiseModel:
-        return NoiseModel(family, self.sigma2,
-                          shape_s=self.gg_shape if family == "gg" else None,
-                          dof_nu=self.student_t_dof if family == "student_t" else None)
-
     def detector_specs(self) -> tuple[DetectorSpec, ...]:
         return tuple(DetectorSpec(statistic, estimator)
                      for estimator in self.estimators for statistic in self.statistics)
@@ -99,7 +94,9 @@ class ExperimentConfig:
             p=self.p,
             n=self.n,
             trials=self.trials,
-            noise=self.noise_model(family),
+            noise=NoiseModel(family, self.sigma2,
+                             shape_s=self.gg_shape if family == "gg" else None,
+                             dof_nu=self.student_t_dof if family == "student_t" else None),
             detectors=self.detector_specs(),
             master_seed=master_seed,
             rho=self.rho,

@@ -74,12 +74,6 @@ class _Whitened(NamedTuple):
     def take(self, keep: np.ndarray) -> "_Whitened":
         return _Whitened(self.inv[keep], self.d[keep], self.singular[keep])
 
-    def put(self, where: np.ndarray, other: "_Whitened") -> None:
-        """Overwrite the members selected by ``where`` with ``other``'s."""
-        self.inv[where] = other.inv
-        self.d[where] = other.d
-        self.singular[where] = other.singular
-
 
 class _Layout(NamedTuple):
     """Index arrays of Q's row order for dimension p; read-only, shared
@@ -161,14 +155,13 @@ def _tril_inv(l: np.ndarray) -> np.ndarray:
     """Inverse of a (B, p, p) stack of lower-triangular matrices.
 
     Forward substitution, one row of the inverse per step for the whole
-    stack; for small p this is several times faster than a batched LU
-    inverse, which ignores the triangular structure.
+    stack (row 0's sum is empty); for small p this is several times faster
+    than a batched LU inverse, which ignores the triangular structure.
     """
     p = l.shape[-1]
     inv = np.zeros_like(l)
     rdiag = 1.0 / np.einsum("kii->ki", l)
-    inv[:, 0, 0] = rdiag[:, 0]
-    for i in range(1, p):
+    for i in range(p):
         inv[:, i, :i] = -(l[:, i:i + 1, :i] @ inv[:, :i, :i])[:, 0] * rdiag[:, i, None]
         inv[:, i, i] = rdiag[:, i]
     return inv
@@ -396,11 +389,11 @@ def _extrapolate(theta0, theta1, theta2, wh2, q, bound):
     with np.errstate(over="ignore", invalid="ignore"):  # _whiten flags a non-finite candidate
         cand = theta0 + (2.0 * a)[:, None, None] * r + (a * a)[:, None, None] * v
     wh = _whiten(cand, q)
-    fallback = wh.singular.copy()  # wh.put overwrites wh.singular in place
+    fallback = wh.singular.copy()  # wh.singular is overwritten below
     if fallback.any():
         cand[fallback] = theta2[fallback]
-        wh.put(fallback, wh2.take(fallback) if wh2 is not None
-               else _whiten(theta2[fallback], q[fallback]))
+        wh.inv[fallback], wh.d[fallback], wh.singular[fallback] = (
+            wh2.take(fallback) if wh2 is not None else _whiten(theta2[fallback], q[fallback]))
         bound = np.where(fallback, np.maximum(bound / _STEP_FACTOR, 1.0), bound)
     return cand, wh, bound
 
@@ -495,8 +488,7 @@ def m_estimate_batch(
 
     ``WeightFunction`` describes the iteration map and its SQUAREM cycles;
     the module docstring describes the outer-product tensor Q and the byte
-    budget of the blocks the stack runs in: at (p, n) = (40, 400) a block is
-    one member, whose 5.12 MB Q is built with at most 0.50 MB of temporaries.
+    budget and sizes of the blocks the stack runs in.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 3:

@@ -148,7 +148,9 @@ def _chunk_trials(config: SimConfig) -> int:
 
 
 def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
-    """Sample and evaluate trials [lo, lo + chunk); self-contained per chunk."""
+    """Sample and evaluate trials [lo, lo + chunk); self-contained per chunk.
+    One ``_TRIAL`` record array per kind; ``_run_chunks`` places them at
+    ``lo``, since chunk results arrive in task order."""
     hi = min(lo + _chunk_trials(config), config.trials)
     x = sample_chunk(config.noise, config.p, config.n, config.rho, hypothesis,
                      config.master_seed, lo, hi)
@@ -164,7 +166,7 @@ def _chunk_stats(config: SimConfig, hypothesis: Hypothesis, lo: int):
         out[weight.kind] = np.rec.fromarrays(
             (res.eigenvalues[:, -1], np.einsum("kii->k", res.estimates).real,
              res.iterations, res.ok, res.converged), dtype=_TRIAL)
-    return lo, out
+    return out
 
 
 def _chunk_starts(config: SimConfig) -> range:
@@ -174,17 +176,20 @@ def _chunk_starts(config: SimConfig) -> range:
 
 def _run_chunks(config: SimConfig, hypothesis: Hypothesis, results=None):
     """One record array of ``_TRIAL`` per estimator kind, indexed by trial,
-    merged from the ``(lo, chunk)`` pairs of ``_chunk_stats``.
+    merged from the chunk results of ``_chunk_stats``.
 
-    ``results`` yields the pairs a worker pool computed; without it the
-    chunks run here, one after another.  Every trial draws from its own
-    stream and chunks are merged by index, so neither the worker count nor
-    the chunk size can change the result.
+    ``results`` yields the chunks a worker pool computed; without it the
+    chunks run here, one after another.  Both yield in task order
+    (``Executor.map`` does too), so result k is the chunk that starts at
+    ``_chunk_starts(config)[k]``.  Every trial draws from its own stream and
+    chunks are merged by index, so neither the worker count nor the chunk
+    size can change the result.
     """
     records = {kind: np.empty(config.trials, _TRIAL) for kind in config.estimator_kinds()}
+    starts = _chunk_starts(config)
     if results is None:
-        results = (_chunk_stats(config, hypothesis, lo) for lo in _chunk_starts(config))
-    for lo, chunk in results:
+        results = (_chunk_stats(config, hypothesis, lo) for lo in starts)
+    for lo, chunk in zip(starts, results, strict=True):
         for kind, trials in chunk.items():
             records[kind][lo:lo + trials.size] = trials
     return records
@@ -241,7 +246,7 @@ def run_experiments(configs, with_h1: bool, threads: int = 1):
     collected, so workers go from one simulation's chunks straight to the
     next while the caller consumes the results already yielded.  Until the
     parent reaches a simulation it holds that simulation's finished chunk
-    records, 26 bytes per trial per estimator kind.  With one worker, or
+    records (their size: see the module docstring).  With one worker, or
     one chunk, nothing is forked and each simulation runs when its result
     is asked for.  A failed simulation, or closing the generator
     (``contextlib.closing`` where a caller may stop early), cancels the
@@ -292,9 +297,8 @@ def run_experiment(
     iterations from the other kind's estimate when the run has that kind.
     ``threads`` caps the worker processes; it must be an integer of at
     least 1, and it never changes the result.  This is ``run_experiments``
-    on one config: the H0 and H1 chunks share one pool, and the parent
-    holds finished H1 chunk records (26 bytes per trial per kind) while it
-    collects H0.
+    on one config, so the H0 and H1 chunks share one pool; see there for the
+    pool's behaviour.
     """
     [result] = run_experiments((config,), with_h1, threads)
     return result
