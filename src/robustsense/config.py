@@ -128,7 +128,7 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=where)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{where}: cannot read config: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{where}: {exc}") from exc

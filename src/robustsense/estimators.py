@@ -16,17 +16,19 @@ alone, so batched and one-at-a-time results agree.
 Inside the iteration the data enter only through their outer products: the
 distances x_i^H Sigma^{-1} x_i = <Sigma^{-1}, x_i x_i^H> and the weighted step
 sum_i w_i x_i x_i^H are both linear in x_i x_i^H.  The engine runs a stack in
-consecutive blocks.  Each block builds one real (B, p*p, n) tensor Q of its
-outer products (the diagonal, then the real and imaginary parts of the
-strict upper triangle), and every map evaluation is two batched real
-mat-vecs against it.  Memory is bounded by one byte budget, not by
+consecutive blocks.  For a robust kind each block builds one real (B, p*p, n)
+tensor Q of its outer products (the diagonal, then the real and imaginary
+parts of the strict upper triangle), and every map evaluation is two batched
+real mat-vecs against it.  Memory is bounded by one byte budget, not by
 members: a block takes as many members as fit their Q (8 p^2 n bytes each)
 in ``_BLOCK_BYTES`` = 5.12 MB, at least 1 and at most ``_MAX_BLOCK`` = 512.
 Q is built by rows of the upper triangle, with two temporaries of at most
 (B, p-1, n) complex each.  At (p, n) = (5, 10) a block is 512 members (the
 cap; the budget would give 2560); at (5, 50) it is 512 members, a 5.12 MB Q
 built with 3.28 MB of temporaries; at (40, 400) it is 1 member, a 5.12 MB Q
-built with 0.50 MB of temporaries.  A call holds one block's Q at a time,
+built with 0.50 MB of temporaries.  The scm kind's one exact step needs no
+Q: each block copies its X^H (16 p n bytes per member) and forms X X^H / n.
+A call holds one block at a time, Q for the robust kinds and X^H for scm,
 however large the stack is.
 """
 
@@ -398,11 +400,20 @@ def _extrapolate(theta0, theta1, theta2, wh2, q, bound):
     return cand, wh, bound
 
 
-def _iterate_block(weight, x, estimates, iterations, residuals, converged, ok) -> None:
-    """Run the fixed-point iteration on one block of ``m_estimate_batch``'s
-    stack, filling that block's views of the result arrays in place;
-    ``estimates`` enters holding the initial iterates."""
-    p = x.shape[1]
+def _run_block(weight, x, estimates, iterations, residuals, converged, ok) -> None:
+    """Estimate one block of ``m_estimate_batch``'s stack, filling that
+    block's views of the result arrays in place; ``estimates`` enters holding
+    the initial iterates."""
+    p, n = x.shape[1:]
+    if weight.kind == "scm":
+        # u == 1 makes the iteration map constant; one application is exact.
+        # X^H written straight into a contiguous array: one block-sized copy
+        # of x, not two (conj, then its contiguous transpose); same values
+        xh = np.conjugate(x.transpose(0, 2, 1), out=np.empty((x.shape[0], n, p), dtype=np.complex128))
+        s = np.matmul(x, xh) / n
+        estimates[:] = 0.5 * (s + s.conj().transpose(0, 2, 1))
+        iterations[:], residuals[:], converged[:] = 1, 0.0, True
+        return
     kind = _KINDS[weight.kind]
 
     def compact(keep, *arrays):
@@ -487,8 +498,8 @@ def m_estimate_batch(
     sample matrix); with n <= p its singular estimate stays usable.
 
     ``WeightFunction`` describes the iteration map and its SQUAREM cycles;
-    the module docstring describes the outer-product tensor Q and the byte
-    budget and sizes of the blocks the stack runs in.
+    the module docstring describes the blocks every kind runs in, one at a
+    time (Q, or scm's X^H), and their byte budget and sizes.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 3:
@@ -500,25 +511,9 @@ def m_estimate_batch(
     converged = np.zeros(n_batch, dtype=bool)
     ok = np.ones(n_batch, dtype=bool)
 
-    if weight.kind == "scm":
-        # u == 1 makes the iteration map constant; one application is exact.
-        # X^H written straight into a contiguous array: one chunk-sized copy
-        # of x, not two (conj, then its contiguous transpose); same values
-        xh = np.conjugate(x.transpose(0, 2, 1), out=np.empty((n_batch, n, p), dtype=np.complex128))
-        estimates = np.matmul(x, xh) / n
-        estimates = 0.5 * (estimates + estimates.conj().transpose(0, 2, 1))
-        iterations[:] = 1
-        residuals[:] = 0.0
-        converged[:] = True
-        evals = np.linalg.eigvalsh(estimates)
-        # a zero estimate (an all-zero sample matrix) has no usable statistic;
-        # n <= p leaves a singular but usable one
-        ok &= evals[:, -1] > 0
-        return BatchFixedPointResult(estimates, iterations, residuals, converged, ok, evals)
-
-    if n <= p:
+    if n <= p and weight.kind != "scm":
         raise ValueError(f"robust estimation requires n > p (got n={n}, p={p})")
-    if initial is None:
+    if initial is None or weight.kind == "scm":
         estimates = np.broadcast_to(np.eye(p, dtype=np.complex128), (n_batch, p, p)).copy()
     else:
         estimates = np.array(initial, dtype=np.complex128)
@@ -533,10 +528,14 @@ def m_estimate_batch(
     members = _block_members(p, n)
     for lo in range(0, n_batch, members):
         block = slice(lo, lo + members)
-        _iterate_block(weight, x[block], estimates[block], iterations[block],
-                       residuals[block], converged[block], ok[block])
+        _run_block(weight, x[block], estimates[block], iterations[block],
+                   residuals[block], converged[block], ok[block])
 
-    # exit vetting: NaN, non-positive or condition number above 1e14
+    # exit vetting (``ok`` above): scm needs a nonzero estimate, a robust kind
+    # a positive definite one with condition number at most 1e14
     evals = np.linalg.eigvalsh(estimates)
-    ok &= (evals[:, 0] > 0) & (evals[:, -1] <= _COND_LIMIT * evals[:, 0])
+    if weight.kind == "scm":
+        ok &= evals[:, -1] > 0
+    else:
+        ok &= (evals[:, 0] > 0) & (evals[:, -1] <= _COND_LIMIT * evals[:, 0])
     return BatchFixedPointResult(estimates, iterations, residuals, converged, ok, evals)

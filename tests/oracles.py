@@ -3,6 +3,7 @@ that the engine and the CLI do not use, so the tests that compare against
 them stay independent of the code under test."""
 
 import numpy as np
+from scipy.special import airy
 
 from robustsense import RocCurve, WeightFunction, gg_scale
 
@@ -92,3 +93,26 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     ca = np.searchsorted(a, grid, side="right") / a.size
     cb = np.searchsorted(b, grid, side="right") / b.size
     return float(np.abs(ca - cb).max())
+
+
+def tw2_cdf(s) -> np.ndarray:
+    """CDF of the complex Tracy-Widom law TW2, the Fredholm determinant
+    F2(s) = det(I - K_Ai) on L^2(s, inf), elementwise for an array of s.
+
+    Bornemann's quadrature (Math. Comp. 2010): Gauss-Legendre with 48 nodes
+    on [s, s + 14], beyond which the Airy kernel
+    K_Ai(x, y) = (Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y), with diagonal
+    Ai'(x)^2 - x Ai(x)^2, is negligible.
+    """
+    t, w = np.polynomial.legendre.leggauss(48)
+    root_w = np.sqrt(7.0 * w)
+    s = np.asarray(s, dtype=np.float64)
+    out = np.empty(s.shape)
+    for idx, lo in np.ndenumerate(s):
+        x = lo + 7.0 * (t + 1.0)
+        ai, aip, _, _ = airy(x)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal is set below
+            k = (np.outer(ai, aip) - np.outer(aip, ai)) / np.subtract.outer(x, x)
+        k[np.diag_indices_from(k)] = aip**2 - x * ai**2
+        out[idx] = np.linalg.det(np.eye(t.size) - root_w[:, None] * k * root_w)
+    return out

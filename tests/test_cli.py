@@ -566,6 +566,19 @@ def test_malformed_config_exits_nonzero(tmp_path, capsys):
     assert "bad.ini" in err
 
 
+def test_undecodable_config_exits_nonzero(tmp_path, capsys):
+    # a Latin-1 'café' in a comment is not UTF-8
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"# caf\xe9\n" + ROC.encode())
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(str(bad))
+    out = tmp_path / "o"
+    assert main(["roc", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.ini" in err and "cannot read config" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # manifest contract
 # ---------------------------------------------------------------------------

@@ -645,15 +645,17 @@ def test_tensor_distances_and_weighted_step_match_direct_formulas(p):
 # n=50) and builds each block's Q by rows, whose two complex temporaries
 # take at most 2 * 16*512*4*50 = 3.28 MB: 13.4 MB for Tyler, 13.6 MB for
 # gg_ml from the identity and 11.1 MB for gg_ml from the members' Tyler
-# estimates.  The bound adds about 15% to the largest; a whole-stack
+# estimates.  scm copies one block's X^H (2 MB), not the stack's, and
+# peaks at 4.5 MB.  The bound adds about 15% to the largest; a whole-stack
 # outer-product tensor alone would take 41 MB.
 ENGINE_PEAK_MB = 16.0
 
 
 @pytest.mark.parametrize("weight, warm", [(WeightFunction("tyler"), False),
                                           (WeightFunction("gg_ml", shape_s=0.1), False),
-                                          (WeightFunction("gg_ml", shape_s=0.1), True)],
-                         ids=["tyler", "gg_ml", "gg_ml-warm"])
+                                          (WeightFunction("gg_ml", shape_s=0.1), True),
+                                          (WeightFunction("scm"), False)],
+                         ids=["tyler", "gg_ml", "gg_ml-warm", "scm"])
 def test_engine_peak_memory_on_a_full_chunk(traced_peak, weight, warm):
     x = sample_chunk(NoiseModel("gg", shape_s=0.1), 5, 50, 0.0, Hypothesis.H0, 7, 0, 4096)
     # the warm start is gg_ml from every member's own Tyler estimate

@@ -29,7 +29,7 @@ from robustsense import estimators, sampling
 from robustsense.config import ConfigError, load_config
 from robustsense.sampling import Hypothesis
 
-from oracles import ks_distance, pod_at_pfa
+from oracles import ks_distance, pod_at_pfa, tw2_cdf
 from stopping import stopping_rule
 
 SCM_R = DetectorSpec("rlrt", "scm")
@@ -504,6 +504,12 @@ def test_run_experiment_diagnostics():
     assert res.h1 is not None and len(res.h1) == 2
 
 
+def sup_gap(exact):
+    """sup |ECDF - F| of a sorted sample, given F at its points."""
+    ecdf = np.arange(exact.size + 1) / exact.size  # ecdf[k]: just right of point k-1
+    return max((ecdf[1:] - exact).max(), (exact - ecdf[:-1]).max())
+
+
 def khatri_cdf(x, p, n):
     """P(lam_max(X X^H) <= x) for p x n X with i.i.d. CN(0, 1) entries, n >= p.
 
@@ -525,11 +531,40 @@ def test_gaussian_scm_rlrt_null_follows_the_khatri_law():
                        detectors=(SCM_R,), master_seed=99)
     values = run_experiment(config, with_h1=False).h0[SCM_R].values
     assert values.size == trials
-    exact = khatri_cdf(n * values, p, n)
-    ecdf = np.arange(trials + 1) / trials  # ecdf[k]: the empirical CDF just right of point k-1
-    gap = max((ecdf[1:] - exact).max(), (exact - ecdf[:-1]).max())
+    gap = sup_gap(khatri_cdf(n * values, p, n))
     dkw_99 = math.sqrt(math.log(2 / 0.01) / (2 * trials))
     assert gap < dkw_99, f"sup-gap {gap:.4f} outside the 99% DKW band {dkw_99:.4f}"
+
+
+def test_tw2_oracle_has_the_tracy_widom_mean_and_variance():
+    s = np.linspace(-10.0, 6.0, 1601)
+    density = np.gradient(tw2_cdf(s), s)
+    mean = np.trapezoid(s * density, s)
+    variance = np.trapezoid((s - mean) ** 2 * density, s)
+    assert abs(mean + 1.7711) < 5e-4 and abs(variance - 0.8132) < 5e-4, (mean, variance)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p, n", [(40, 400), (20, 200)])
+def test_gaussian_scm_rlrt_null_follows_tw2(p, n):
+    # n rlrt = lam_max(X X^H) for CN(0, 1) entries; centred and scaled as in
+    # Johnstone (Ann. Stat. 2001), complex case, it tends to TW2
+    trials = 4000
+    config = SimConfig(p=p, n=n, trials=trials, noise=NoiseModel("gaussian"),
+                       detectors=(SCM_R, SCM_G), master_seed=11)
+    h0 = run_experiment(config, with_h1=False, threads=1).h0
+    mu = (math.sqrt(n) + math.sqrt(p)) ** 2
+    sigma = (math.sqrt(n) + math.sqrt(p)) * (1 / math.sqrt(n) + 1 / math.sqrt(p)) ** (1 / 3)
+    gaps = {}
+    for spec in (SCM_R, SCM_G):
+        values = h0[spec].values
+        assert values.size == trials
+        gaps[spec.statistic] = sup_gap(tw2_cdf((n * values - mu) / sigma))
+    # glrt = lam_max p / trace is narrower than TW2, since lam_max and the
+    # trace move together; reported only
+    print(f"\n(p, n) = ({p}, {n}): sup-gap to TW2 rlrt {gaps['rlrt']:.4f}, glrt {gaps['glrt']:.4f}")
+    dkw_99 = math.sqrt(math.log(2 / 0.01) / (2 * trials))
+    assert gaps["rlrt"] < dkw_99, f"sup-gap {gaps['rlrt']:.4f} outside the 99% DKW band {dkw_99:.4f}"
 
 
 # ---------------------------------------------------------------------------
