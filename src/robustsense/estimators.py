@@ -66,7 +66,8 @@ class _Whitened(NamedTuple):
     ``_outer_products``) as one real mat-vec per member,
     ``d = _dual(Sigma^{-1}) @ Q``; the data columns themselves are never
     touched.  ``singular`` flags members whose Cholesky factorization
-    failed; those were factored as the identity instead and must be dropped.
+    failed; those were factored as the identity, so their next map
+    evaluation stays finite, and ``_apply_map`` flags them.
     """
 
     inv: np.ndarray  # (B, p, p)
@@ -329,9 +330,10 @@ class WeightFunction:
 class BatchFixedPointResult:
     """Per-member results over a stack of sample matrices.
 
-    ``ok`` is False where the iteration hit a singular or indefinite iterate
-    (those estimates are placeholders and must be discarded); ``converged``
-    is False where the residual never dropped below ``_EPSILON``.
+    ``ok`` is False where a member has no usable estimate (its estimate and
+    residual are placeholders, see ``m_estimate_batch``, and must be
+    discarded); ``converged`` is False where the residual never dropped
+    below ``_EPSILON``.
     ``iterations`` counts evaluations of the iteration map.  ``eigenvalues``
     are those of the estimates, ascending, from the exit vetting.
     """
@@ -350,14 +352,14 @@ def _apply_map(kind: _Kind, weight, wh: _Whitened, q):
     The weighted step sum_i w_i x_i x_i^H is the mat-vec Q w, unpacked into
     an exactly Hermitian matrix.  Returns F(Sigma), its whitening when the
     post-step made one (else None), the stopping-rule residuals
-    ||I - Sigma^{-1} F(Sigma)||_F and the members whose F(Sigma) is unusable
-    (those get the identity as a placeholder).
+    ||I - Sigma^{-1} F(Sigma)||_F and the flagged members (see
+    ``m_estimate_batch``): a singular Sigma, or an unusable F(Sigma).
     """
     p, n = wh.inv.shape[-1], q.shape[-1]
     w = kind.weight(weight, wh.d, p) / n
     y = np.matmul(q, w[:, :, None])[:, :, 0]
     # cheap in-loop guards; the full eigenvalue vetting happens on exit
-    bad = ~np.isfinite(y).all(axis=1) | (y[:, :p].min(axis=1) <= 0)
+    bad = wh.singular | ~np.isfinite(y).all(axis=1) | (y[:, :p].min(axis=1) <= 0)
     nxt = _hermitian(y, p)
     eye = np.eye(p, dtype=np.complex128)
     nxt[bad] = eye
@@ -415,10 +417,6 @@ def _run_block(weight, x, estimates, iterations, residuals, converged, ok) -> No
         iterations[:], residuals[:], converged[:] = 1, 0.0, True
         return
     kind = _KINDS[weight.kind]
-
-    def compact(keep, *arrays):
-        return tuple(None if a is None else a[keep] for a in arrays)
-
     # Q holds the active members' outer products, in the order of ``active``;
     # its first p rows are the |x_a|^2, so a zero column has zero sum there
     q = _outer_products(x)
@@ -433,18 +431,8 @@ def _run_block(weight, x, estimates, iterations, residuals, converged, ok) -> No
     bound = np.ones(active.size)  # SQUAREM step-length bounds
 
     for m in range(1, _MAX_ITERATIONS + 1):
-        if active.size == 0:
-            break
         if wh is None:
             wh = _whiten(cur, q)
-        if wh.singular.any():
-            ok[active[wh.singular]] = False
-            keep = ~wh.singular
-            active, q, cur, base, bound = compact(keep, active, q, cur, base, bound)
-            wh = wh.take(keep)
-            if active.size == 0:
-                break
-
         nxt, nxt_wh, resid, bad = _apply_map(kind, weight, wh, q)
         done = ~bad & (resid < _EPSILON)
         if m % 2:
@@ -459,11 +447,12 @@ def _run_block(weight, x, estimates, iterations, residuals, converged, ok) -> No
         converged[active[done]] = True
 
         leave = done | bad
+        if leave.all():
+            break
         if leave.any():
-            if leave.all():
-                break
             keep = ~leave
-            active, q, cur, base, nxt, bound = compact(keep, active, q, cur, base, nxt, bound)
+            active, q, cur, base, nxt, bound = (
+                None if a is None else a[keep] for a in (active, q, cur, base, nxt, bound))
             if nxt_wh is not None:
                 nxt_wh = nxt_wh.take(keep)
         if m % 2:  # theta1 = F(theta0)
@@ -491,19 +480,25 @@ def m_estimate_batch(
     evaluation where ``||I - Sigma^{-1} F(Sigma)||_F < _EPSILON``, or after
     ``_MAX_ITERATIONS`` evaluations with ``converged`` False; ``iterations``
     counts evaluations.  ``ok`` is False for a member with an all-zero
-    snapshot column (0 iterations), one whose Cholesky factorization fails
-    inside the loop, and one whose estimate fails the exit vetting
-    (condition number above 1e14, non-positive or non-finite eigenvalues).
+    snapshot column (0 iterations), one flagged inside the loop, and one
+    whose estimate fails the exit vetting (condition number above 1e14,
+    non-positive or non-finite eigenvalues).  A member is flagged inside the
+    loop at the evaluation whose iterate fails its Cholesky factorization or
+    whose step is unusable; it leaves there with that count, the identity as
+    its kind's post-step scales it, and a placeholder residual.
     An scm member is flagged only when its estimate is zero (an all-zero
     sample matrix); with n <= p its singular estimate stays usable.
 
+    ``x`` must be finite, with p, n >= 1 (and n > p for a robust kind).
     ``WeightFunction`` describes the iteration map and its SQUAREM cycles;
     the module docstring describes the blocks every kind runs in, one at a
     time (Q, or scm's X^H), and their byte budget and sizes.
     """
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 3:
-        raise ValueError("expected a (B, p, n) stack of sample matrices")
+    if x.ndim != 3 or 0 in x.shape[1:]:
+        raise ValueError(f"expected a (B, p, n) stack with p, n >= 1, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("every sample must be finite")
     n_batch, p, n = x.shape
 
     iterations = np.zeros(n_batch, dtype=np.int64)

@@ -215,24 +215,21 @@ def _collect_samples(config: SimConfig, hypothesis: Hypothesis,
 
 def _experiment(config: SimConfig, hypotheses, pending) -> ExperimentResult:
     """One simulation's result from its runs' chunk results (``None``: run
-    the chunks here), one per hypothesis."""
-    kinds = config.estimator_kinds()
-    counts: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
-    excluded = {kind: {"singular": 0, "max_iterations": 0} for kind in kinds}
-    samples = {}
+    the chunks here), one per hypothesis.  Each run's records are kept and
+    pooled per kind for ``iteration_stats``."""
+    samples, runs = {}, []
     for hypothesis, results in zip(hypotheses, pending):
-        trials = _run_chunks(config, hypothesis, results)
-        samples[hypothesis] = _collect_samples(config, hypothesis, trials)
-        for kind, rec in trials.items():
-            counts[kind].append(rec["iterations"][_usable(rec)])
-            excluded[kind]["singular"] += int(np.count_nonzero(~rec["ok"]))
-            excluded[kind]["max_iterations"] += int(np.count_nonzero(rec["ok"] & ~rec["converged"]))
+        runs.append(_run_chunks(config, hypothesis, results))
+        samples[hypothesis] = _collect_samples(config, hypothesis, runs[-1])
     stats = {}
-    for kind, chunks in counts.items():
-        pooled = np.concatenate(chunks)
-        p50, p90, p99 = np.percentile(pooled, (50, 90, 99))
-        stats[kind] = {"mean": float(pooled.mean()), "max": float(pooled.max()),
-                       "p50": float(p50), "p90": float(p90), "p99": float(p99), **excluded[kind]}
+    for kind in config.estimator_kinds():
+        rec = np.concatenate([trials[kind] for trials in runs])
+        counts = rec["iterations"][_usable(rec)]
+        p50, p90, p99 = np.percentile(counts, (50, 90, 99))
+        stats[kind] = {"mean": float(counts.mean()), "max": float(counts.max()),
+                       "p50": float(p50), "p90": float(p90), "p99": float(p99),
+                       "singular": int(np.count_nonzero(~rec["ok"])),
+                       "max_iterations": int(np.count_nonzero(rec["ok"] & ~rec["converged"]))}
     return ExperimentResult(h0=samples[Hypothesis.H0], h1=samples.get(Hypothesis.H1),
                             iteration_stats=stats)
 

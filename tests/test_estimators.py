@@ -508,6 +508,24 @@ def test_robust_kinds_need_more_snapshots_than_antennas():
     assert scm(x).shape == (4, 4)
 
 
+@pytest.mark.parametrize("weight", [WeightFunction("scm"), WeightFunction("tyler"),
+                                    WeightFunction("student_t", nu=3.0),
+                                    WeightFunction("gg_ml", shape_s=0.5)], ids=lambda w: w.kind)
+def test_malformed_stacks_are_rejected(weight):
+    for shape in ((2, 3, 0), (2, 0, 4)):
+        with pytest.raises(ValueError, match="p, n >= 1"):
+            m_estimate_batch(np.ones(shape, dtype=complex), weight)
+    # one non-finite entry in one member rejects the stack, not just that member
+    for value in (np.nan, np.inf):
+        x = null_stack(NoiseModel("gaussian"), 3, 3, 8, seed=19)
+        x[1, 0, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            m_estimate_batch(x, weight)
+    # an empty stack is still valid
+    res = m_estimate_batch(np.ones((0, 3, 8), dtype=complex), weight)
+    assert res.estimates.shape == (0, 3, 3) and res.ok.shape == (0,)
+
+
 def test_zero_column_rejected():
     # the member with a zero column is flagged before its first evaluation;
     # its stack-mates keep their solo results bit for bit
@@ -518,6 +536,8 @@ def test_zero_column_rejected():
         res = m_estimate_batch(stack, w)
         assert res.ok.tolist() == [True, False, True]
         assert res.iterations[1] == 0
+        # alone, it leaves a block with no member to iterate
+        assert m_estimate_batch(stack[1:2], w).iterations.tolist() == [0]
         for i in (0, 2):
             solo = m_estimate_batch(stack[i:i + 1], w)
             assert np.array_equal(solo.estimates[0], res.estimates[i])
@@ -670,10 +690,15 @@ def test_batch_flags_bad_members_without_poisoning_others():
     g = RngStream(20, 3).generator()
     basis = g.standard_normal((3, 1)) + 1j * g.standard_normal((3, 1))
     stack[1] = basis @ (g.standard_normal((1, 12)) + 1j * g.standard_normal((1, 12)))
-    for w in (WeightFunction("tyler"),
+    for w in (WeightFunction("tyler"), WeightFunction("student_t", nu=3.0),
               WeightFunction("gg_ml", shape_s=0.5)):
         res = m_estimate_batch(stack, w)
         assert res.ok.tolist() == [True, False, True]
+        # the rank-1 member's first map output is singular; it leaves at the
+        # next evaluation, the one that flags it, holding a scaled identity
+        assert not res.converged[1] and res.iterations[1] == 2
+        placeholder = res.estimates[1]
+        assert np.array_equal(placeholder, placeholder[0, 0] * np.eye(3))
         for i in (0, 2):
             assert np.array_equal(estimate(stack[i], w), res.estimates[i])
 
