@@ -47,10 +47,10 @@ _KEYS = {
     "experiment": {"kind": (str, _REQUIRED), "p": (_int, _REQUIRED), "n": (_int, _REQUIRED),
                    "trials": (_int, _REQUIRED), "seed": (_int, _REQUIRED),
                    "snr_db": (_float, None)},
-    "noise": {"families": (_names, _REQUIRED), "sigma2": (_float, 1.0),
+    "noise": {"families": (_names, _REQUIRED), "sigma2": (_float, NoiseModel.sigma2),
               "gg_shape": (_float, None), "student_t_dof": (_float, 3.0)},
     "detectors": {"estimators": (_names, _REQUIRED), "statistics": (_names, _REQUIRED),
-                  "student_t_nu": (_float, 3.0)},
+                  "student_t_nu": (_float, SimConfig.student_t_nu)},
 }
 
 
@@ -126,7 +126,7 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
     # no interpolation: a '%' in a value is plain text, not configparser syntax
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh, source=where)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{where}: cannot read config: {exc}") from exc

@@ -245,15 +245,14 @@ class _Kind(NamedTuple):
     warm_start: str | None = None
 
 
-# lists each warm-start source before the kinds that start from it
+# the iterated kinds (not scm), each warm-start source before its starters
 _KINDS = {
-    "scm": _Kind(lambda w, d, p: np.ones_like(d), _no_scaling),
     "tyler": _Kind(lambda w, d, p: p / d, _pin_trace),
     "student_t": _Kind(lambda w, d, p: (2.0 * p + w.nu) / (w.nu + 2.0 * d), _no_scaling),
     "gg_ml": _Kind(lambda w, d, p: (w.shape_s / gg_scale(p, w.shape_s)) * d ** (w.shape_s - 1.0),
                    _ml_scale, "tyler"),
 }
-KINDS = tuple(_KINDS)
+KINDS = ("scm", *_KINDS)
 
 
 @dataclass(frozen=True)
@@ -263,7 +262,7 @@ class WeightFunction:
 
     Kinds
     -----
-    scm        u(d) = 1                      none (one step is exact)
+    scm        X X^H / n, one exact step     none (not iterated)
     tyler      u(d) = p / d                  trace pinned to p
     student_t  u(d) = (2p + nu) / (nu + 2d)  none
     gg_ml      u(d) = (s/b) d^(s-1)          closed-form ML scale; starts from tyler
@@ -323,7 +322,7 @@ class WeightFunction:
     def warm_start(self) -> str | None:
         """The kind whose estimate of the same data this kind starts from
         (``m_estimate_batch``'s ``initial``), or None for the identity."""
-        return _KINDS[self.kind].warm_start
+        return None if self.kind == "scm" else _KINDS[self.kind].warm_start
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,13 +352,16 @@ def _apply_map(kind: _Kind, weight, wh: _Whitened, q):
     an exactly Hermitian matrix.  Returns F(Sigma), its whitening when the
     post-step made one (else None), the stopping-rule residuals
     ||I - Sigma^{-1} F(Sigma)||_F and the flagged members (see
-    ``m_estimate_batch``): a singular Sigma, or an unusable F(Sigma).
+    ``m_estimate_batch``): an all-zero data column (its distance is exactly
+    0 under any Sigma), a singular Sigma, or an unusable F(Sigma).
     """
     p, n = wh.inv.shape[-1], q.shape[-1]
-    w = kind.weight(weight, wh.d, p) / n
-    y = np.matmul(q, w[:, :, None])[:, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # flagged below
+        w = kind.weight(weight, wh.d, p) / n
+        y = np.matmul(q, w[:, :, None])[:, :, 0]
     # cheap in-loop guards; the full eigenvalue vetting happens on exit
-    bad = wh.singular | ~np.isfinite(y).all(axis=1) | (y[:, :p].min(axis=1) <= 0)
+    bad = (wh.singular | (wh.d == 0).any(axis=1) | ~np.isfinite(y).all(axis=1)
+           | (y[:, :p].min(axis=1) <= 0))
     nxt = _hermitian(y, p)
     eye = np.eye(p, dtype=np.complex128)
     nxt[bad] = eye
@@ -417,14 +419,9 @@ def _run_block(weight, x, estimates, iterations, residuals, converged, ok) -> No
         iterations[:], residuals[:], converged[:] = 1, 0.0, True
         return
     kind = _KINDS[weight.kind]
-    # Q holds the active members' outer products, in the order of ``active``;
-    # its first p rows are the |x_a|^2, so a zero column has zero sum there
+    # Q holds the active members' outer products, in the order of ``active``
     q = _outer_products(x)
-    bad_cols = np.any(q[:, :p].sum(axis=1) == 0.0, axis=1)
-    ok[bad_cols] = False
-    active = np.flatnonzero(~bad_cols)
-    if bad_cols.any():
-        q = q[~bad_cols]
+    active = np.arange(x.shape[0])
     cur = estimates[active]  # the iterate F is applied to next
     wh = None  # its whitening, when already known
     base = None  # theta0 of the current cycle, between its two evaluations
@@ -479,13 +476,13 @@ def m_estimate_batch(
     A member stops, with that F(Sigma) as its estimate, at the first map
     evaluation where ``||I - Sigma^{-1} F(Sigma)||_F < _EPSILON``, or after
     ``_MAX_ITERATIONS`` evaluations with ``converged`` False; ``iterations``
-    counts evaluations.  ``ok`` is False for a member with an all-zero
-    snapshot column (0 iterations), one flagged inside the loop, and one
-    whose estimate fails the exit vetting (condition number above 1e14,
-    non-positive or non-finite eigenvalues).  A member is flagged inside the
-    loop at the evaluation whose iterate fails its Cholesky factorization or
-    whose step is unusable; it leaves there with that count, the identity as
-    its kind's post-step scales it, and a placeholder residual.
+    counts evaluations.  ``ok`` is False for a member flagged inside the
+    loop, and one whose estimate fails the exit vetting (condition number
+    above 1e14, non-positive or non-finite eigenvalues).  A member is flagged
+    at the evaluation where its sample matrix has an all-zero snapshot column
+    (the first), its iterate fails its Cholesky factorization, or its step is
+    unusable; it leaves there with that count, the identity as its kind's
+    post-step scales it, and a placeholder residual.
     An scm member is flagged only when its estimate is zero (an all-zero
     sample matrix); with n <= p its singular estimate stays usable.
 

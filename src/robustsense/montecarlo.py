@@ -201,13 +201,15 @@ def _collect_samples(config: SimConfig, hypothesis: Hypothesis,
     ``hypothesis`` is not read here; the benchmark's tracer tags spans with it."""
     samples: dict[DetectorSpec, StatSample] = {}
     for spec in config.detectors:
-        usable = trials[spec.estimator][_usable(trials[spec.estimator])]
+        rec = trials[spec.estimator]
+        usable = rec[_usable(rec)]
         excluded = config.trials - usable.size
         if excluded > _MAX_EXCLUSION_RATE * config.trials:
+            singular = int(np.count_nonzero(~rec["ok"]))  # the rest are ok, not converged
             raise ExclusionRateError(
-                f"{spec.label}: {excluded} of {config.trials} trials lost to "
-                f"non-convergence (limit {_MAX_EXCLUSION_RATE:.1%})"
-            )
+                f"{spec.label}: {excluded} of {config.trials} trials have no usable estimate "
+                f"({singular} singular, {excluded - singular} hit max_iterations; "
+                f"limit {_MAX_EXCLUSION_RATE:.1%})")
         values = spec.evaluate(usable["lam"], usable["trace"], config.p, config.noise.sigma2)
         samples[spec] = StatSample(values=np.sort(values), spec=spec, n_excluded=excluded)
     return samples
@@ -281,21 +283,22 @@ def run_experiment(
     stream ``(master_seed, trial_index)`` and computes each requested
     estimator once, feeding every statistic that shares it.  Every trial
     leaves one record per estimator kind: the estimate's largest eigenvalue
-    and trace, its iteration count (map evaluations), ``ok`` (no singular
-    iterate) and ``converged``.  A trial is *usable* for a kind when it is
-    both ok and converged; only usable trials feed the statistics, and more
-    than 0.1% unusable trials raise ``ExclusionRateError``.
+    and trace, its iteration count (map evaluations), ``ok`` (by
+    ``m_estimate_batch``'s rule: no all-zero snapshot column, singular
+    iterate or unusable step, and a passed exit vetting) and ``converged``.
+    A trial is *usable* for a kind when it is both ok and converged; only
+    usable trials feed the statistics, and more than 0.1% unusable trials
+    raise ``ExclusionRateError``, which names both counts below.
     ``iteration_stats`` holds, per kind, the mean, max and 50th, 90th and
     99th percentiles of the usable trials' iteration counts, and why the
-    other trials were excluded: ``singular`` (an iterate left the
-    positive-definite cone) and ``max_iterations`` (no convergence within
-    the iteration budget), all pooled over both hypotheses.  A kind with a
-    warm start (``WeightFunction.warm_start``, gg_ml from tyler) counts its
-    iterations from the other kind's estimate when the run has that kind.
-    ``threads`` caps the worker processes; it must be an integer of at
-    least 1, and it never changes the result.  This is ``run_experiments``
-    on one config, so the H0 and H1 chunks share one pool; see there for the
-    pool's behaviour.
+    other trials were excluded: ``singular`` (not ok) and ``max_iterations``
+    (ok, but no convergence within the iteration budget), all pooled over
+    both hypotheses.  A kind with a warm start (``WeightFunction.warm_start``,
+    gg_ml from tyler) counts its iterations from the other kind's estimate
+    when the run has that kind.  ``threads`` caps the worker processes; it
+    must be an integer of at least 1, and it never changes the result.  This
+    is ``run_experiments`` on one config, so the H0 and H1 chunks share one
+    pool; see there for the pool's behaviour.
     """
     [result] = run_experiments((config,), with_h1, threads)
     return result

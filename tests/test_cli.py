@@ -579,6 +579,14 @@ def test_undecodable_config_exits_nonzero(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_with_byte_order_mark_loads(tmp_path):
+    # some editors save UTF-8 with a leading BOM
+    fig4 = load_config("fig4")
+    bom = tmp_path / "bom.ini"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(fig4.path).read_bytes())
+    assert load_config(str(bom)) == dataclasses.replace(fig4, path=str(bom))
+
+
 # ---------------------------------------------------------------------------
 # manifest contract
 # ---------------------------------------------------------------------------

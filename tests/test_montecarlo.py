@@ -395,6 +395,28 @@ def test_run_experiment_counts_exclusions_by_cause(monkeypatch):
     assert stats["scm"]["max_iterations"] == stats["scm"]["singular"] == 0
 
 
+def test_run_experiment_counts_a_zero_column_trial_as_singular(monkeypatch):
+    # trial 0 of each run loses one snapshot: Tyler flags it, scm keeps it
+    def sample_chunk(*args):
+        x = sampling.sample_chunk(*args)
+        if args[-2] == 0:
+            x[0, :, 0] = 0.0
+        return x
+
+    monkeypatch.setattr(montecarlo, "sample_chunk", sample_chunk)
+    cfg = SimConfig(p=3, n=8, trials=64, noise=NoiseModel("gaussian"), rho=1.0,
+                    detectors=(SCM_G, TY_G), master_seed=1)
+    with pytest.raises(ExclusionRateError, match=re.escape(
+            "tyler_glrt: 1 of 64 trials have no usable estimate "
+            "(1 singular, 0 hit max_iterations; limit 0.1%)")):
+        run_experiment(cfg, with_h1=False)
+    monkeypatch.setattr(montecarlo, "_MAX_EXCLUSION_RATE", 1.0)
+    result = run_experiment(cfg, with_h1=True)
+    assert result.iteration_stats["tyler"]["singular"] == 2
+    assert result.iteration_stats["scm"]["singular"] == 0
+    assert result.h0[TY_G].n_excluded == 1 and result.h0[SCM_G].n_excluded == 0
+
+
 def test_scm_depends_on_family_tyler_does_not():
     trials = 2000
     gauss = run_experiment(small_config(trials=trials, seed=50), with_h1=False).h0
