@@ -186,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except (ConfigError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

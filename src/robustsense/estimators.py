@@ -74,9 +74,6 @@ class _Whitened(NamedTuple):
     d: np.ndarray  # (B, n)
     singular: np.ndarray  # (B,) bool
 
-    def take(self, keep: np.ndarray) -> "_Whitened":
-        return _Whitened(self.inv[keep], self.d[keep], self.singular[keep])
-
 
 class _Layout(NamedTuple):
     """Index arrays of Q's row order for dimension p; read-only, shared
@@ -372,7 +369,7 @@ def _apply_map(kind: _Kind, weight, wh: _Whitened, q):
     return nxt, nxt_wh, resid, bad
 
 
-def _extrapolate(theta0, theta1, theta2, wh2, q, bound):
+def _extrapolate(theta0, theta1, theta2, q, bound):
     """The SQUAREM step from theta0, theta1 = F(theta0), theta2 = F(theta1).
 
     With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, each member
@@ -380,9 +377,9 @@ def _extrapolate(theta0, theta1, theta2, wh2, q, bound):
     [1, bound], and the candidate theta0 + 2 a r + a^2 v; a = 1 gives
     theta2, the plain iteration's iterate.  A step that reaches the bound
     multiplies the bound by 4.  A member whose candidate is not finite or not
-    positive definite by ``_whiten``'s test takes theta2 instead, and its
-    bound shrinks by 4 (not below 1).  Returns the next iterate, its
-    whitening (``wh2`` is theta2's, or None) and the new bounds.
+    positive definite by ``_whiten``'s test takes theta2 instead, factored
+    afresh whatever the kind, and its bound shrinks by 4 (not below 1).
+    Returns the next iterate, its whitening and the new bounds.
     """
     r = theta1 - theta0
     v = (theta2 - theta1) - r
@@ -398,8 +395,7 @@ def _extrapolate(theta0, theta1, theta2, wh2, q, bound):
     fallback = wh.singular.copy()  # wh.singular is overwritten below
     if fallback.any():
         cand[fallback] = theta2[fallback]
-        wh.inv[fallback], wh.d[fallback], wh.singular[fallback] = (
-            wh2.take(fallback) if wh2 is not None else _whiten(theta2[fallback], q[fallback]))
+        wh.inv[fallback], wh.d[fallback], wh.singular[fallback] = _whiten(theta2[fallback], q[fallback])
         bound = np.where(fallback, np.maximum(bound / _STEP_FACTOR, 1.0), bound)
     return cand, wh, bound
 
@@ -424,7 +420,7 @@ def _run_block(weight, x, estimates, iterations, residuals, converged, ok) -> No
     active = np.arange(x.shape[0])
     cur = estimates[active]  # the iterate F is applied to next
     wh = None  # its whitening, when already known
-    base = None  # theta0 of the current cycle, between its two evaluations
+    base = cur  # theta0 of the current cycle; read only by its second evaluation
     bound = np.ones(active.size)  # SQUAREM step-length bounds
 
     for m in range(1, _MAX_ITERATIONS + 1):
@@ -448,15 +444,13 @@ def _run_block(weight, x, estimates, iterations, residuals, converged, ok) -> No
             break
         if leave.any():
             keep = ~leave
-            active, q, cur, base, nxt, bound = (
-                None if a is None else a[keep] for a in (active, q, cur, base, nxt, bound))
+            active, q, cur, base, nxt, bound = (a[keep] for a in (active, q, cur, base, nxt, bound))
             if nxt_wh is not None:
-                nxt_wh = nxt_wh.take(keep)
+                nxt_wh = _Whitened(*(a[keep] for a in nxt_wh))
         if m % 2:  # theta1 = F(theta0)
             base, cur, wh = cur, nxt, nxt_wh
         else:  # theta2 = F(theta1)
-            cur, wh, bound = _extrapolate(base, cur, nxt, nxt_wh, q, bound)
-            base = None
+            cur, wh, bound = _extrapolate(base, cur, nxt, q, bound)
 
 
 def m_estimate_batch(

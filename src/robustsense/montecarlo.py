@@ -343,8 +343,7 @@ def calibrate_threshold(sample: StatSample, target_pfa: float) -> float:
             RuntimeWarning,
         )
     # floor with a tiny nudge so exact-decimal targets land on the intended rank
-    k = n - math.floor(target_pfa * n + 1e-9)
-    k = min(max(k, 1), n)
+    k = max(n - math.floor(target_pfa * n + 1e-9), 1)
     return float(values[k - 1])
 
 

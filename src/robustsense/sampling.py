@@ -219,6 +219,13 @@ def _check_geometry(p: int, n: int, rho: float) -> None:
         raise ValueError(f"require p >= 1, n >= 1 and a finite rho >= 0, got p={p}, n={n}, rho={rho}")
 
 
+def _check_finite(finite, model: NoiseModel, rho: float) -> None:
+    """The samplers' one output check: a finite model and rho whose texture,
+    channel or signal overflows make a ``ValueError`` naming them."""
+    if not finite:
+        raise ValueError(f"{model} with rho={rho} overflows the sampler: a sample is not finite")
+
+
 def sample_trial(
     model: NoiseModel,
     p: int,
@@ -236,22 +243,25 @@ def sample_trial(
     under H1 the symbols.  This is the stream contract (README) as
     per-trial code; ``sample_chunk`` reproduces it byte for byte.  Every
     redraw lives here: zero-norm channel or sphere columns and all-zero
-    noise columns (texture underflow) are redrawn from the same stream.
+    noise columns (texture underflow) are redrawn from the same stream.  A
+    sample that is not finite is a ``ValueError`` (``_check_finite``).
     """
     _check_geometry(p, n, rho)
     gen = stream.generator()
     h1 = hypothesis is Hypothesis.H1
-    if h1:
-        h = _channel(_sphere(gen, p, 1), rho, p, model.sigma2)
-    x = _noise(model, p, gen, n)
-    while np.any(dead := ~np.any(x, axis=0)):  # texture underflow guard
-        x[:, dead] = _noise(model, p, gen, int(dead.sum()))
-    if not h1:
-        return x
-    # unit-variance symbols as a (1, n) row: numpy rounds a (1, 1) * (1,)
-    # complex product differently from (1, 1) * (1, 1), which sample_chunk's
-    # shapes match
-    return h * (_complex_draws(gen.standard_normal((2, 1, n))) / np.sqrt(2.0)) + x
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        if h1:
+            h = _channel(_sphere(gen, p, 1), rho, p, model.sigma2)
+        x = _noise(model, p, gen, n)
+        while np.any(dead := ~np.any(x, axis=0)):  # texture underflow guard
+            x[:, dead] = _noise(model, p, gen, int(dead.sum()))
+        if h1:
+            # unit-variance symbols as a (1, n) row: numpy rounds a (1, 1) * (1,)
+            # complex product differently from (1, 1) * (1, 1), which
+            # sample_chunk's shapes match
+            x = h * (_complex_draws(gen.standard_normal((2, 1, n))) / np.sqrt(2.0)) + x
+    _check_finite(np.isfinite(x).all(), model, rho)
+    return x
 
 
 def sample_chunk(
@@ -278,7 +288,7 @@ def sample_chunk(
     per-trial path.  The stack is the only array of chunk size.  A trial
     that hit a probability-zero event (zero channel or sphere norm,
     all-zero noise column) is redrawn by ``sample_trial``, which owns the
-    redraw loops.
+    redraw loops; every other trial's finiteness is checked piece by piece.
     """
     _check_geometry(p, n, rho)
     lo, hi = _integer("lo", lo), _integer("hi", hi)
@@ -310,14 +320,16 @@ def sample_chunk(
 
         xs = _complex_draws(raw[:size], out=x[piece])
         guard[piece] = np.any(_unit_columns(xs) == 0.0, axis=1)
-        xs *= np.sqrt(_texture_law(model, p, t[:size]))[:, None, :]
-        guard[piece] |= np.any(~np.any(xs, axis=1), axis=1)  # texture underflow
-        if h1:
-            direction = _complex_draws(c[:size])
-            guard[piece] |= _unit_columns(direction)[:, 0] == 0.0
-            h = _channel(direction, rho, p, model.sigma2)
-            symbols = _complex_draws(s[:size]) / np.sqrt(2.0)
-            np.add(h * symbols, xs, out=xs)  # operand order of sample_trial
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+            xs *= np.sqrt(_texture_law(model, p, t[:size]))[:, None, :]
+            guard[piece] |= np.any(~np.any(xs, axis=1), axis=1)  # texture underflow
+            if h1:
+                direction = _complex_draws(c[:size])
+                guard[piece] |= _unit_columns(direction)[:, 0] == 0.0
+                h = _channel(direction, rho, p, model.sigma2)
+                symbols = _complex_draws(s[:size]) / np.sqrt(2.0)
+                np.add(h * symbols, xs, out=xs)  # operand order of sample_trial
+        _check_finite((guard[piece] | np.isfinite(xs).all(axis=(1, 2))).all(), model, rho)
     for j in np.flatnonzero(guard):
         x[j] = sample_trial(model, p, n, rho, hypothesis, RngStream(master_seed, lo + j))
     return x

@@ -68,6 +68,14 @@ def write_config(tmp_path, text, name="exp.ini"):
     return str(path)
 
 
+def fresh_python(script, **kwargs):
+    """Run ``script`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(robustsense.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, **kwargs)
+
+
 def read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -140,10 +148,16 @@ ROC = ROC_TEMPLATE.format(trials=10, seed=1, snr_db=0.0)
     (ROC, "families = gg\n", "", "[noise] missing required key 'families'"),
     (POF, "[detectors]", "[detector]", "unknown section [detector]"),
     (POF, "[experiment]", "[DEFAULT]\nsigma2 = 2.0\n[experiment]", "unknown section [DEFAULT]"),
+    (POF, "sigma2 = 1.0", "sigma2 = big", "[noise] sigma2 = 'big' is not a number"),
+    (POF, "[detectors]\nestimators = scm, tyler\nstatistics = rlrt, glrt\n", "",
+     "missing required section [detectors]"),
+    (POF, "kind = pof-curve", "kind = scan", "[experiment] kind = 'scan' is not one of"),
+    (POF, "families = gaussian, gg, student_t", "families =", "at least one family is required"),
 ], ids=["family", "estimator", "statistic", "no-estimators", "gg_ml-gaussian",
         "repeated-family", "repeated-estimator", "repeated-statistic",
         "unknown-key", "misspelt-key", "family-alias", "roc-two-families", "no-families",
-        "unknown-section", "default-section"])
+        "unknown-section", "default-section", "non-numeric", "no-section", "unknown-kind",
+        "empty-families"])
 def test_config_error_messages_are_anchored(tmp_path, text, old, new, bad_value):
     # the model object that owns the value rejects it; the message names the file
     bad = write_config(tmp_path, text.replace(old, new))
@@ -579,6 +593,26 @@ def test_undecodable_config_exits_nonzero(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text, named", [
+    ("pof-curve", POF.replace("sigma2 = 1.0", "sigma2 = 1e308"), "sigma2=1e+308"),
+    # chi-square draws underflow to 0, and the texture divides by them
+    ("pof-curve", POF.replace("student_t_dof = 3.0", "student_t_dof = 0.01"), "dof_nu=0.01"),
+    ("roc", ROC_TEMPLATE.format(trials=10, seed=1, snr_db=3080), "rho=1e+308"),
+], ids=["sigma2", "student_t_dof", "snr_db"])
+def test_finite_value_that_overflows_the_sampler_exits_2(tmp_path, command, text, named):
+    # a fresh interpreter, so stderr shows any traceback and every warning
+    config = write_config(tmp_path, text)
+    argv = [command, "--config", config, "--out", str(tmp_path / "out"), "--threads", "1"]
+    run = fresh_python(f"import sys\nfrom robustsense.cli import main\nsys.exit(main({argv!r}))\n")
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    errors = [line for line in run.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and named in errors[0], run.stderr
+    # the one warning left is the notice for a student_t dof <= 2
+    warned = [line for line in run.stderr.splitlines() if "Warning" in line]
+    assert all("has no covariance" in line for line in warned), run.stderr
+
+
 def test_config_with_byte_order_mark_loads(tmp_path):
     # some editors save UTF-8 with a leading BOM
     fig4 = load_config("fig4")
@@ -652,11 +686,7 @@ def test_cli_run_imports_numpy_alone(tmp_path):
         f"assert main(['roc', '--config', {config!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
         "print(sorted(m for m in ('scipy', 'threadpoolctl') if m in sys.modules))\n"
     )
-    src = str(Path(robustsense.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                         check=True)
+    run = fresh_python(script, check=True)
     assert run.stdout.strip() == "[]"
 
 
@@ -670,10 +700,7 @@ def test_cli_roc_runs_with_scipy_unimportable(tmp_path):
         "from robustsense.cli import main\n"
         f"sys.exit(main(['roc', '--config', {config!r}, '--out', {str(out)!r}]))\n"
     )
-    src = str(Path(robustsense.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    run = fresh_python(script)
     assert run.returncode == 0, run.stderr
     assert sorted(c.name for c in out.glob("roc_*.csv")) == [
         f"roc_{kind}_{stat}.csv" for kind in ("gg_ml", "scm", "tyler") for stat in ("glrt", "rlrt")]

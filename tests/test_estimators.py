@@ -430,7 +430,7 @@ def test_extrapolation_outside_the_cone_takes_theta2():
     theta2 = np.stack([np.diag([2.5, 0.1]), np.diag([2.5, 0.3])]).astype(complex)
     q = estimators._outer_products(np.stack([gaussian_data(2, 6, seed=27)] * 2))
     bound = np.array([16.0, 16.0])
-    nxt, wh, new_bound = estimators._extrapolate(theta0, theta1, theta2, None, q, bound)
+    nxt, wh, new_bound = estimators._extrapolate(theta0, theta1, theta2, q, bound)
     assert np.array_equal(nxt[0], theta2[0])
     assert new_bound.tolist() == [4.0, 16.0]
     assert np.linalg.eigvalsh(nxt[1])[0] > 0
@@ -451,8 +451,7 @@ def test_non_finite_extrapolation_takes_theta2_and_shrinks_the_bound():
     q = estimators._outer_products(gaussian_data(2, 6, seed=27)[None])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        nxt, wh, bound = estimators._extrapolate(theta0, theta1, theta2, None, q,
-                                                 np.array([1e200]))
+        nxt, wh, bound = estimators._extrapolate(theta0, theta1, theta2, q, np.array([1e200]))
     assert np.array_equal(nxt, theta2)
     assert bound.tolist() == [2.5e199]
     alone = estimators._whiten(theta2, q)
@@ -467,8 +466,8 @@ def test_members_whose_extrapolation_leaves_the_cone_still_converge(monkeypatch)
     real = estimators._extrapolate
     outside = []
 
-    def spy(theta0, theta1, theta2, wh2, q, bound):
-        nxt, wh, new_bound = real(theta0, theta1, theta2, wh2, q, bound)
+    def spy(theta0, theta1, theta2, q, bound):
+        nxt, wh, new_bound = real(theta0, theta1, theta2, q, bound)
         r, v = theta1 - theta0, theta2 - 2 * theta1 + theta0
         a = np.clip(np.linalg.norm(r, axis=(1, 2)) / np.linalg.norm(v, axis=(1, 2)), 1.0, bound)
         cand = theta0 + 2 * a[:, None, None] * r + (a * a)[:, None, None] * v
@@ -573,12 +572,16 @@ def test_gg_ml_from_tyler_agrees_with_cold_start_in_fewer_evaluations(hypothesis
 
 def test_invalid_initial_iterate():
     x = gaussian_data(3, 10, seed=17)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive definite"):
         m_estimate_batch(x[None], WeightFunction("tyler"),
                          initial=np.diag([1.0, 1.0, -1.0])[None])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="stack"):
         m_estimate_batch(x[None], WeightFunction("tyler"),
                          initial=np.array([[1, 1], [0, 1]], dtype=complex)[None])
+    # Cholesky reads the lower triangle only, so this one would factor
+    with pytest.raises(ValueError, match="Hermitian"):
+        m_estimate_batch(x[None], WeightFunction("tyler"),
+                         initial=np.array([[2, 1, 0], [0, 2, 0], [0, 0, 2]], dtype=complex)[None])
 
 
 def test_rank_deficient_data_is_flagged_unusable():

@@ -56,6 +56,8 @@ def test_sphere_columns_unit_norm():
     (3, 4, math.nan, "require p >= 1"), (3, 4, math.inf, "require p >= 1"),
     (3.0, 4, 1.0, "p must be an integer"), (3, 4.0, 1.0, "n must be an integer"),
     (True, 4, 1.0, "p must be an integer"), (3, True, 1.0, "n must be an integer"),
+    # finite, but the channel overflows (a RuntimeWarning would fail the test)
+    (3, 4, 1e308, "rho=1e\\+308 overflows the sampler"),
 ])
 def test_trial_rejects_bad_geometry(p, n, rho, message):
     with pytest.raises(ValueError, match=message):
@@ -166,6 +168,8 @@ def test_noise_model_validation():
         NoiseModel("gg", shape_s=-0.1)
     with pytest.raises(ValueError):
         NoiseModel("gaussian", shape_s=0.5)
+    with pytest.raises(ValueError, match="dof_nu only applies"):
+        NoiseModel("gg", shape_s=0.5, dof_nu=3.0)
     for p, s in ((0, 1.0), (3, 0.0), (3, math.nan), (3, math.inf)):
         with pytest.raises(ValueError):
             gg_scale(p, s)
