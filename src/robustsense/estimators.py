@@ -203,36 +203,27 @@ def _whiten(sigma: np.ndarray, q: np.ndarray) -> _Whitened:
     return _Whitened(inv, d, singular)
 
 
-# Post-step normalizations: (weight, V, Q) -> (c V, whitening of c V or
-# None).  The engine factors an iterate before the next map evaluation
-# unless the normalization already did.
+# Post-step normalizations: (weight, V, d) -> c V, with d the distances of
+# the iterate the map was applied to; no post-step factors V.
 
-def _no_scaling(weight, v, q):
-    return v, None
+def _no_scaling(weight, v, d):
+    return v
 
 
-def _pin_trace(weight, v, q):
+def _pin_trace(weight, v, d):
     # Tyler's weight is scale-free, so the equation fixes Sigma only up to
     # scale; pin the trace to p
     trace = np.einsum("kii->k", v).real
-    return v * (v.shape[-1] / trace)[:, None, None], None
+    return v * (v.shape[-1] / trace)[:, None, None]
 
 
-def _ml_scale(weight, v, q):
-    # gg_ml: the trace of the ML equation, s/(b n p) sum_i d_i(Sigma)^s = 1,
-    # has the closed-form solution Sigma = c V with
-    # c^s = s/(b n p) sum_i d_i(V)^s (Pascal et al., IEEE TSP 2013).  The one
-    # factor of V gives d_i(V), and divided by c they are those of c V.
+def _ml_scale(weight, v, d):
+    # gg_ml: c = S^((1-s)/s) with S = s/(b n p) sum_i d_i^s makes the map
+    # scale-free, and S = 1 at its fixed point (see WeightFunction)
     s = weight.shape_s
-    p, n = v.shape[-1], q.shape[-1]
-    wv = _whiten(v, q)
-    # a numerically singular V can factor yet give negative distances, so a
-    # NaN c; the next evaluation flags that member (its step is not finite)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c = (s / (gg_scale(p, s) * n * p) * np.sum(wv.d**s, axis=1)) ** (1.0 / s)
-        return v * c[:, None, None], _Whitened(
-            wv.inv / c[:, None, None], wv.d / c[:, None], wv.singular
-        )
+    p, n = v.shape[-1], d.shape[-1]
+    c = (s / (gg_scale(p, s) * n * p) * np.sum(d**s, axis=1)) ** ((1.0 - s) / s)
+    return v * c[:, None, None]
 
 
 class _Kind(NamedTuple):
@@ -262,7 +253,7 @@ class WeightFunction:
     scm        X X^H / n, one exact step     none (not iterated)
     tyler      u(d) = p / d                  trace pinned to p
     student_t  u(d) = (2p + nu) / (nu + 2d)  none
-    gg_ml      u(d) = (s/b) d^(s-1)          closed-form ML scale; starts from tyler
+    gg_ml      u(d) = (s/b) d^(s-1)          scale-free ML scale; starts from tyler
 
     A weight is its kind and that kind's own parameter, ``nu`` for student_t
     and ``shape_s`` for gg_ml, both keyword-only; it sets the other to None,
@@ -271,17 +262,20 @@ class WeightFunction:
 
     ``nu = 0`` degenerates student_t to the Tyler weight.  The gg_ml scale
     ``b = gg_scale(p, s)`` makes the weight match the density generator
-    exp(-d^s / b) with unit-mean-per-dimension radius.  The gg_ml
-    iterate is multiplied by the scale c that solves the trace of the ML
-    equation, c^s = s/(b n p) sum_i d_i^s (Pascal, Bombrun, Tourneret &
-    Berthoumieu, "Parameter estimation for multivariate generalized Gaussian
-    distributions", IEEE TSP 2013); the fixed point is unchanged, but the
-    iteration no longer crawls along the scale direction.
+    exp(-d^s / b) with unit-mean-per-dimension radius.  The gg_ml step V
+    is multiplied by c = S^((1-s)/s), where S = s/(b n p) sum_i d_i^s
+    comes from the distances the step was taken with (after the ML scale
+    step of Pascal, Bombrun, Tourneret & Berthoumieu, "Parameter estimation
+    for multivariate generalized Gaussian distributions", IEEE TSP 2013).
+    The map is then scale-free: Sigma -> a Sigma scales d by 1/a, V by
+    a^(1-s) and S by a^(-s), so c V is unchanged, and the iteration cannot
+    crawl along the scale direction.  Since tr(Sigma^{-1} V) = p S, a fixed
+    point Sigma = c V has S = 1, so it solves the ML equation Sigma = V.
 
     ``warm_start`` names the kind whose estimate of the same data is a
     better start than the identity, or is None.  gg_ml starts from Tyler's
     estimate: both are shape estimators of the same scatter, gg_ml's map
-    ignores its iterate's scale (the ML scale step resets it), and at p=5,
+    is scale-free, so only the start's shape matters, and at p=5,
     n=50, s=0.1 the start cuts gg_ml's map evaluations by about a fifth.
 
     The weighted step and its normalization make the iteration map F, which
@@ -346,27 +340,24 @@ def _apply_map(kind: _Kind, weight, wh: _Whitened, q):
     """One evaluation of the iteration map F on factored iterates.
 
     The weighted step sum_i w_i x_i x_i^H is the mat-vec Q w, unpacked into
-    an exactly Hermitian matrix.  Returns F(Sigma), its whitening when the
-    post-step made one (else None), the stopping-rule residuals
-    ||I - Sigma^{-1} F(Sigma)||_F and the flagged members (see
-    ``m_estimate_batch``): an all-zero data column (its distance is exactly
-    0 under any Sigma), a singular Sigma, or an unusable F(Sigma).
+    an exactly Hermitian matrix and scaled by the post-step.  Returns
+    F(Sigma), the stopping-rule residuals ||I - Sigma^{-1} F(Sigma)||_F and
+    the flagged members (see ``m_estimate_batch``): an all-zero data column
+    (its distance is exactly 0 under any Sigma), a singular Sigma, or an
+    unusable F(Sigma).  A flagged member's F(Sigma) is the identity.
     """
     p, n = wh.inv.shape[-1], q.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):  # flagged below
         w = kind.weight(weight, wh.d, p) / n
         y = np.matmul(q, w[:, :, None])[:, :, 0]
+        nxt = kind.post_step(weight, _hermitian(y, p), wh.d)
     # cheap in-loop guards; the full eigenvalue vetting happens on exit
-    bad = (wh.singular | (wh.d == 0).any(axis=1) | ~np.isfinite(y).all(axis=1)
+    bad = (wh.singular | (wh.d == 0).any(axis=1) | ~np.isfinite(nxt).all(axis=(1, 2))
            | (y[:, :p].min(axis=1) <= 0))
-    nxt = _hermitian(y, p)
     eye = np.eye(p, dtype=np.complex128)
     nxt[bad] = eye
-    nxt, nxt_wh = kind.post_step(weight, nxt, q)
-    if nxt_wh is not None:
-        bad |= nxt_wh.singular
     resid = np.linalg.norm(eye - wh.inv @ nxt, axis=(1, 2))
-    return nxt, nxt_wh, resid, bad
+    return nxt, resid, bad
 
 
 def _extrapolate(theta0, theta1, theta2, q, bound):
@@ -426,7 +417,7 @@ def _run_block(weight, x, estimates, iterations, residuals, converged, ok) -> No
     for m in range(1, _MAX_ITERATIONS + 1):
         if wh is None:
             wh = _whiten(cur, q)
-        nxt, nxt_wh, resid, bad = _apply_map(kind, weight, wh, q)
+        nxt, resid, bad = _apply_map(kind, weight, wh, q)
         done = ~bad & (resid < _EPSILON)
         if m % 2:
             # a cycle's first evaluation tests the last extrapolation: where
@@ -445,10 +436,8 @@ def _run_block(weight, x, estimates, iterations, residuals, converged, ok) -> No
         if leave.any():
             keep = ~leave
             active, q, cur, base, nxt, bound = (a[keep] for a in (active, q, cur, base, nxt, bound))
-            if nxt_wh is not None:
-                nxt_wh = _Whitened(*(a[keep] for a in nxt_wh))
         if m % 2:  # theta1 = F(theta0)
-            base, cur, wh = cur, nxt, nxt_wh
+            base, cur, wh = cur, nxt, None
         else:  # theta2 = F(theta1)
             cur, wh, bound = _extrapolate(base, cur, nxt, q, bound)
 
@@ -475,8 +464,8 @@ def m_estimate_batch(
     above 1e14, non-positive or non-finite eigenvalues).  A member is flagged
     at the evaluation where its sample matrix has an all-zero snapshot column
     (the first), its iterate fails its Cholesky factorization, or its step is
-    unusable; it leaves there with that count, the identity as its kind's
-    post-step scales it, and a placeholder residual.
+    unusable; it leaves there with that count, the identity as its
+    estimate, and a placeholder residual.
     An scm member is flagged only when its estimate is zero (an all-zero
     sample matrix); with n <= p its singular estimate stays usable.
 

@@ -329,7 +329,7 @@ def test_gg_ml_estimate_solves_the_scale_equation():
     stack = gg_stack(1, p, n, s, seed=25)
     x = stack[0]
 
-    def scale_gap(sigma):
+    def scale_gap(sigma, x=x):
         d = np.einsum("ji,ji->i", x.conj(), np.linalg.solve(sigma, x)).real
         return abs(s / (gg_scale(p, s) * n * p) * np.sum(d**s) - 1.0)
 
@@ -338,9 +338,19 @@ def test_gg_ml_estimate_solves_the_scale_equation():
     assert res.ok[0] and res.converged[0]
     assert scale_gap(res.estimates[0]) < 1e-9
     assert fixed_point_residual(res.estimates[0], x, weight) < 1e-8
-    # the scale step puts every iterate on the equation, not just the limit
+    # at the engine's own stopping rule every converged estimate is on the
+    # equation too
+    many = gg_stack(256, p, n, s, seed=24)
+    res = m_estimate_batch(many, weight)
+    assert res.converged.any()
+    assert max(scale_gap(res.estimates[k], many[k]) for k in np.flatnonzero(res.converged)) < 1e-12
+    # the map is scale-free: one evaluation ignores the start's scale, so
+    # the iteration cannot crawl along it
     with stopping_rule(max_iterations=1):
-        assert scale_gap(estimate(x, weight)) < 1e-12
+        one = estimate(x, weight)
+        for a in (1e-3, 1e3):
+            other = estimate(x, weight, a * np.eye(p, dtype=complex))
+            assert np.linalg.norm(other - one) < 1e-12 * np.linalg.norm(one)
 
 
 def test_tyler_squarem_needs_few_map_evaluations():
@@ -485,6 +495,22 @@ def test_members_whose_extrapolation_leaves_the_cone_still_converge(monkeypatch)
         assert fixed_point_residual(res.estimates[k], stack[k], weight) < 1e-5
 
 
+@pytest.mark.parametrize("weight", [WeightFunction("tyler"), WeightFunction("student_t", nu=1.0),
+                                    WeightFunction("gg_ml", shape_s=0.1)], ids=lambda w: w.kind)
+def test_map_evaluation_factors_nothing(monkeypatch, weight):
+    # only _whiten and _extrapolate factor an iterate; a map evaluation
+    # and its post-step reuse the whitening they are given
+    x = gg_stack(4, 5, 50, 0.1, seed=31)
+    q = estimators._outer_products(x)
+    wh = estimators._whiten(np.broadcast_to(np.eye(5, dtype=complex), (4, 5, 5)).copy(), q)
+    calls = []
+    real = estimators._whiten
+    monkeypatch.setattr(estimators, "_whiten", lambda *a: calls.append(1) or real(*a))
+    nxt, *_, bad = estimators._apply_map(estimators._KINDS[weight.kind], weight, wh, q)
+    assert not bad.any() and np.isfinite(nxt).all()
+    assert calls == []
+
+
 def test_bounded_step_converges_where_an_unbounded_one_cycles():
     # gg_ml at n = p + 1: with the step length ||r|| / ||v|| alone these
     # members fall into a 4-evaluation cycle with residuals 1.6, 0.8, 0.7,
@@ -528,22 +554,26 @@ def test_malformed_stacks_are_rejected(weight):
 
 
 def test_zero_column_rejected():
-    # the member with a zero column is flagged at its first evaluation, also
-    # where its weight at d = 0 is finite (student_t, gg_ml with s = 1), and
-    # with no RuntimeWarning where it is not; its stack-mates keep their solo
-    # results bit for bit
-    stack = null_stack(NoiseModel("gaussian"), 3, 3, 10, seed=16)
+    # the member with a zero column, and the all-zero member, are flagged at
+    # their first evaluation, also where the weight at d = 0 is finite
+    # (student_t, gg_ml with s >= 1) or gg_ml's scale has no finite value
+    # (all distances 0 at s > 1), and with no RuntimeWarning; their
+    # stack-mates keep their solo results bit for bit
+    stack = null_stack(NoiseModel("gaussian"), 4, 3, 10, seed=16)
     stack[1, :, 4] = 0.0
+    stack[3] = 0.0
     for w in (WeightFunction("tyler"),
               WeightFunction("student_t", nu=3.0),
               WeightFunction("gg_ml", shape_s=0.5),
-              WeightFunction("gg_ml", shape_s=1.0)):
+              WeightFunction("gg_ml", shape_s=1.0),
+              WeightFunction("gg_ml", shape_s=2.0)):
         res = m_estimate_batch(stack, w)
-        assert res.ok.tolist() == [True, False, True]
-        assert res.converged.tolist() == [True, False, True]
-        assert res.iterations[1] == 1
-        alone = m_estimate_batch(stack[1:2], w)
-        assert alone.iterations.tolist() == [1] and not alone.ok[0]
+        assert res.ok.tolist() == [True, False, True, False]
+        assert res.converged.tolist() == [True, False, True, False]
+        assert res.iterations[1] == res.iterations[3] == 1
+        for k in (1, 3):
+            alone = m_estimate_batch(stack[k:k + 1], w)
+            assert alone.iterations.tolist() == [1] and not alone.ok[0]
         for i in (0, 2):
             solo = m_estimate_batch(stack[i:i + 1], w)
             assert np.array_equal(solo.estimates[0], res.estimates[i])
