@@ -87,7 +87,10 @@ def cmd_calibrate(cfg: ExperimentConfig, seed: int, threads: int, emit, target_p
                               "calibration_excluded": result_cal.h0[spec].n_excluded,
                               "holdout_excluded": result_holdout.h0[spec].n_excluded}
                  for spec in specs}
-    return detectors, result_cal.iteration_stats
+    runs = {"calibration": result_cal, "holdout": result_holdout}
+    iteration_stats = {f"{run}/{kind}": entry for run, result in runs.items()
+                       for kind, entry in result.iteration_stats.items()}
+    return detectors, iteration_stats
 
 
 def _seed(raw: str) -> int:

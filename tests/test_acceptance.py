@@ -1,16 +1,18 @@
 """Acceptance gate: the eight build criteria at their stated tolerances.
 
-Heavy simulations are shared across criteria through session fixtures; the
-impulsive-noise ROC experiment runs through the installed CLI so the same
-artifacts serve the ordering, equivalence and determinism criteria.
+The presets the gate judges (fig1, fig3, fig4) run through the CLI at their
+shipped settings, so a preset change moves the gate with it; criteria 5 and
+7 take their noise models from fig1.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  Every test here is marked ``slow``, so ``pytest -m "not slow"``
 runs the unit suites alone.
 """
 
+import json
 import math
-import time
+from contextlib import closing
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,16 +23,15 @@ from robustsense import (
     NoiseModel,
     RngStream,
     RocCurve,
-    SimConfig,
     WeightFunction,
-    derive_seed,
+    cli,
     gg_scale,
     m_estimate_batch,
-    run_experiment,
+    montecarlo,
     sample_chunk,
     sample_trial,
 )
-from robustsense.cli import main
+from robustsense.config import load_config
 from robustsense.sampling import Hypothesis
 
 from oracles import fixed_point_residual, ks_distance, pod_at_pfa, scm
@@ -38,21 +39,10 @@ from stopping import stopping_rule
 
 pytestmark = pytest.mark.slow
 
-TRIALS = 100_000
-P, SIGMA2 = 5, 1.0
-THREADS = 2
+P, THREADS = 5, 2
 
-FAMILIES = {
-    "gaussian": NoiseModel("gaussian", sigma2=SIGMA2),
-    "gg": NoiseModel("gg", sigma2=SIGMA2, shape_s=0.1),
-    "student_t": NoiseModel("student_t", sigma2=SIGMA2, dof_nu=3.0),
-}
-FOUR_DETECTORS = (
-    DetectorSpec("rlrt", "scm"),
-    DetectorSpec("glrt", "scm"),
-    DetectorSpec("rlrt", "tyler"),
-    DetectorSpec("glrt", "tyler"),
-)
+FIG1 = load_config("fig1")
+FAMILIES = {family: FIG1.sim_config(family, FIG1.seed).noise for family in FIG1.families}
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -60,17 +50,25 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def load_roc_csv(path) -> RocCurve:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return RocCurve(pfa=data[:, 0], pod=data[:, 1])
+def read_manifest(out) -> dict:
+    return json.loads((out / "manifest.json").read_text())
 
 
-def three_se_margin(pod_a: float, pod_b: float, trials: int = TRIALS) -> float:
+def roc_pods(out, names) -> tuple[dict[str, float], int]:
+    """pod at pfa = 0.1 of each named ROC CSV in run ``out``, in order, and its trial count."""
+    pods = {}
+    for name in names:
+        data = np.loadtxt(out / f"roc_{name}.csv", delimiter=",", skiprows=1)
+        pods[name] = pod_at_pfa(RocCurve(pfa=data[:, 0], pod=data[:, 1]), 0.1)
+    return pods, read_manifest(out)["config"]["trials"]
+
+
+def three_se_margin(pod_a: float, pod_b: float, trials: int) -> float:
     var = (pod_a * (1 - pod_a) + pod_b * (1 - pod_b)) / trials
     return 3.0 * math.sqrt(var)
 
 
-def tie_notes(pods: dict[str, float], clauses, trials: int = TRIALS) -> str:
+def tie_notes(pods: dict[str, float], clauses, trials: int) -> str:
     """Detail text naming each detector whose pod lies within 3 binomial SE
     of 1 (pod = 1 counts), and each clause ``(text, holds, detectors)`` that
     holds only because all of its detectors sit there: a tie at 1 shows no
@@ -84,41 +82,41 @@ def tie_notes(pods: dict[str, float], clauses, trials: int = TRIALS) -> str:
 
 
 # ---------------------------------------------------------------------------
-# shared experiment runs
+# shared preset runs
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="session")
-def null_cdf_runs():
-    """H0 statistic samples at p=5, n=10 for all three families, with timing."""
-    start = time.perf_counter()
+def run_preset(tmp_path_factory):
+    """``run(command, preset, threads)``: the output directory of a CLI run of a preset."""
+    def run(command: str, preset: str, threads: int):
+        out = tmp_path_factory.mktemp(f"{preset}_t{threads}")
+        assert cli.main([command, "--config", preset, "--out", str(out),
+                         "--threads", str(threads)]) == 0
+        return out
+    return run
+
+
+@pytest.fixture(scope="session")
+def null_cdf_runs(run_preset):
+    """fig1's H0 statistic samples per family, as its CLI run draws them, and its wall clock."""
     runs = {}
-    for i, (name, model) in enumerate(FAMILIES.items()):
-        cfg = SimConfig(p=P, n=10, trials=TRIALS, noise=model,
-                        detectors=FOUR_DETECTORS, master_seed=derive_seed(1729, i))
-        runs[name] = run_experiment(cfg, with_h1=False, threads=THREADS).h0
-    return runs, time.perf_counter() - start
+
+    def keeping(sims, with_h1, threads):
+        with closing(montecarlo.run_experiments(sims, with_h1, threads)) as inner:
+            for sim, result in zip(sims, inner):
+                runs[sim.noise.family] = result.h0
+                yield result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_experiments", keeping)
+        out = run_preset("pof-curve", "fig1", THREADS)
+    return runs, read_manifest(out)["wall_clock_s"]
 
 
 @pytest.fixture(scope="session")
-def impulsive_roc_dirs(tmp_path_factory):
-    """The bundled impulsive-noise ROC preset, run twice with different worker counts."""
-    out1 = tmp_path_factory.mktemp("fig3_serial")
-    out2 = tmp_path_factory.mktemp("fig3_parallel")
-    assert main(["roc", "--config", "fig3", "--out", str(out1), "--threads", "1"]) == 0
-    assert main(["roc", "--config", "fig3", "--out", str(out2), "--threads", str(THREADS)]) == 0
-    return out1, out2
-
-
-@pytest.fixture(scope="session")
-def gaussian_roc_pods():
-    """pod at pfa = 0.1 for the four detectors under Gaussian noise, fig4 geometry."""
-    from robustsense import roc_curve
-
-    cfg = SimConfig(p=P, n=50, trials=TRIALS, noise=FAMILIES["gaussian"],
-                    detectors=FOUR_DETECTORS, master_seed=3141, rho=1.0)
-    result = run_experiment(cfg, with_h1=True, threads=THREADS)
-    return {spec.label: pod_at_pfa(roc_curve(result.h0[spec], result.h1[spec]), 0.1)
-            for spec in FOUR_DETECTORS}
+def impulsive_roc_dirs(run_preset):
+    """The impulsive-noise ROC preset, run twice with different worker counts."""
+    return run_preset("roc", "fig3", 1), run_preset("roc", "fig3", THREADS)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +125,11 @@ def gaussian_roc_pods():
 
 def test_criterion_1_constant_false_alarm(null_cdf_runs):
     runs, elapsed = null_cdf_runs
-    pairs = [("gaussian", "gg"), ("gaussian", "student_t"), ("gg", "student_t")]
     tyler_ks, scm_ks = {}, {}
     for stat in ("rlrt", "glrt"):
         ty = DetectorSpec(stat, "tyler")
         sc = DetectorSpec(stat, "scm")
-        for a, b in pairs:
+        for a, b in combinations(runs, 2):
             tyler_ks[(stat, a, b)] = ks_distance(runs[a][ty].values, runs[b][ty].values)
             scm_ks[(stat, a, b)] = ks_distance(runs[a][sc].values, runs[b][sc].values)
     worst_tyler = max(tyler_ks.values())
@@ -169,10 +166,8 @@ def test_criterion_2_tyler_statistic_equivalence(null_cdf_runs, impulsive_roc_di
 
     # identical ROC point sets on shared trials
     out1, _ = impulsive_roc_dirs
-    roc_r = load_roc_csv(out1 / "roc_tyler_rlrt.csv")
-    roc_g = load_roc_csv(out1 / "roc_tyler_glrt.csv")
-    same_points = (np.array_equal(roc_r.pfa, roc_g.pfa)
-                   and np.array_equal(roc_r.pod, roc_g.pod))
+    same_points = ((out1 / "roc_tyler_rlrt.csv").read_bytes()
+                   == (out1 / "roc_tyler_glrt.csv").read_bytes())
 
     ok = usable == trials and worst < 1e-12 and worst_sorted < 1e-12 and same_points
     report("criterion 2 tyler rlrt/glrt equivalence",
@@ -184,10 +179,9 @@ def test_criterion_2_tyler_statistic_equivalence(null_cdf_runs, impulsive_roc_di
 
 def test_criterion_3_impulsive_noise_ordering(impulsive_roc_dirs):
     out1, _ = impulsive_roc_dirs
-    pods = {name: pod_at_pfa(load_roc_csv(out1 / f"roc_{name}.csv"), 0.1)
-            for name in ("gg_ml_glrt", "tyler_glrt", "scm_glrt", "scm_rlrt")}
-    m_glrt = three_se_margin(pods["tyler_glrt"], pods["scm_glrt"])
-    m_rlrt = three_se_margin(pods["tyler_glrt"], pods["scm_rlrt"])
+    pods, trials = roc_pods(out1, ("gg_ml_glrt", "tyler_glrt", "scm_glrt", "scm_rlrt"))
+    m_glrt = three_se_margin(pods["tyler_glrt"], pods["scm_glrt"], trials)
+    m_rlrt = three_se_margin(pods["tyler_glrt"], pods["scm_rlrt"], trials)
     ml_first = pods["gg_ml_glrt"] >= pods["tyler_glrt"]
     ok = (ml_first
           and pods["tyler_glrt"] - pods["scm_glrt"] > m_glrt
@@ -197,11 +191,13 @@ def test_criterion_3_impulsive_noise_ordering(impulsive_roc_dirs):
            f"pod: gg_ml {pods['gg_ml_glrt']:.5f} >= tyler {pods['tyler_glrt']:.5f}; "
            f"tyler - scm_glrt = {pods['tyler_glrt'] - pods['scm_glrt']:.5f} vs 3se {m_glrt:.5f}; "
            f"tyler - scm_rlrt = {pods['tyler_glrt'] - pods['scm_rlrt']:.5f} vs 3se {m_rlrt:.5f}"
-           + tie_notes(pods, [("gg_ml >= tyler", ml_first, ("gg_ml_glrt", "tyler_glrt"))]))
+           + tie_notes(pods, [("gg_ml >= tyler", ml_first, ("gg_ml_glrt", "tyler_glrt"))], trials))
 
 
-def test_criterion_4_gaussian_ordering(gaussian_roc_pods):
-    pods = gaussian_roc_pods
+def test_criterion_4_gaussian_ordering(run_preset):
+    # in the preset's detector order, which orders the clauses below
+    pods, trials = roc_pods(run_preset("roc", "fig4", THREADS),
+                            [spec.label for spec in load_config("fig4").detector_specs()])
     rlrt_is_max = all(pods["scm_rlrt"] >= v for v in pods.values())
     robustness_price = abs(pods["tyler_glrt"] - pods["scm_glrt"])
     ok = rlrt_is_max and robustness_price < 0.1
@@ -213,7 +209,7 @@ def test_criterion_4_gaussian_ordering(gaussian_roc_pods):
            ok,
            f"scm_rlrt {pods['scm_rlrt']:.5f} is max of {sorted(pods.values())}; "
            f"|tyler_glrt - scm_glrt| = {robustness_price:.5f} < 0.1"
-           + tie_notes(pods, clauses))
+           + tie_notes(pods, clauses, trials))
 
 
 def test_criterion_5_fixed_point_correctness():
@@ -281,7 +277,7 @@ def test_criterion_7_sampler_normalization():
         x = sample_trial(model, P, draws, 0.0, Hypothesis.H0, RngStream(7100, i))
         sq = np.sum(np.abs(x) ** 2, axis=0)
         se = sq.std() / math.sqrt(draws)
-        dev = abs(sq.mean() - P * SIGMA2)
+        dev = abs(sq.mean() - P * model.sigma2)
         ok &= dev < 3.0 * se
         details.append(f"{name} |mean-5|={dev:.4f} (3se={3 * se:.4f})")
 
@@ -312,9 +308,12 @@ def test_criterion_7_sampler_normalization():
 def test_criterion_8_thread_count_determinism(impulsive_roc_dirs):
     out1, out2 = impulsive_roc_dirs
     names = sorted(p.name for p in out1.glob("*.csv"))
-    identical = bool(names) and all(
-        (out1 / name).read_bytes() == (out2 / name).read_bytes() for name in names
-    )
+    identical = bool(names) and names == sorted(p.name for p in out2.glob("*.csv")) and all(
+        (out1 / name).read_bytes() == (out2 / name).read_bytes() for name in names)
+    manifests = read_manifest(out1), read_manifest(out2)
+    same_counts = all(manifests[0][key] == manifests[1][key]
+                      for key in ("detectors", "estimator_iterations"))
     report("criterion 8 thread-count determinism",
-           identical,
-           f"{len(names)} csv files byte-identical across worker counts: {identical}")
+           identical and same_counts,
+           f"{len(names)} csv files byte-identical across worker counts: {identical}"
+           + ("" if same_counts else "; manifest counts differ"))

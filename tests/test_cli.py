@@ -457,6 +457,10 @@ def test_calibrate_writes_thresholds_with_holdout_rates(tmp_path, capsys):
     assert [r[0] for r in rows] == ["scm_rlrt", "scm_glrt", "tyler_rlrt", "tyler_glrt"]
     for r in rows:
         assert abs(float(r[2]) - 0.1) < 0.03
+    # both runs' iteration counts and exclusion reasons, keyed as pof-curve keys its families
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["estimator_iterations"]) == {
+        f"{run}/{kind}" for run in ("calibration", "holdout") for kind in ("scm", "tyler")}
 
 
 def test_calibrate_is_reproducible(tmp_path):
