@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -168,19 +169,26 @@ def main(argv: list[str] | None = None) -> int:
             detectors, iterations = cmd_roc(cfg, seed, args.threads, emit)
         else:
             detectors, iterations = cmd_calibrate(cfg, seed, args.threads, emit, args.pfa)
-        # everything needed to reproduce the run and audit its health
+        # everything needed to reproduce the run and audit its health; strict
+        # JSON has no infinities, so a silent primary keeps its config spelling
+        snr_db = "-inf" if cfg.snr_db == -math.inf else cfg.snr_db
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         manifest = {
             "command": args.command,
             "version": __version__,
             "config_path": cfg.path,
-            "config": {**asdict(cfg), "seed": seed},
+            "config": {**asdict(cfg), "seed": seed, "snr_db": snr_db},
             "master_seed": seed,
             "threads": args.threads,
-            # versions the output bytes rest on: numpy's Generator and Philox
-            # algorithms define every draw, and Python's math.lgamma the gg
-            # texture scale
+            # what the output bytes rest on: numpy's Generator and Philox
+            # algorithms define every draw, Python's math.lgamma the gg
+            # texture scale, and the BLAS library and its thread settings the
+            # estimates' arithmetic
             "python": "{}.{}.{}".format(*sys.version_info[:3]),
             "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "thread_env": {key: value for key, value in os.environ.items()
+                           if key.endswith("_NUM_THREADS")},
             "detectors": detectors,
             "estimator_iterations": iterations,
             "outputs": sorted(outputs),

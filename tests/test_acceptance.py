@@ -5,8 +5,9 @@ shipped settings, so a preset change moves the gate with it; criteria 5 and
 7 take their noise models from fig1.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  Every test here is marked ``slow``, so ``pytest -m "not slow"``
-runs the unit suites alone.
+criterion.  The criteria that run a preset (1, 2, 3, 4 and 8) are marked
+``slow``; criteria 5, 6 and 7 run none and take seconds, so they run with
+the unit suites under ``pytest -m "not slow"``.
 """
 
 import json
@@ -36,8 +37,6 @@ from robustsense.sampling import Hypothesis
 
 from oracles import fixed_point_residual, ks_distance, pod_at_pfa, scm
 from stopping import stopping_rule
-
-pytestmark = pytest.mark.slow
 
 P, THREADS = 5, 2
 
@@ -123,6 +122,7 @@ def impulsive_roc_dirs(run_preset):
 # criteria
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_1_constant_false_alarm(null_cdf_runs):
     runs, elapsed = null_cdf_runs
     tyler_ks, scm_ks = {}, {}
@@ -145,6 +145,7 @@ def test_criterion_1_constant_false_alarm(null_cdf_runs):
            f"runtime {elapsed:.0f}s < 120s")
 
 
+@pytest.mark.slow
 def test_criterion_2_tyler_statistic_equivalence(null_cdf_runs, impulsive_roc_dirs):
     # per-trial proportionality at non-trivial sigma2, on the statistics a
     # chunk computes
@@ -177,6 +178,7 @@ def test_criterion_2_tyler_statistic_equivalence(null_cdf_runs, impulsive_roc_di
            f"roc point sets identical: {same_points}")
 
 
+@pytest.mark.slow
 def test_criterion_3_impulsive_noise_ordering(impulsive_roc_dirs):
     out1, _ = impulsive_roc_dirs
     pods, trials = roc_pods(out1, ("gg_ml_glrt", "tyler_glrt", "scm_glrt", "scm_rlrt"))
@@ -194,6 +196,7 @@ def test_criterion_3_impulsive_noise_ordering(impulsive_roc_dirs):
            + tie_notes(pods, [("gg_ml >= tyler", ml_first, ("gg_ml_glrt", "tyler_glrt"))], trials))
 
 
+@pytest.mark.slow
 def test_criterion_4_gaussian_ordering(run_preset):
     # in the preset's detector order, which orders the clauses below
     pods, trials = roc_pods(run_preset("roc", "fig4", THREADS),
@@ -305,6 +308,7 @@ def test_criterion_7_sampler_normalization():
            "; ".join(details) + f"; gg quadrature mean {quad_mean:.6f} vs 5")
 
 
+@pytest.mark.slow
 def test_criterion_8_thread_count_determinism(impulsive_roc_dirs):
     out1, out2 = impulsive_roc_dirs
     names = sorted(p.name for p in out1.glob("*.csv"))

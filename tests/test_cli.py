@@ -303,7 +303,8 @@ def test_db_conversion():
 # pof-curve command
 # ---------------------------------------------------------------------------
 
-def test_pof_curve_emits_one_csv_per_detector_family_pair(tmp_path):
+def test_pof_curve_emits_one_csv_per_detector_family_pair(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     config = write_config(tmp_path, POF_TEMPLATE.format(trials=200, seed=3))
     out = tmp_path / "out"
     assert main(["pof-curve", "--config", config, "--out", str(out)]) == 0
@@ -324,6 +325,9 @@ def test_pof_curve_emits_one_csv_per_detector_family_pair(tmp_path):
     assert tyler["singular"] == tyler["max_iterations"] == 0
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert manifest["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
     assert "scipy" not in manifest and "worker_blas_pinned" not in manifest
 
 
@@ -335,21 +339,13 @@ def test_pof_curve_single_trial_degenerate(tmp_path):
     assert len(rows) == 1
 
 
-def test_pof_curve_reruns_byte_identical(tmp_path):
-    config = write_config(tmp_path, POF_TEMPLATE.format(trials=300, seed=5))
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["pof-curve", "--config", config, "--out", str(out1), "--threads", "1"]) == 0
-    assert main(["pof-curve", "--config", config, "--out", str(out2), "--threads", "2"]) == 0
-    for f1 in sorted(out1.glob("*.csv")):
-        assert f1.read_bytes() == (out2 / f1.name).read_bytes()
-
-
 @pytest.mark.parametrize("command, text, extra", [
+    ("pof-curve", POF_TEMPLATE.format(trials=300, seed=5), ()),
     ("roc", ROC_TEMPLATE.format(trials=200, seed=13, snr_db=0.0), ()),
     ("calibrate", POF_TEMPLATE.format(trials=200, seed=13), ("--pfa", "0.1")),
-], ids=["roc", "calibrate"])
+], ids=["pof-curve", "roc", "calibrate"])
 def test_worker_count_leaves_csv_bytes_alone(tmp_path, monkeypatch, command, text, extra):
-    # 64-trial chunks: four per run, shared out between the workers
+    # 64-trial chunks: four or five per run, shared out between the workers
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 64 * 16 * 3 * 8)
     config = write_config(tmp_path, text)
     outs = {threads: tmp_path / f"t{threads}" for threads in ("1", "2")}
@@ -412,6 +408,10 @@ def test_roc_zero_snr_collapses_to_diagonal(tmp_path):
     pfa = np.array([float(r[0]) for r in rows])
     pod = np.array([float(r[1]) for r in rows])
     assert np.max(np.abs(pod - pfa)) < 0.05
+    # strict JSON has no -Infinity; the silent primary keeps the config file's spelling
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=lambda name: pytest.fail(f"{name} is not strict JSON"))
+    assert manifest["config"]["snr_db"] == "-inf"
 
 
 def test_roc_command_rejects_pof_config(tmp_path):
@@ -461,14 +461,6 @@ def test_calibrate_writes_thresholds_with_holdout_rates(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["estimator_iterations"]) == {
         f"{run}/{kind}" for run in ("calibration", "holdout") for kind in ("scm", "tyler")}
-
-
-def test_calibrate_is_reproducible(tmp_path):
-    config = write_config(tmp_path, POF_TEMPLATE.format(trials=500, seed=11))
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["calibrate", "--config", config, "--out", str(out1), "--pfa", "0.2"])
-    main(["calibrate", "--config", config, "--out", str(out2), "--pfa", "0.2"])
-    assert (out1 / "calibration.csv").read_bytes() == (out2 / "calibration.csv").read_bytes()
 
 
 def test_calibrate_rejects_bad_target(tmp_path, capsys):

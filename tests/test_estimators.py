@@ -174,14 +174,12 @@ def test_tyler_scalar_case_returns_trace_p():
     assert estimate(x)[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
 
-def test_tyler_trace_pinned():
-    x = gaussian_data(5, 50, seed=5)
-    assert abs(np.trace(estimate(x)).real - 5.0) < 1e-12
-
-
-def test_tyler_global_scale_invariance_power_of_two():
+@pytest.mark.parametrize("scale", [4.0, 2.0 ** -300, 2.0 ** 300, 2.0 ** 500])
+def test_tyler_global_scale_invariance_power_of_two(scale):
+    # a power of two scales every float exactly, so the estimates match bitwise;
+    # the extremes put |x|^2 near 2^-600 and 2^1000
     x = gaussian_data(3, 30, seed=6)
-    res = m_estimate_batch(np.stack([x, 4.0 * x]), WeightFunction("tyler"))
+    res = m_estimate_batch(np.stack([x, scale * x]), WeightFunction("tyler"))
     assert res.ok.all()
     assert np.array_equal(res.estimates[0], res.estimates[1])
     assert res.iterations[0] == res.iterations[1]
@@ -198,22 +196,6 @@ def test_tyler_per_column_scale_invariance():
     d = RngStream(8, 1).generator().uniform(0.1, 10.0, size=30)
     a, b = estimate(x), estimate(x * d[None, :])
     assert np.linalg.norm(a - b) / np.linalg.norm(a) < 1e-10
-
-
-def test_student_t_large_dof_approaches_scm():
-    x = gaussian_data(5, 100, seed=9)
-    est, s = estimate(x, WeightFunction("student_t", nu=1e6)), scm(x)
-    assert np.linalg.norm(est - s) / np.linalg.norm(s) < 1e-3
-
-
-def test_student_t_zero_dof_approaches_tyler():
-    x = sample_trial(NoiseModel("student_t", dof_nu=3.0), 5, 50, 0.0, Hypothesis.H0,
-                     RngStream(10, 0))
-    with stopping_rule(epsilon=1e-12, max_iterations=500):
-        raw = estimate(x, WeightFunction("student_t", nu=0.0))
-        ty = estimate(x)
-    raw = raw * (np.trace(ty).real / np.trace(raw).real)
-    assert np.linalg.norm(raw - ty) / np.linalg.norm(ty) < 1e-8
 
 
 # Tyler's estimator is scale-free and affine equivariant.  Each estimate is
@@ -746,16 +728,6 @@ def test_batch_flags_bad_members_without_poisoning_others():
 # ---------------------------------------------------------------------------
 # fixed-point residual oracle
 # ---------------------------------------------------------------------------
-
-def test_residual_of_scm_is_zero():
-    x = gaussian_data(5, 50, seed=21)
-    assert fixed_point_residual(scm(x), x, WeightFunction("scm")) < 1e-14
-
-
-def test_residual_of_converged_tyler_is_small():
-    x = gaussian_data(5, 50, seed=22)
-    assert fixed_point_residual(estimate(x), x, WeightFunction("tyler")) < 10 * 1e-6
-
 
 def test_residual_of_identity_on_anisotropic_data_is_large():
     x = np.diag([4.0, 1.0]) @ gaussian_data(2, 400, seed=23)  # scatter diag(16, 1)
