@@ -463,6 +463,14 @@ def test_calibrate_writes_thresholds_with_holdout_rates(tmp_path, capsys):
         f"{run}/{kind}" for run in ("calibration", "holdout") for kind in ("scm", "tyler")}
 
 
+def test_calibrate_is_reproducible(tmp_path):
+    config = write_config(tmp_path, POF_TEMPLATE.format(trials=500, seed=11))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    main(["calibrate", "--config", config, "--out", str(out1), "--pfa", "0.2"])
+    main(["calibrate", "--config", config, "--out", str(out2), "--pfa", "0.2"])
+    assert (out1 / "calibration.csv").read_bytes() == (out2 / "calibration.csv").read_bytes()
+
+
 def test_calibrate_rejects_bad_target(tmp_path, capsys):
     config = write_config(tmp_path, POF_TEMPLATE.format(trials=10, seed=12))
     assert main(["calibrate", "--config", config, "--out", str(tmp_path / "o"),

@@ -174,7 +174,13 @@ def test_tyler_scalar_case_returns_trace_p():
     assert estimate(x)[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("scale", [4.0, 2.0 ** -300, 2.0 ** 300, 2.0 ** 500])
+def test_tyler_trace_pinned():
+    x = gaussian_data(5, 50, seed=5)
+    assert abs(np.trace(estimate(x)).real - 5.0) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [4.0, 2.0 ** -300, 2.0 ** 300, 2.0 ** 500],
+                         ids=["4", "2^-300", "2^300", "2^500"])
 def test_tyler_global_scale_invariance_power_of_two(scale):
     # a power of two scales every float exactly, so the estimates match bitwise;
     # the extremes put |x|^2 near 2^-600 and 2^1000
@@ -728,6 +734,16 @@ def test_batch_flags_bad_members_without_poisoning_others():
 # ---------------------------------------------------------------------------
 # fixed-point residual oracle
 # ---------------------------------------------------------------------------
+
+def test_residual_of_scm_is_zero():
+    x = gaussian_data(5, 50, seed=21)
+    assert fixed_point_residual(scm(x), x, WeightFunction("scm")) < 1e-14
+
+
+def test_residual_of_converged_tyler_is_small():
+    x = gaussian_data(5, 50, seed=22)
+    assert fixed_point_residual(estimate(x), x, WeightFunction("tyler")) < 10 * 1e-6
+
 
 def test_residual_of_identity_on_anisotropic_data_is_large():
     x = np.diag([4.0, 1.0]) @ gaussian_data(2, 400, seed=23)  # scatter diag(16, 1)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma, gammainc
 
 from robustsense import (
@@ -210,17 +212,24 @@ def assert_chunks_equal(a, b):
 
 @pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
 @pytest.mark.parametrize("hypothesis", list(Hypothesis), ids=lambda h: h.name)
-def test_results_do_not_depend_on_byte_budgets(monkeypatch, family, hypothesis):
-    # a budget of one byte gives 1-trial chunks, 1-trial sampler pieces or
-    # 1-member engine blocks; each is forced alone, then all.  Chunks of 7
-    # trials end on a short chunk, and one of 23 holds exactly every trial
+def test_results_do_not_depend_on_chunk_boundaries(monkeypatch, family, hypothesis):
+    # chunks of 7 trials end on a short chunk, and one of 23 holds exactly
+    # every trial; 1-trial chunks are forced by the byte-budget test below
     cfg = small_config(trials=23, rho=1.0, **FAMILY_CONFIGS[family])
     default = montecarlo._run_chunks(cfg, hypothesis)
     for chunk in (7, 23):
-        with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_CHUNK_BYTES", chunk_bytes(cfg, chunk))
-            assert montecarlo._chunk_trials(cfg) == chunk
-            assert_chunks_equal(montecarlo._run_chunks(cfg, hypothesis), default)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_bytes(cfg, chunk))
+        assert montecarlo._chunk_trials(cfg) == chunk
+        assert_chunks_equal(montecarlo._run_chunks(cfg, hypothesis), default)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
+@pytest.mark.parametrize("hypothesis", list(Hypothesis), ids=lambda h: h.name)
+def test_results_do_not_depend_on_byte_budgets(monkeypatch, family, hypothesis):
+    # a budget of one byte gives 1-trial chunks, 1-trial sampler pieces or
+    # 1-member engine blocks; each is forced alone, then all
+    cfg = small_config(trials=23, rho=1.0, **FAMILY_CONFIGS[family])
+    default = montecarlo._run_chunks(cfg, hypothesis)
     budgets = ((montecarlo, "_CHUNK_BYTES"), (sampling, "_PIECE_BYTES"),
                (estimators, "_BLOCK_BYTES"))
     for module, budget in budgets:
@@ -260,6 +269,19 @@ def test_large_dimension_run_stays_within_its_byte_budgets(traced_peak):
     result, peak = traced_peak(run_experiment, cfg, with_h1=True)
     assert result.h1[TY_G].values.size == cfg.trials
     assert peak / 1e6 <= LARGE_RUN_PEAK_MB
+
+
+@settings(max_examples=20, deadline=None)
+@given(trials=st.integers(1, 12), chunk=st.integers(1, 13))
+def test_chunk_size_property(trials, chunk):
+    cfg = small_config(trials=trials, rho=1.0, seed=trials)
+    old = montecarlo._CHUNK_BYTES
+    try:
+        whole = montecarlo._run_chunks(cfg, Hypothesis.H1)
+        montecarlo._CHUNK_BYTES = chunk_bytes(cfg, chunk)
+        assert_chunks_equal(montecarlo._run_chunks(cfg, Hypothesis.H1), whole)
+    finally:
+        montecarlo._CHUNK_BYTES = old
 
 
 @pytest.mark.parametrize("threads", [0, -3, 2.5, True])

@@ -102,6 +102,11 @@ def test_sphere_rotation_invariance():
 # textures
 # ---------------------------------------------------------------------------
 
+def test_gaussian_texture_mean():
+    q = textures(NoiseModel("gaussian"), 5, gen(8), size=1_000_000)
+    assert abs(q.mean() - 5.0) < 0.02
+
+
 def test_gg_shape_one_is_gaussian():
     # symbolic check: b = p (p-1)! / p! = 1, so the generator is exp(-d)
     for p in (1, 2, 5, 9):
@@ -111,6 +116,12 @@ def test_gg_shape_one_is_gaussian():
     q_gg = textures(NoiseModel("gg", shape_s=1.0), 5, gen(9), size=1000)
     q_ga = textures(NoiseModel("gaussian"), 5, gen(9), size=1000)
     assert np.allclose(q_gg, q_ga, rtol=1e-12)
+
+
+def test_gg_texture_mean_three_sigma():
+    q = textures(NoiseModel("gg", shape_s=0.1), 5, gen(10), size=1_000_000)
+    se = q.std() / math.sqrt(q.size)
+    assert abs(q.mean() - 5.0) < 3.0 * se
 
 
 def test_student_t_texture_mean():
@@ -155,6 +166,18 @@ def test_ces_single_column():
     x = noise(NoiseModel("gaussian"), 3, 1, 15)
     assert x.shape == (3, 1)
     assert np.linalg.norm(x) > 0
+
+
+def test_squared_norm_mean_per_family():
+    # E|x|^2 = p sigma2 at scatter = I for every family (scaled-down gate version)
+    p, draws = 5, 200_000
+    for model in (NoiseModel("gaussian", sigma2=2.0),
+                  NoiseModel("gg", shape_s=0.1),
+                  NoiseModel("student_t", dof_nu=3.0)):
+        x = noise(model, p, draws, 18)
+        sq = np.sum(np.abs(x) ** 2, axis=0)
+        se = sq.std() / math.sqrt(draws)
+        assert abs(sq.mean() - p * model.sigma2) < 3.0 * se
 
 
 # ---------------------------------------------------------------------------
