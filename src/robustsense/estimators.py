@@ -198,8 +198,9 @@ def _whiten(sigma: np.ndarray, q: np.ndarray) -> _Whitened:
     if singular.any():
         chol[singular] = np.eye(sigma.shape[-1])
     chol_inv = _tril_inv(chol)
-    inv = chol_inv.conj().transpose(0, 2, 1) @ chol_inv
-    d = np.matmul(_dual(inv)[:, None, :], q)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # _apply_map flags a non-finite step
+        inv = chol_inv.conj().transpose(0, 2, 1) @ chol_inv
+        d = np.matmul(_dual(inv)[:, None, :], q)[:, 0]
     return _Whitened(inv, d, singular)
 
 
@@ -347,16 +348,16 @@ def _apply_map(kind: _Kind, weight, wh: _Whitened, q):
     unusable F(Sigma).  A flagged member's F(Sigma) is the identity.
     """
     p, n = wh.inv.shape[-1], q.shape[-1]
-    with np.errstate(divide="ignore", invalid="ignore"):  # flagged below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # flagged or counted below
         w = kind.weight(weight, wh.d, p) / n
         y = np.matmul(q, w[:, :, None])[:, :, 0]
         nxt = kind.post_step(weight, _hermitian(y, p), wh.d)
-    # cheap in-loop guards; the full eigenvalue vetting happens on exit
-    bad = (wh.singular | (wh.d == 0).any(axis=1) | ~np.isfinite(nxt).all(axis=(1, 2))
-           | (y[:, :p].min(axis=1) <= 0))
-    eye = np.eye(p, dtype=np.complex128)
-    nxt[bad] = eye
-    resid = np.linalg.norm(eye - wh.inv @ nxt, axis=(1, 2))
+        # cheap in-loop guards; the full eigenvalue vetting happens on exit
+        bad = (wh.singular | (wh.d == 0).any(axis=1) | ~np.isfinite(nxt).all(axis=(1, 2))
+               | (y[:, :p].min(axis=1) <= 0))
+        eye = np.eye(p, dtype=np.complex128)
+        nxt[bad] = eye
+        resid = np.linalg.norm(eye - wh.inv @ nxt, axis=(1, 2))
     return nxt, resid, bad
 
 
@@ -374,13 +375,13 @@ def _extrapolate(theta0, theta1, theta2, q, bound):
     """
     r = theta1 - theta0
     v = (theta2 - theta1) - r
-    nr = np.linalg.norm(r, axis=(1, 2))
-    nv = np.linalg.norm(v, axis=(1, 2))
-    a = np.ones_like(nr)
-    np.divide(nr, nv, out=a, where=nv > 0)
-    a = np.clip(a, 1.0, bound)
-    bound = np.where(a == bound, bound * _STEP_FACTOR, bound)
     with np.errstate(over="ignore", invalid="ignore"):  # _whiten flags a non-finite candidate
+        nr = np.linalg.norm(r, axis=(1, 2))
+        nv = np.linalg.norm(v, axis=(1, 2))
+        a = np.ones_like(nr)
+        np.divide(nr, nv, out=a, where=nv > 0)
+        a = np.clip(a, 1.0, bound)
+        bound = np.where(a == bound, bound * _STEP_FACTOR, bound)
         cand = theta0 + (2.0 * a)[:, None, None] * r + (a * a)[:, None, None] * v
     wh = _whiten(cand, q)
     fallback = wh.singular.copy()  # wh.singular is overwritten below
@@ -512,5 +513,6 @@ def m_estimate_batch(
     if weight.kind == "scm":
         ok &= evals[:, -1] > 0
     else:
-        ok &= (evals[:, 0] > 0) & (evals[:, -1] <= _COND_LIMIT * evals[:, 0])
+        with np.errstate(over="ignore"):  # a bound past the float range is inf, and holds
+            ok &= (evals[:, 0] > 0) & (evals[:, -1] <= _COND_LIMIT * evals[:, 0])
     return BatchFixedPointResult(estimates, iterations, residuals, converged, ok, evals)

@@ -110,6 +110,10 @@ class StatSample:
     spec: DetectorSpec
     n_excluded: int = 0
 
+    def __post_init__(self):  # the curves read order statistics off the values
+        if self.values.size == 0 or (self.values[1:] < self.values[:-1]).any():
+            raise ValueError(f"{self.spec.label}: a sample needs at least one value, sorted ascending")
+
 
 @dataclass(frozen=True, eq=False)
 class CdfCurve:

@@ -131,18 +131,15 @@ def _complex_draws(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return z
 
 
-def _unit_columns(z: np.ndarray) -> np.ndarray:
-    """Normalize the columns of the complex array z along axis -2 in place
-    and return their norms.
+def _unit_columns(z: np.ndarray) -> None:
+    """Normalize the columns of the complex array z along axis -2 in place.
 
-    A zero-norm column comes out as NaN and is the caller's to redraw.  The
-    one definition of the sphere normalization: the per-trial sampler and
-    the chunk sampler both call it.
+    A zero-norm column comes out as NaN, which ``_check_sample`` refuses.
+    The one definition of the sphere normalization: the per-trial sampler
+    and the chunk sampler both call it.
     """
-    norms = np.linalg.norm(z, axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z /= norms[..., None, :]
-    return norms
+        z /= np.linalg.norm(z, axis=-2)[..., None, :]
 
 
 def _texture_draws(model: NoiseModel, p: int, gen, t: np.ndarray) -> None:
@@ -188,12 +185,9 @@ def _texture_law(model: NoiseModel, p: int, t: np.ndarray):
 
 
 def _sphere(gen, p: int, m: int) -> np.ndarray:
-    """(p, m) columns uniform on the complex p-sphere; zero-norm columns are redrawn."""
-    raw = gen.standard_normal((2, p, m))
-    u = _complex_draws(raw)
-    while np.any(dead := _unit_columns(u) == 0.0):
-        raw[:, :, dead] = gen.standard_normal((2, p, int(dead.sum())))
-        u = _complex_draws(raw)
+    """(p, m) columns uniform on the complex p-sphere; a zero-norm column is NaN."""
+    u = _complex_draws(gen.standard_normal((2, p, m)))
+    _unit_columns(u)
     return u
 
 
@@ -219,11 +213,14 @@ def _check_geometry(p: int, n: int, rho: float) -> None:
         raise ValueError(f"require p >= 1, n >= 1 and a finite rho >= 0, got p={p}, n={n}, rho={rho}")
 
 
-def _check_finite(finite, model: NoiseModel, rho: float) -> None:
-    """The samplers' one output check: a finite model and rho whose texture,
-    channel or signal overflows make a ``ValueError`` naming them."""
+def _check_sample(finite, live, model: NoiseModel, rho: float) -> None:
+    """The samplers' one output check: a ``ValueError`` naming the model and
+    rho when a sample is not finite (an overflow, or a zero-norm draw's NaN)
+    or a noise column, before the signal is added, is all zero (an underflow)."""
     if not finite:
         raise ValueError(f"{model} with rho={rho} overflows the sampler: a sample is not finite")
+    if not live:
+        raise ValueError(f"{model} with rho={rho} underflows the sampler: a noise column is zero")
 
 
 def sample_trial(
@@ -241,10 +238,9 @@ def sample_trial(
     ``h`` and i.i.d. unit-variance complex Gaussian symbols.  Draw order:
     under H1 the channel direction, the noise textures and sphere vectors,
     under H1 the symbols.  This is the stream contract (README) as
-    per-trial code; ``sample_chunk`` reproduces it byte for byte.  Every
-    redraw lives here: zero-norm channel or sphere columns and all-zero
-    noise columns (texture underflow) are redrawn from the same stream.  A
-    sample that is not finite is a ``ValueError`` (``_check_finite``).
+    per-trial code, one fixed sequence of draws; ``sample_chunk``
+    reproduces it byte for byte.  A sample that is not finite, or has an
+    all-zero noise column, is a ``ValueError`` (``_check_sample``).
     """
     _check_geometry(p, n, rho)
     gen = stream.generator()
@@ -253,14 +249,13 @@ def sample_trial(
         if h1:
             h = _channel(_sphere(gen, p, 1), rho, p, model.sigma2)
         x = _noise(model, p, gen, n)
-        while np.any(dead := ~np.any(x, axis=0)):  # texture underflow guard
-            x[:, dead] = _noise(model, p, gen, int(dead.sum()))
+        live = np.any(x, axis=0).all()
         if h1:
             # unit-variance symbols as a (1, n) row: numpy rounds a (1, 1) * (1,)
             # complex product differently from (1, 1) * (1, 1), which
             # sample_chunk's shapes match
             x = h * (_complex_draws(gen.standard_normal((2, 1, n))) / np.sqrt(2.0)) + x
-    _check_finite(np.isfinite(x).all(), model, rho)
+    _check_sample(np.isfinite(x).all(), live, model, rho)
     return x
 
 
@@ -285,10 +280,8 @@ def sample_chunk(
     one ``standard_normal`` call per complex step, real half first.  Then
     the texture law, the sphere normalization and the signal model run
     once on the whole piece, with the same elementwise operations as the
-    per-trial path.  The stack is the only array of chunk size.  A trial
-    that hit a probability-zero event (zero channel or sphere norm,
-    all-zero noise column) is redrawn by ``sample_trial``, which owns the
-    redraw loops; every other trial's finiteness is checked piece by piece.
+    per-trial path.  The stack is the only array of chunk size.  Each
+    piece passes ``sample_trial``'s output check before the next is drawn.
     """
     _check_geometry(p, n, rho)
     lo, hi = _integer("lo", lo), _integer("hi", hi)
@@ -302,7 +295,6 @@ def sample_chunk(
     if h1:
         c, s = np.empty((k, 2, p, 1)), np.empty((k, 2, 1, n))
     x = np.empty((m, p, n), dtype=np.complex128)
-    guard = np.empty(m, dtype=bool)
     gen = RngStream(master_seed).generator()  # re-pointed at every trial
     bit_generator = gen.bit_generator
     key = bit_generator.state["state"]["key"].tolist()
@@ -319,17 +311,15 @@ def sample_chunk(
                 gen.standard_normal(out=s[i])
 
         xs = _complex_draws(raw[:size], out=x[piece])
-        guard[piece] = np.any(_unit_columns(xs) == 0.0, axis=1)
+        _unit_columns(xs)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
             xs *= np.sqrt(_texture_law(model, p, t[:size]))[:, None, :]
-            guard[piece] |= np.any(~np.any(xs, axis=1), axis=1)  # texture underflow
+            live = np.any(xs, axis=1).all()
             if h1:
                 direction = _complex_draws(c[:size])
-                guard[piece] |= _unit_columns(direction)[:, 0] == 0.0
+                _unit_columns(direction)
                 h = _channel(direction, rho, p, model.sigma2)
                 symbols = _complex_draws(s[:size]) / np.sqrt(2.0)
                 np.add(h * symbols, xs, out=xs)  # operand order of sample_trial
-        _check_finite((guard[piece] | np.isfinite(xs).all(axis=(1, 2))).all(), model, rho)
-    for j in np.flatnonzero(guard):
-        x[j] = sample_trial(model, p, n, rho, hypothesis, RngStream(master_seed, lo + j))
+        _check_sample(np.isfinite(xs).all(), live, model, rho)
     return x

@@ -602,19 +602,47 @@ def test_undecodable_config_exits_nonzero(tmp_path, capsys):
     # chi-square draws underflow to 0, and the texture divides by them
     ("pof-curve", POF.replace("student_t_dof = 3.0", "student_t_dof = 0.01"), "dof_nu=0.01"),
     ("roc", ROC_TEMPLATE.format(trials=10, seed=1, snr_db=3080), "rho=1e+308"),
-], ids=["sigma2", "student_t_dof", "snr_db"])
+    # the smallest subnormal: some textures underflow to all-zero noise columns
+    ("pof-curve", POF_TEMPLATE.format(trials=40, seed=1).replace("sigma2 = 1.0", "sigma2 = 5e-324"),
+     "sigma2=5e-324"),
+], ids=["sigma2", "student_t_dof", "snr_db", "sigma2-underflow"])
 def test_finite_value_that_overflows_the_sampler_exits_2(tmp_path, command, text, named):
-    # a fresh interpreter, so stderr shows any traceback and every warning
+    run, errors, warned = run_fresh_cli(tmp_path, command, text)
+    assert run.returncode == 2, run.stderr
+    assert len(errors) == 1 and named in errors[0], run.stderr
+    # the one warning left is the notice for a student_t dof <= 2
+    assert all("has no covariance" in line for line in warned), run.stderr
+
+
+def run_fresh_cli(tmp_path, command, text):
+    """Run the CLI on ``text`` in a fresh interpreter, so stderr shows any
+    traceback and every warning; the run, its error lines, its warning lines."""
     config = write_config(tmp_path, text)
     argv = [command, "--config", config, "--out", str(tmp_path / "out"), "--threads", "1"]
     run = fresh_python(f"import sys\nfrom robustsense.cli import main\nsys.exit(main({argv!r}))\n")
-    assert run.returncode == 2, run.stderr
     assert "Traceback" not in run.stderr
-    errors = [line for line in run.stderr.splitlines() if line.startswith("error: ")]
-    assert len(errors) == 1 and named in errors[0], run.stderr
-    # the one warning left is the notice for a student_t dof <= 2
-    warned = [line for line in run.stderr.splitlines() if "Warning" in line]
-    assert all("has no covariance" in line for line in warned), run.stderr
+    lines = run.stderr.splitlines()
+    return run, [line for line in lines if line.startswith("error: ")], \
+        [line for line in lines if "Warning" in line]
+
+
+POF_ALL_KINDS = POF_TEMPLATE.format(trials=40, seed=1).replace(
+    "estimators = scm, tyler", "estimators = scm, tyler, student_t")
+ROC_40 = ROC_TEMPLATE.format(trials=40, seed=1, snr_db=0.0)
+
+
+@pytest.mark.parametrize("command, text, code", [
+    ("pof-curve", POF_ALL_KINDS.replace("sigma2 = 1.0", "sigma2 = 1e307"), 2),
+    ("pof-curve", POF_ALL_KINDS.replace("sigma2 = 1.0", "sigma2 = 1e-310"), 2),
+    ("roc", ROC_40.replace("sigma2 = 1.0", "sigma2 = 1e-318"), 2),
+    ("roc", ROC_40.replace("sigma2 = 1.0", "sigma2 = 1e250"), 0),
+], ids=["pof-1e307", "pof-1e-310", "roc-1e-318", "roc-1e250"])
+def test_extreme_finite_scale_warns_nothing(tmp_path, command, text, code):
+    # the engine flags or counts every member such a scale breaks (exit 2 is
+    # the exclusion guard); numpy's overflow and invalid warnings stay inside
+    run, errors, warned = run_fresh_cli(tmp_path, command, text)
+    assert run.returncode == code, run.stderr
+    assert len(errors) <= 1 and not warned, run.stderr
 
 
 def test_config_with_byte_order_mark_loads(tmp_path):

@@ -596,6 +596,13 @@ def test_gaussian_scm_rlrt_null_follows_tw2(p, n):
 # empirical exceedance curves
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("values", [[], [2.0, 1.0, 3.0]], ids=["empty", "unsorted"])
+def test_stat_sample_needs_sorted_values(values):
+    # the curves and the calibration read order statistics off the values
+    with pytest.raises(ValueError, match="scm_glrt: a sample needs at least one value, sorted"):
+        StatSample(values=np.asarray(values, dtype=float), spec=SCM_G)
+
+
 def test_pfa_curve_simple_counts():
     sample = sample_of([1.0, 2.0, 3.0, 4.0])
     curve = empirical_pfa_curve(sample, np.array([2.5]))

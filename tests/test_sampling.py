@@ -8,6 +8,7 @@ The sphere and texture laws are checked on the private draw steps that
 import contextlib
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -389,8 +390,12 @@ def test_per_trial_stream_bytes_are_pinned(model, hypothesis):
     assert sample_chunk(model, 5, 10, 1.0, hypothesis, 2024, 0, 16).tobytes() == x.tobytes()
 
 
+def refuses_the_sample(model, flows):
+    return pytest.raises(ValueError, match=re.escape(f"{model} with rho=1.0 {flows} the sampler"))
+
+
 @pytest.mark.parametrize("hypothesis", list(Hypothesis), ids=lambda h: h.name)
-def test_chunk_sampler_redraws_a_guard_trial_like_the_per_trial_path(monkeypatch, hypothesis):
+def test_samplers_refuse_an_all_zero_noise_column(monkeypatch, hypothesis):
     model, p, n, seed, lo, hi, forced = NoiseModel("gg", shape_s=0.5), 3, 8, 11, 100, 124, 117
     law = sampling._texture_law
     seen = []
@@ -400,30 +405,26 @@ def test_chunk_sampler_redraws_a_guard_trial_like_the_per_trial_path(monkeypatch
         return law(model, p, t)
 
     monkeypatch.setattr(sampling, "_texture_law", spy)
-    unforced = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
+    sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
     mark = seen[0][forced - lo, 0]  # the forced trial's first raw texture draw
 
-    calls = []
-
     def zero_marked(model, p, t):
-        # all-zero noise columns in the marked trial; redraws are unmarked
+        # all-zero noise columns in the marked trial, as an underflowing texture
         g = t[..., 0, :]
-        calls.append(g.shape)
         return np.where(g[..., :1] == mark, 0.0, law(model, p, t))
 
     monkeypatch.setattr(sampling, "_texture_law", zero_marked)
-    batched = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
-    assert calls == [(hi - lo, n), (n,), (n,)]  # the chunk, the forced trial, its redraw
-    expected = reference_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
-    assert batched.tobytes() == expected.tobytes()
-    changed = np.any(batched != unforced, axis=(1, 2))
-    assert np.flatnonzero(changed).tolist() == [forced - lo]
+    # under H1 the signal would hide the zero columns; the check comes first
+    with refuses_the_sample(model, "underflows"):
+        sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
+    with refuses_the_sample(model, "underflows"):
+        sample_trial(model, p, n, 1.0, hypothesis, RngStream(seed, forced))
+    sample_trial(model, p, n, 1.0, hypothesis, RngStream(seed, forced - 1))  # unmarked
 
 
 @pytest.mark.parametrize("hypothesis, call", [(H0, 0), (H1, 0), (H1, 1)],
                          ids=["sphere-H0", "sphere-H1", "channel-H1"])
-def test_chunk_sampler_redraws_a_zero_norm_trial_like_the_per_trial_path(
-        monkeypatch, hypothesis, call):
+def test_samplers_refuse_a_zero_norm_draw(monkeypatch, hypothesis, call):
     # the chunk is one piece at this size: call 0 of its sphere normalization
     # is the noise, call 1 the channel
     model, p, n, seed, lo, hi, forced = NoiseModel("student_t", dof_nu=3.0), 3, 8, 12, 100, 124, 109
@@ -435,19 +436,18 @@ def test_chunk_sampler_redraws_a_zero_norm_trial_like_the_per_trial_path(
         return unit(z)
 
     monkeypatch.setattr(sampling, "_unit_columns", spy)
-    unforced = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
+    sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
     assert len(seen) == 1 + (hypothesis is H1)
     mark = seen[call][forced - lo, 0, 0].real  # the forced trial's first raw draw
 
     def zero_marked(z):
-        # zero-norm columns where the marked draw appears; redraws are unmarked
+        # zero-norm columns where the marked draw appears: they come out NaN
         z[...] = np.where(z[..., :1, :].real == mark, 0.0, z)
         return unit(z)
 
     monkeypatch.setattr(sampling, "_unit_columns", zero_marked)
-    batched = sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
-    expected = reference_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
-    assert np.isfinite(batched).all()
-    assert batched.tobytes() == expected.tobytes()
-    changed = np.any(batched != unforced, axis=(1, 2))
-    assert np.flatnonzero(changed).tolist() == [forced - lo]
+    with refuses_the_sample(model, "overflows"):
+        sample_chunk(model, p, n, 1.0, hypothesis, seed, lo, hi)
+    with refuses_the_sample(model, "overflows"):
+        sample_trial(model, p, n, 1.0, hypothesis, RngStream(seed, forced))
+    sample_trial(model, p, n, 1.0, hypothesis, RngStream(seed, forced - 1))  # unmarked
