@@ -116,7 +116,7 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
     build its simulations, whose model objects check every value they read;
     a number nothing reads must still be finite."""
     path = Path(path_or_preset)
-    if not path.exists():
+    if not path.is_file():  # a directory named like a preset does not shadow it
         bundled = preset_path(path_or_preset)
         if bundled is None:
             raise ConfigError(f"{path_or_preset}: no such config file or preset (presets: {', '.join(PRESETS)})")

@@ -122,6 +122,13 @@ def test_unknown_preset_or_path():
         load_config("fig9")
 
 
+def test_directory_named_like_a_preset_does_not_shadow_it(tmp_path, monkeypatch):
+    # an earlier `--out fig4` leaves such a directory in the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig4").mkdir()
+    assert load_config("fig4").path == str(preset_path("fig4"))
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -271,13 +278,6 @@ def test_percent_in_a_value_is_plain_text(tmp_path, capsys):
 def test_config_requires_gg_shape(tmp_path):
     text = POF_TEMPLATE.format(trials=10, seed=1).replace("gg_shape = 0.5\n", "")
     with pytest.raises(ConfigError, match="gg_shape"):
-        load_config(write_config(tmp_path, text))
-
-
-def test_config_gg_ml_needs_gg_noise(tmp_path):
-    text = ROC_TEMPLATE.format(trials=10, seed=1, snr_db=0.0).replace(
-        "families = gg", "families = gaussian")
-    with pytest.raises(ConfigError, match="gg_ml"):
         load_config(write_config(tmp_path, text))
 
 
@@ -461,14 +461,6 @@ def test_calibrate_writes_thresholds_with_holdout_rates(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["estimator_iterations"]) == {
         f"{run}/{kind}" for run in ("calibration", "holdout") for kind in ("scm", "tyler")}
-
-
-def test_calibrate_is_reproducible(tmp_path):
-    config = write_config(tmp_path, POF_TEMPLATE.format(trials=500, seed=11))
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["calibrate", "--config", config, "--out", str(out1), "--pfa", "0.2"])
-    main(["calibrate", "--config", config, "--out", str(out2), "--pfa", "0.2"])
-    assert (out1 / "calibration.csv").read_bytes() == (out2 / "calibration.csv").read_bytes()
 
 
 def test_calibrate_rejects_bad_target(tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import gamma, gammainc
 
 from robustsense import (
@@ -398,15 +399,21 @@ def test_run_experiment_counts_exclusions_by_cause(monkeypatch):
     assert stats["scm"]["max_iterations"] == stats["scm"]["singular"] == 0
 
 
-def test_run_experiment_counts_a_zero_column_trial_as_singular(monkeypatch):
-    # trial 0 of each run loses one snapshot: Tyler flags it, scm keeps it
-    def sample_chunk(*args):
-        x = sampling.sample_chunk(*args)
-        if args[-2] == 0:
-            x[0, :, 0] = 0.0
+def zero_a_column_of(monkeypatch, trials):
+    """Give the listed trials of every run an all-zero first snapshot column."""
+    def sample_chunk(model, p, n, rho, hypothesis, master_seed, lo, hi):
+        x = sampling.sample_chunk(model, p, n, rho, hypothesis, master_seed, lo, hi)
+        for t in trials:
+            if lo <= t < hi:
+                x[t - lo, :, 0] = 0.0
         return x
 
     monkeypatch.setattr(montecarlo, "sample_chunk", sample_chunk)
+
+
+def test_run_experiment_counts_a_zero_column_trial_as_singular(monkeypatch):
+    # trial 0 of each run loses one snapshot: Tyler flags it, scm keeps it
+    zero_a_column_of(monkeypatch, [0])
     cfg = SimConfig(p=3, n=8, trials=64, noise=NoiseModel("gaussian"), rho=1.0,
                     detectors=(SCM_G, TY_G), master_seed=1)
     with pytest.raises(ExclusionRateError, match=re.escape(
@@ -418,6 +425,20 @@ def test_run_experiment_counts_a_zero_column_trial_as_singular(monkeypatch):
     assert result.iteration_stats["tyler"]["singular"] == 2
     assert result.iteration_stats["scm"]["singular"] == 0
     assert result.h0[TY_G].n_excluded == 1 and result.h0[SCM_G].n_excluded == 0
+
+
+def test_exclusion_guard_allows_exactly_its_limit(monkeypatch):
+    # 0.1% of 1000 trials is one: one zero-column trial runs, two stop the run
+    cfg = SimConfig(p=3, n=8, trials=1000, noise=NoiseModel("gaussian"),
+                    detectors=(SCM_G, TY_G), master_seed=1)
+    zero_a_column_of(monkeypatch, [0])
+    h0 = run_experiment(cfg, with_h1=False).h0
+    assert h0[TY_G].n_excluded == 1 and h0[SCM_G].n_excluded == 0
+    zero_a_column_of(monkeypatch, [0, 999])
+    with pytest.raises(ExclusionRateError, match=re.escape(
+            "tyler_glrt: 2 of 1000 trials have no usable estimate "
+            "(2 singular, 0 hit max_iterations; limit 0.1%)")):
+        run_experiment(cfg, with_h1=False)
 
 
 def test_scm_depends_on_family_tyler_does_not():
@@ -559,6 +580,23 @@ def test_gaussian_scm_rlrt_null_follows_the_khatri_law():
     gap = sup_gap(khatri_cdf(n * values, p, n))
     dkw_99 = math.sqrt(math.log(2 / 0.01) / (2 * trials))
     assert gap < dkw_99, f"sup-gap {gap:.4f} outside the 99% DKW band {dkw_99:.4f}"
+
+
+@pytest.mark.parametrize("p, n, trials", [(5, 10, 50_000), (5, 50, 20_000)])
+def test_gaussian_scm_glrt_null_moments_follow_the_khatri_law(p, n, trials):
+    # r^2 = tr(X X^H) ~ Gamma(pn, 1) is independent of U = X / r, and
+    # glrt = p lam_max(U U^H), so E[glrt^k] = p^k E[lam_max(X X^H)^k] Gamma(pn) / Gamma(pn + k)
+    config = SimConfig(p=p, n=n, trials=trials, noise=NoiseModel("gaussian"),
+                       detectors=(SCM_G,), master_seed=98)
+    values = run_experiment(config, with_h1=False).h0[SCM_G].values
+    assert values.size == trials
+    for k in (1, 2):
+        # E[lam_max^k] = integral of k x^(k-1) (1 - F(x)), F the Khatri CDF
+        tail, _ = quad(lambda x: k * x ** (k - 1) * (1 - khatri_cdf(x, p, n)), 0, np.inf)
+        exact = p**k * tail * math.exp(math.lgamma(p * n) - math.lgamma(p * n + k))
+        moment = values**k
+        se = moment.std() / math.sqrt(trials)
+        assert abs(moment.mean() - exact) < 4 * se, (k, moment.mean(), exact, se)
 
 
 def test_tw2_oracle_has_the_tracy_widom_mean_and_variance():
